@@ -9,7 +9,6 @@ so stale seeds sink and productive ones stay on top.
 """
 
 from truzz import CompiledTarget, Policy, dry_run
-from truzz.coverage import DEFAULT_MAP_SIZE
 from truzz.targets import load_bundled
 
 
@@ -24,7 +23,7 @@ def main():
         good_seed[:1] + b"\xf0\x00\x00",  # passes gate, takes the other branch
     ]
 
-    corpus = dry_run(seeds, compiled.execute, DEFAULT_MAP_SIZE)
+    corpus = dry_run(seeds, lambda data: compiled.execute(data).path)
     print("dry run results (rank = new edges at retention time):")
     for entry in corpus.entries:
         print(

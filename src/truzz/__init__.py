@@ -6,95 +6,30 @@ validation check collapses the execution path into a short error handler,
 which is both detectable (per-byte fitness via interval halving) and
 actionable (a mutation mask that protects those bytes, plus a seed ranking
 that prefers inputs opening large new code regions).
+
+The names below are the short-hand entry points; everything else is
+imported from its submodule.
 """
 
-from .byte_analysis import (
-    AnalysisConfig,
-    FitnessMap,
-    MutationMask,
-    analyze,
-    mask_from_fitness,
-    path_fitness,
-    probe_mutate,
-)
-from .coverage import (
-    DEFAULT_MAP_SIZE,
-    Bitmap,
-    Path,
-    count_new_edges,
-    merge_into,
-    path_from_bitmap,
-)
-from .engine import (
-    Budget,
-    Campaign,
-    CampaignConfig,
-    CampaignStats,
-    replay,
-    run_campaign,
-)
-from .mutation import Rng, mutate, select_byte
-from .report import A12Result, Magnitude, a12, compare_campaigns
-from .scheduler import (
-    CampaignError,
-    Corpus,
-    Policy,
-    SchedulerConfig,
-    SeedEntry,
-    dry_run,
-)
-from .target import (
-    CompiledTarget,
-    ExecResult,
-    ExecStatus,
-    TargetSpec,
-    execute_external,
-    execute_synthetic,
-    load_spec,
-    parse_spec,
-)
+from .byte_analysis import AnalysisConfig, analyze, mask_from_fitness
+from .engine import Budget, CampaignConfig, run_campaign
+from .report import a12, compare_campaigns
+from .scheduler import Policy, SchedulerConfig, dry_run
+from .target import CompiledTarget
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "A12Result",
-    "Bitmap",
     "Budget",
-    "Campaign",
     "CampaignConfig",
-    "CampaignError",
-    "CampaignStats",
     "CompiledTarget",
-    "Corpus",
-    "DEFAULT_MAP_SIZE",
-    "ExecResult",
-    "ExecStatus",
-    "FitnessMap",
-    "Magnitude",
-    "MutationMask",
-    "Path",
     "Policy",
-    "Rng",
     "SchedulerConfig",
-    "SeedEntry",
-    "TargetSpec",
     "a12",
     "analyze",
     "compare_campaigns",
-    "count_new_edges",
     "dry_run",
-    "execute_external",
-    "execute_synthetic",
-    "load_spec",
     "mask_from_fitness",
-    "merge_into",
-    "mutate",
-    "parse_spec",
-    "path_fitness",
-    "path_from_bitmap",
-    "probe_mutate",
-    "replay",
     "run_campaign",
-    "select_byte",
 ]

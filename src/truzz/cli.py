@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from pathlib import Path as FsPath
 
@@ -82,7 +83,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     cfg = CampaignConfig(
         corpus_dir=args.corpus,
         target_spec=args.target,
-        command=args.cmd.split() if args.cmd else None,
+        command=shlex.split(args.cmd) if args.cmd else None,
         budget=Budget(max_execs=args.budget_execs, max_seconds=args.budget_secs),
         scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
         analysis=AnalysisConfig(
@@ -125,7 +126,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     rep = replay(
         args.input,
         target_spec=args.target,
-        command=args.cmd.split() if args.cmd else None,
+        command=shlex.split(args.cmd) if args.cmd else None,
         corpus_dir=args.corpus,
         show_path=args.show_path,
     )

@@ -1,101 +1,12 @@
-"""Edge-coverage bookkeeping: hit-count bitmaps and covered-edge paths.
+"""Edge coverage as covered-edge paths.
 
-A Bitmap is a fixed-size array of edge hit counters; an edge is covered
-iff its counter is non-zero. A Path is the set of edge identifiers covered
-by one execution, materialized as a frozenset for cheap intersection and
-difference.
+A Path is the set of edge identifiers covered by one execution,
+materialized as a frozenset for cheap intersection and difference. Edge
+identifiers lie in ``[0, map_size)``; targets are checked against that
+bound when they are parsed or when an external target reports coverage.
 """
-
-from __future__ import annotations
-
-from typing import Iterable
-
-import numpy as np
 
 DEFAULT_MAP_SIZE = 65536
 
 # Edge identifiers covered by one execution.
 Path = frozenset
-
-_COUNTER_MAX = np.iinfo(np.uint32).max
-
-
-class BitmapSizeError(ValueError):
-    """Two bitmaps of different sizes were compared or merged."""
-
-
-class Bitmap:
-    """Fixed-size edge hit-counter array.
-
-    The size is fixed for the lifetime of a campaign; all bitmaps that are
-    compared or merged must share it. Counters saturate instead of wrapping
-    (only zero vs non-zero matters downstream).
-    """
-
-    __slots__ = ("counters",)
-
-    def __init__(self, size: int = DEFAULT_MAP_SIZE):
-        if size <= 0:
-            raise BitmapSizeError(f"map size must be positive, got {size}")
-        self.counters = np.zeros(size, dtype=np.uint32)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[int], size: int = DEFAULT_MAP_SIZE) -> "Bitmap":
-        b = cls(size)
-        idx = list(edges)
-        if idx:
-            np.add.at(b.counters, idx, 1)
-        return b
-
-    @property
-    def size(self) -> int:
-        return len(self.counters)
-
-    def record(self, edge: int, times: int = 1) -> None:
-        """Increment one counter, saturating at the maximum value."""
-        cur = int(self.counters[edge])
-        self.counters[edge] = min(cur + times, _COUNTER_MAX)
-
-    def covered_count(self) -> int:
-        return int(np.count_nonzero(self.counters))
-
-    def copy(self) -> "Bitmap":
-        b = Bitmap(self.size)
-        b.counters[:] = self.counters
-        return b
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bitmap):
-            return NotImplemented
-        return self.size == other.size and bool(
-            np.array_equal(self.counters, other.counters)
-        )
-
-    def __repr__(self) -> str:
-        return f"Bitmap(size={self.size}, covered={self.covered_count()})"
-
-
-def _check_sizes(a: Bitmap, b: Bitmap) -> None:
-    if a.size != b.size:
-        raise BitmapSizeError(f"bitmap size mismatch: {a.size} != {b.size}")
-
-
-def path_from_bitmap(b: Bitmap) -> Path:
-    """Set of edge identifiers with non-zero counters."""
-    return frozenset(np.flatnonzero(b.counters).tolist())
-
-
-def count_new_edges(b: Bitmap, overall: Bitmap) -> int:
-    """Number of edges covered by ``b`` but not yet by ``overall``."""
-    _check_sizes(b, overall)
-    return int(np.count_nonzero((b.counters != 0) & (overall.counters == 0)))
-
-
-def merge_into(overall: Bitmap, b: Bitmap) -> Bitmap:
-    """Fold ``b``'s coverage into ``overall`` (in place) and return it.
-
-    Idempotent and order-insensitive with respect to the covered set.
-    """
-    _check_sizes(overall, b)
-    np.maximum(overall.counters, b.counters, out=overall.counters)
-    return overall

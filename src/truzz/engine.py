@@ -11,11 +11,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .byte_analysis import AnalysisConfig, FitnessMap, MutationMask, analyze, mask_from_fitness
-from .coverage import DEFAULT_MAP_SIZE
-from .mutation import Rng, draw_op_count, mutate, select_byte
+from .coverage import DEFAULT_MAP_SIZE, Path
+from .mutation import Rng, draw_op_count, mutate
 from .scheduler import (
     CampaignError,
     Corpus,
@@ -27,7 +27,6 @@ from .scheduler import (
 )
 from .target import (
     CompiledTarget,
-    ExecResult,
     ExecStatus,
     TargetSpec,
     execute_external,
@@ -94,17 +93,19 @@ class _StatsWriter:
     def __init__(self, path: FsPath):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
         self._fh.write(STATS_HEADER + "\n")
-        self._last_row_execs = -1
+        self._last_row = ""
 
     def row(self, stats: CampaignStats) -> None:
-        if stats.executions == self._last_row_execs:
-            return
-        self._last_row_execs = stats.executions
-        self._fh.write(
+        # An interval row is written before that execution's retention, so
+        # the final row may share its execution count but not its contents.
+        row = (
             f"{stats.elapsed:.6f},{stats.executions},{stats.seeds},"
             f"{stats.edges_covered},{stats.valid_count},{stats.invalid_count},"
             f"{stats.crashes}\n"
         )
+        if row != self._last_row:
+            self._last_row = row
+            self._fh.write(row)
 
     def close(self) -> None:
         self._fh.close()
@@ -180,14 +181,17 @@ class Campaign:
         self.crash_dir = self.corpus_dir / "crashes"
         self._stats_writer: Optional[_StatsWriter] = None
         self._wall_start = 0.0
-        self._known_stale: dict = {}  # path signature -> corpus version with 0 new edges
+        self._known_stale: dict = {}  # run signature -> corpus version with 0 new edges
 
+        # The executor: run(data) -> (path, valid, status, signature).
         if cfg.target_spec is not None:
             self.spec: Optional[TargetSpec] = load_spec(cfg.target_spec, cfg.map_size)
             self.compiled: Optional[CompiledTarget] = CompiledTarget(self.spec)
+            self._run = self.compiled.run
         else:
             self.spec = None
             self.compiled = None
+            self._run = self._run_external
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
@@ -196,7 +200,7 @@ class Campaign:
     def synthetic(self) -> bool:
         return self.compiled is not None
 
-    def _charge(self, valid: Optional[bool], crashed: bool = False) -> None:
+    def _charge(self, valid: Optional[bool], crashed: bool) -> None:
         st = self.stats
         st.executions += 1
         if valid is True:
@@ -220,13 +224,19 @@ class Campaign:
             )
             self._stats_writer.row(self.stats)
 
-    def _execute(self, data: bytes) -> ExecResult:
-        if self.compiled is not None:
-            return self.compiled.execute(data)
+    def _run_external(self, data: bytes) -> tuple[Path, None, ExecStatus, Path]:
+        """Executor for external targets; the path is its own signature."""
         result = execute_external(
             self.cfg.command, data, self.cfg.exec_timeout, self.cfg.map_size
         )
-        return result
+        return result.path, None, result.exec_status, result.path
+
+    def _run_charged(self, data: bytes) -> Path:
+        """Execute outside mutation (dry run, probes), charge the budget and
+        return the path."""
+        path, valid, status, _ = self._run(data)
+        self._charge(valid, status is ExecStatus.CRASH)
+        return path
 
     def _budget_left(self) -> bool:
         b = self.cfg.budget
@@ -244,14 +254,12 @@ class Campaign:
     def _analyze_seed(self, entry: SeedEntry) -> None:
         """One-time fitness/mask computation; probes charge the budget."""
 
-        def run(mutant: bytes):
-            result = self._execute(mutant)
-            crashed = result.exec_status is ExecStatus.CRASH
-            self._charge(result.valid, crashed)
-            self.corpus.merge(result.path)
-            return result.path
+        def probe(mutant: bytes) -> Path:
+            path = self._run_charged(mutant)
+            self.corpus.merge(path)
+            return path
 
-        fm = analyze(entry.data, entry.path, run, self.cfg.analysis)
+        fm = analyze(entry.data, entry.path, probe, self.cfg.analysis)
         mask = mask_from_fitness(fm, self.cfg.analysis)
         entry.analysis = SeedAnalysis(fm, mask)
         self.stats.probe_execs += fm.probe_count
@@ -264,14 +272,9 @@ class Campaign:
         if resumed:
             seeds = seeds + resumed
 
-        def run(data: bytes) -> ExecResult:
-            result = self._execute(data)
-            self._charge(result.valid, result.exec_status is ExecStatus.CRASH)
-            return result
-
         saved_analysis = self._saved_analysis_by_bytes()
         start = self.stats.executions
-        self.corpus = dry_run(seeds, run, self.cfg.map_size)
+        self.corpus = dry_run(seeds, self._run_charged)
         self.stats.dry_run_execs = self.stats.executions - start
         for entry in self.corpus.entries:
             cached = saved_analysis.get(entry.data)
@@ -321,40 +324,29 @@ class Campaign:
             mask = entry.analysis.mask
 
         n_all = 0
+        run = self._run
         known_stale = self._known_stale
         seed_data = entry.data
-        synthetic = self.compiled is not None
-        run_fast = self.compiled.run if synthetic else None
 
         for _ in range(cfg.scheduler.energy):
             if not self._budget_left():
                 break
             child = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            if synthetic:
-                path, valid, sig = run_fast(child)
-                self._charge(valid)
-                if known_stale.get(sig) == corpus.version:
-                    continue
-                new = path - corpus.covered
-                if new:
-                    corpus.add_entry(child, path, len(new))
-                    corpus.covered |= new
-                    corpus.version += 1
-                    n_all += len(new)
-                else:
-                    known_stale[sig] = corpus.version
+            path, valid, status, sig = run(child)
+            crashed = status is ExecStatus.CRASH
+            self._charge(valid, crashed)
+            if crashed:
+                self._save_crash(child)
+                corpus.merge(path)
+                continue
+            if known_stale.get(sig) == corpus.version:
+                continue
+            kept = corpus.retain_if_new(child, path)
+            if kept is None:
+                known_stale[sig] = corpus.version
             else:
-                result = self._execute(child)
-                crashed = result.exec_status is ExecStatus.CRASH
-                self._charge(None, crashed)
-                if crashed:
-                    self._save_crash(child)
-                    corpus.merge(result.path)
-                    continue
-                kept = corpus.retain_if_new(child, result)
-                if kept is not None:
-                    n_all += kept.rank_key
+                n_all += kept.rank_key
         return n_all
 
     def run(self) -> CampaignStats:

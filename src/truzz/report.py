@@ -187,5 +187,5 @@ def collect_final_metric(run_dir: str | os.PathLike, metric: str) -> list[float]
     values = []
     for f in files:
         final = read_stats(f)[-1]
-        values.append(float(getattr(final, metric if metric != "elapsed_s" else "elapsed_s")))
+        values.append(float(getattr(final, metric)))
     return values

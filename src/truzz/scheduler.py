@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .byte_analysis import FitnessMap, MutationMask
-from .coverage import Bitmap, Path
-from .target import ExecResult
+from .coverage import Path
 
 
 class CampaignError(RuntimeError):
@@ -62,8 +61,7 @@ class Corpus:
     cheaply invalidate "this path adds nothing new" caches.
     """
 
-    def __init__(self, map_size: int):
-        self.map_size = map_size
+    def __init__(self):
         self.entries: list[SeedEntry] = []
         self.covered: set[int] = set()
         self.version = 0
@@ -77,9 +75,6 @@ class Corpus:
     @property
     def edges_covered(self) -> int:
         return len(self.covered)
-
-    def overall_bitmap(self) -> Bitmap:
-        return Bitmap.from_edges(self.covered, self.map_size)
 
     # -- retention ----------------------------------------------------------
 
@@ -103,17 +98,12 @@ class Corpus:
         self.entries.append(entry)
         return entry
 
-    def retain_if_new(self, data: bytes, result: ExecResult) -> Optional[SeedEntry]:
-        """Keep ``data`` as a seed iff its path has edges not covered yet.
-
-        Overall coverage is merged with the result's path either way.
+    def retain_if_new(self, data: bytes, path: Path) -> Optional[SeedEntry]:
+        """Keep ``data`` as a seed iff ``path`` has edges not covered yet,
+        ranked by their count; overall coverage takes those edges.
         """
-        n_new = len(result.path - self.covered)
-        entry = None
-        if n_new > 0:
-            entry = self.add_entry(data, result.path, n_new)
-        self.merge(result.path)
-        return entry
+        n_new = self.merge(path)
+        return self.add_entry(data, path, n_new) if n_new else None
 
     # -- selection ----------------------------------------------------------
 
@@ -153,26 +143,19 @@ class Corpus:
         return keys == sorted(keys)
 
 
-def dry_run(
-    initial_seeds: Sequence[bytes],
-    run: Callable[[bytes], ExecResult],
-    map_size: int,
-) -> Corpus:
+def dry_run(initial_seeds: Sequence[bytes], run: Callable[[bytes], Path]) -> Corpus:
     """Execute the initial seeds in order and rank the keepers.
 
-    A seed is retained with rank = its new-edge count against the coverage
-    accumulated so far; duplicate-coverage seeds are discarded. Raises
-    CampaignError when no seed contributes any coverage.
+    ``run`` returns an input's covered path. A seed is retained with
+    rank = its new-edge count against the coverage accumulated so far;
+    duplicate-coverage seeds are discarded. Raises CampaignError when no
+    seed contributes any coverage.
     """
     if not initial_seeds:
         raise CampaignError("no initial seeds")
-    corpus = Corpus(map_size)
+    corpus = Corpus()
     for data in initial_seeds:
-        result = run(data)
-        n_new = len(result.path - corpus.covered)
-        if n_new > 0:
-            corpus.add_entry(data, result.path, n_new)
-        corpus.merge(result.path)
+        corpus.retain_if_new(data, run(data))
     if not corpus.entries:
         raise CampaignError("every initial seed yielded zero new edges")
     corpus.sort()

@@ -16,10 +16,10 @@ import enum
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .coverage import DEFAULT_MAP_SIZE, Bitmap, Path
+from .coverage import DEFAULT_MAP_SIZE, Path
 
 COVERAGE_FILE_ENV = "TRUZZ_COV_FILE"
 INPUT_PLACEHOLDER = "@@"
@@ -127,7 +127,6 @@ class Stage:
 class TargetSpec:
     input_length: int
     stages: tuple[Stage, ...]
-    map_size: int = DEFAULT_MAP_SIZE
 
 
 @dataclass(frozen=True)
@@ -135,26 +134,12 @@ class ExecResult:
     """Outcome of one execution.
 
     ``valid`` is defined only for synthetic targets: True iff every
-    validation check reached was passed. ``path`` is the covered edge set;
-    ``bitmap`` materializes it on demand.
+    validation check reached was passed. ``path`` is the covered edge set.
     """
 
     path: Path
     exec_status: ExecStatus
     valid: Optional[bool] = None
-    map_size: int = DEFAULT_MAP_SIZE
-    counts: Optional[dict] = field(default=None, compare=False)
-
-    @property
-    def bitmap(self) -> Bitmap:
-        b = Bitmap(self.map_size)
-        if self.counts:
-            for edge, n in self.counts.items():
-                b.record(edge, n)
-        else:
-            for edge in self.path:
-                b.record(edge)
-        return b
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +321,8 @@ def parse_spec(text: str, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
     if "input_length" not in top:
         raise MalformedSpecError("missing input_length")
     input_length = _parse_int(top["input_length"], "input_length", None)
-    if input_length < 0:
-        raise MalformedSpecError("input_length must be non-negative")
+    if input_length < 1:
+        raise MalformedSpecError(f"input_length must be >= 1, got {input_length}")
 
     stages = tuple(
         _build_stage(sid, stage_keys[sid], input_length) for sid in stage_order
@@ -363,7 +348,7 @@ def parse_spec(text: str, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
                     )
             claimed.append((lo, hi, stage.id))
 
-    return TargetSpec(input_length, stages, map_size)
+    return TargetSpec(input_length, stages)
 
 
 def load_spec(path: str | os.PathLike, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
@@ -406,10 +391,7 @@ def execute_synthetic(spec: TargetSpec, data: bytes) -> ExecResult:
             if stage.fail_region.terminal:
                 break
     return ExecResult(
-        path=frozenset(edges),
-        exec_status=ExecStatus.NORMAL,
-        valid=valid,
-        map_size=spec.map_size,
+        path=frozenset(edges), exec_status=ExecStatus.NORMAL, valid=valid
     )
 
 
@@ -418,7 +400,8 @@ class CompiledTarget:
 
     The covered path depends only on the vector of check outcomes, so paths
     and verdicts are cached per outcome signature. ``run`` returns
-    ``(path, valid, signature)``; ``execute`` wraps that in an ExecResult.
+    ``(path, valid, status, signature)``, the campaign's executor shape;
+    ``execute`` wraps it in an ExecResult.
     """
 
     def __init__(self, spec: TargetSpec):
@@ -426,7 +409,7 @@ class CompiledTarget:
         self._cache: dict[tuple, tuple[Path, bool]] = {}
         self._stages = spec.stages
 
-    def run(self, data: bytes) -> tuple[Path, bool, tuple]:
+    def run(self, data: bytes) -> tuple[Path, bool, ExecStatus, tuple]:
         spec = self.spec
         n = spec.input_length
         if len(data) != n:
@@ -450,16 +433,11 @@ class CompiledTarget:
             result = execute_synthetic(spec, data)
             cached = (result.path, bool(result.valid))
             self._cache[sig] = cached
-        return cached[0], cached[1], sig
+        return cached[0], cached[1], ExecStatus.NORMAL, sig
 
     def execute(self, data: bytes) -> ExecResult:
-        path, valid, _ = self.run(data)
-        return ExecResult(
-            path=path,
-            exec_status=ExecStatus.NORMAL,
-            valid=valid,
-            map_size=self.spec.map_size,
-        )
+        path, valid, status, _ = self.run(data)
+        return ExecResult(path=path, exec_status=status, valid=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +487,7 @@ def execute_external(
         except OSError as exc:
             raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
 
-        counts: dict[int, int] = {}
+        edges: set[int] = set()
         try:
             with open(dump_path, "r", encoding="ascii") as fh:
                 for line in fh:
@@ -519,7 +497,7 @@ def execute_external(
                     edge = int(line)
                     if edge < 0 or edge >= map_size:
                         raise ValueError(f"edge id {edge} out of range")
-                    counts[edge] = counts.get(edge, 0) + 1
+                    edges.add(edge)
         except FileNotFoundError:
             if status is ExecStatus.NORMAL:
                 raise CoverageDumpError(
@@ -528,13 +506,4 @@ def execute_external(
         except ValueError as exc:
             raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
 
-        return ExecResult(
-            path=frozenset(counts),
-            exec_status=status,
-            valid=None,
-            map_size=map_size,
-            counts=counts,
-        )
-
-
-SyntheticRunner = Callable[[bytes], ExecResult]
+        return ExecResult(path=frozenset(edges), exec_status=status)

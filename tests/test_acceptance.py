@@ -13,12 +13,11 @@ from fractions import Fraction
 import pytest
 
 from truzz.byte_analysis import AnalysisConfig, analyze, path_fitness, probe_mutate
-from truzz.coverage import DEFAULT_MAP_SIZE
 from truzz.engine import Budget, Campaign, CampaignConfig, run_campaign
 from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.report import a12
 from truzz.scheduler import Corpus, Policy, SchedulerConfig, dry_run
-from truzz.target import CompiledTarget, ExecResult, ExecStatus, load_spec
+from truzz.target import CompiledTarget, load_spec
 from truzz.targets import (
     COVERAGE_TARGET,
     VALID_RATIO_TARGETS,
@@ -166,7 +165,7 @@ def test_criterion_6_scheduler_properties(capsys):
     rng = Rng(2024)
 
     # 10k-round randomized trace keeps the corpus sorted
-    corpus = Corpus(map_size=256)
+    corpus = Corpus()
     for i in range(20):
         corpus.add_entry(bytes([i]), frozenset({i}), rng.randrange(50))
     corpus.sort()
@@ -191,10 +190,8 @@ def test_criterion_6_scheduler_properties(capsys):
             covered |= edges
         if not expected:
             continue
-        run = lambda d: ExecResult(
-            path=frozenset(table[d]), exec_status=ExecStatus.NORMAL
-        )
-        got = dry_run(list(table), run, 256)
+        run = lambda d: frozenset(table[d])
+        got = dry_run(list(table), run)
         oracle_ok = oracle_ok and {
             e.data: e.rank_key for e in got.entries
         } == expected and got.is_sorted()
@@ -279,9 +276,9 @@ def test_criterion_8_determinism_and_baseline_equivalence(capsys, tmp_path):
     def run(data):
         nonlocal execs
         execs += 1
-        return compiled.execute(data)
+        return compiled.execute(data).path
 
-    ref = dry_run([bundled_seed("header128")], run, DEFAULT_MAP_SIZE)
+    ref = dry_run([bundled_seed("header128")], run)
     cursor = 0
     while execs < budget:
         ordered = sorted(ref.entries, key=lambda e: e.insertion_order)

@@ -1,4 +1,8 @@
+import shlex
+import sys
+
 import pytest
+from test_target import DUMP_TARGET
 
 from truzz.cli import main
 from truzz.targets import write_bundled
@@ -98,6 +102,16 @@ class TestReplay:
         assert "path size:" in out
         assert "new edges:   0" in out
         assert "edges:" in out
+
+    def test_replay_cmd_with_space_in_path(self, tmp_path, capsys):
+        script = tmp_path / "my target" / "target.py"
+        script.parent.mkdir()
+        script.write_text(DUMP_TARGET)
+        data = tmp_path / "input"
+        data.write_bytes(b"!x")
+        cmd = shlex.join([sys.executable, str(script), "@@"])
+        assert main(["replay", "--cmd", cmd, "--show-path", str(data)]) == 0
+        assert "edges:       3 7 11" in capsys.readouterr().out
 
 
 class TestReport:

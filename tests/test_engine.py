@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from truzz.coverage import DEFAULT_MAP_SIZE
 from truzz.engine import (
     STATS_HEADER,
     Budget,
@@ -111,6 +110,31 @@ class TestSyntheticCampaign:
         execs = [int(line.split(",")[1]) for line in lines[1:]]
         assert all(e % 2_500 == 0 or e == execs[-1] for e in execs)
 
+    def test_final_stats_row_after_retention_on_interval(self, tmp_path):
+        """The last execution falls on a stats interval and retains a seed,
+        so the interval row is stale; the final row must still be written."""
+        from truzz.report import read_stats
+
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        stats = run_campaign(config(
+            spec_path,
+            corpus,
+            budget=Budget(max_execs=2),
+            scheduler=SchedulerConfig(policy="fifo"),
+            mask_enabled=False,
+            rng_seed=0,
+            stats_interval=1,
+        ))
+        assert (stats.seeds, stats.edges_covered) == (2, 105)
+        final = read_stats(corpus / "stats.csv")[-1]
+        assert (
+            final.executions, final.seeds, final.edges_covered,
+            final.valid, final.invalid, final.crashes,
+        ) == (
+            stats.executions, stats.seeds, stats.edges_covered,
+            stats.valid_count, stats.invalid_count, stats.crashes,
+        )
+
     def test_persistence_layout(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         campaign = Campaign(config(spec_path, corpus))
@@ -173,9 +197,9 @@ class TestSyntheticCampaign:
         def run(data):
             nonlocal execs
             execs += 1
-            return compiled.execute(data)
+            return compiled.execute(data).path
 
-        ref = dry_run(seeds, run, DEFAULT_MAP_SIZE)
+        ref = dry_run(seeds, run)
         cursor = 0
         while execs < 6_000:
             ordered = sorted(ref.entries, key=lambda e: e.insertion_order)

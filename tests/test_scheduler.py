@@ -3,56 +3,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truzz.scheduler import CampaignError, Corpus, Policy, SchedulerConfig, dry_run
-from truzz.target import ExecResult, ExecStatus
-
-
-def result(edges):
-    return ExecResult(path=frozenset(edges), exec_status=ExecStatus.NORMAL, valid=True)
 
 
 def path_runner(table):
     """Map input bytes -> fixed paths, mimicking a deterministic target."""
-    return lambda data: result(table[data])
+    return lambda data: frozenset(table[data])
 
 
 class TestDryRun:
     def test_ranks_are_marginal_new_edge_counts(self):
         table = {b"A": set(range(1, 11)), b"B": set(range(5, 13))}
-        corpus = dry_run([b"A", b"B"], path_runner(table), map_size=64)
+        corpus = dry_run([b"A", b"B"], path_runner(table))
         ranks = {e.data: e.rank_key for e in corpus.entries}
         assert ranks == {b"A": 10, b"B": 2}
         assert corpus.covered == set(range(1, 13))
 
     def test_duplicate_coverage_seed_dropped(self):
         table = {b"A": {1, 2, 3}, b"B": {1, 2}}
-        corpus = dry_run([b"A", b"B"], path_runner(table), map_size=64)
+        corpus = dry_run([b"A", b"B"], path_runner(table))
         assert [e.data for e in corpus.entries] == [b"A"]
 
     def test_order_dependence_of_ranking(self):
         table = {b"A": {1, 2, 3}, b"B": {2, 3, 4, 5}}
-        forward = dry_run([b"A", b"B"], path_runner(table), map_size=64)
-        backward = dry_run([b"B", b"A"], path_runner(table), map_size=64)
+        forward = dry_run([b"A", b"B"], path_runner(table))
+        backward = dry_run([b"B", b"A"], path_runner(table))
         assert {e.data: e.rank_key for e in forward.entries} == {b"A": 3, b"B": 2}
         assert {e.data: e.rank_key for e in backward.entries} == {b"B": 4, b"A": 1}
 
     def test_result_sorted_descending(self):
         table = {b"A": {1}, b"B": set(range(10, 30)), b"C": {2, 3}}
-        corpus = dry_run([b"A", b"B", b"C"], path_runner(table), map_size=64)
+        corpus = dry_run([b"A", b"B", b"C"], path_runner(table))
         assert corpus.is_sorted()
         assert [e.data for e in corpus.entries] == [b"B", b"C", b"A"]
 
     def test_no_seeds_rejected(self):
         with pytest.raises(CampaignError):
-            dry_run([], path_runner({}), map_size=64)
+            dry_run([], path_runner({}))
 
     def test_all_empty_paths_rejected(self):
         table = {b"A": set(), b"B": set()}
         with pytest.raises(CampaignError, match="zero new edges"):
-            dry_run([b"A", b"B"], path_runner(table), map_size=64)
+            dry_run([b"A", b"B"], path_runner(table))
 
 
 def seeded_corpus(ranks):
-    corpus = Corpus(map_size=64)
+    corpus = Corpus()
     for name, rank in ranks.items():
         corpus.add_entry(name.encode(), frozenset({ord(name)}), rank)
     corpus.sort()
@@ -80,7 +75,7 @@ class TestSelection:
 
     def test_empty_corpus_selection_fails(self):
         with pytest.raises(CampaignError):
-            Corpus(map_size=64).select_seed(Policy.TRUZZ)
+            Corpus().select_seed(Policy.TRUZZ)
 
     def test_times_selected_counter(self):
         corpus = seeded_corpus({"A": 1})
@@ -93,7 +88,7 @@ class TestRetention:
     def test_new_edges_retained_with_rank(self):
         corpus = seeded_corpus({"A": 3})
         corpus.merge(frozenset({ord("A")}))
-        entry = corpus.retain_if_new(b"X", result({ord("A"), 200, 201}))
+        entry = corpus.retain_if_new(b"X", frozenset({ord("A"), 200, 201}))
         assert entry is not None and entry.rank_key == 2
         assert corpus.covered == {ord("A"), 200, 201}
 
@@ -101,11 +96,11 @@ class TestRetention:
         corpus = seeded_corpus({"A": 3})
         corpus.merge(frozenset({ord("A")}))
         before = corpus.version
-        assert corpus.retain_if_new(b"X", result({ord("A")})) is None
+        assert corpus.retain_if_new(b"X", frozenset({ord("A")})) is None
         assert corpus.version == before
 
     def test_merge_bumps_version_only_on_growth(self):
-        corpus = Corpus(map_size=64)
+        corpus = Corpus()
         assert corpus.merge(frozenset({1, 2})) == 2
         v = corpus.version
         assert corpus.merge(frozenset({2})) == 0
@@ -161,9 +156,9 @@ def test_dry_run_matches_greedy_set_oracle(edge_sets):
 
     if not expected:
         with pytest.raises(CampaignError):
-            dry_run(seeds, path_runner(table), map_size=64)
+            dry_run(seeds, path_runner(table))
         return
-    corpus = dry_run(seeds, path_runner(table), map_size=64)
+    corpus = dry_run(seeds, path_runner(table))
     assert {e.data: e.rank_key for e in corpus.entries} == expected
     assert corpus.covered == covered
     assert corpus.is_sorted()
@@ -175,7 +170,7 @@ def test_dry_run_matches_greedy_set_oracle(edge_sets):
     st.lists(st.tuples(st.integers(0, 7), st.integers(0, 30)), max_size=30),
 )
 def test_sorted_invariant_under_random_updates(initial_ranks, updates):
-    corpus = Corpus(map_size=64)
+    corpus = Corpus()
     for i, rank in enumerate(initial_ranks):
         corpus.add_entry(bytes([i]), frozenset({i}), rank)
     corpus.sort()
