@@ -29,6 +29,14 @@ def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lp", type=float, default=0.05, help="mutation probability floor")
 
 
+def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
+    return AnalysisConfig(
+        threshold=args.threshold,
+        min_interval=args.min_interval,
+        prob_floor=args.lp,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truzz",
@@ -86,11 +94,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         command=shlex.split(args.cmd) if args.cmd else None,
         budget=Budget(max_execs=args.budget_execs, max_seconds=args.budget_secs),
         scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
-        analysis=AnalysisConfig(
-            threshold=args.threshold,
-            min_interval=args.min_interval,
-            prob_floor=args.lp,
-        ),
+        analysis=_analysis_config(args),
         mask_enabled=args.mask == "on",
         rng_seed=args.rng_seed,
         stats_interval=args.stats_interval,
@@ -109,11 +113,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     seed = FsPath(args.seed).read_bytes()
     compiled = CompiledTarget(spec)
     seed_path = compiled.execute(seed).path
-    cfg = AnalysisConfig(
-        threshold=args.threshold,
-        min_interval=args.min_interval,
-        prob_floor=args.lp,
-    )
+    cfg = _analysis_config(args)
     fm = analyze(seed, seed_path, lambda d: compiled.execute(d).path, cfg)
     mask = mask_from_fitness(fm, cfg)
     print("fitness:     " + " ".join(f"{v:.4f}" for v in fm.values))

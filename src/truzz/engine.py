@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .byte_analysis import AnalysisConfig, FitnessMap, MutationMask, analyze, mask_from_fitness
-from .coverage import DEFAULT_MAP_SIZE, Path
+from .coverage import Path
 from .mutation import Rng, draw_op_count, mutate
 from .scheduler import (
     CampaignError,
@@ -25,13 +25,7 @@ from .scheduler import (
     SeedEntry,
     dry_run,
 )
-from .target import (
-    CompiledTarget,
-    ExecStatus,
-    TargetSpec,
-    execute_external,
-    load_spec,
-)
+from .target import CompiledTarget, ExecStatus, execute_external, load_spec
 
 STATS_HEADER = "elapsed_s,executions,seeds,edges_covered,valid,invalid,crashes"
 
@@ -65,7 +59,6 @@ class CampaignConfig:
     mask_enabled: bool = True
     rng_seed: int = 0
     stats_interval: int = 10_000
-    map_size: int = DEFAULT_MAP_SIZE
     exec_timeout: float = 5.0
 
     def __post_init__(self):
@@ -111,17 +104,13 @@ class _StatsWriter:
         self._fh.close()
 
 
-def _load_initial_seeds(seeds_dir: FsPath) -> list[bytes]:
-    if not seeds_dir.is_dir():
-        raise CampaignError(f"missing initial seed directory {seeds_dir}")
-    seeds = []
-    for name in sorted(os.listdir(seeds_dir)):
-        p = seeds_dir / name
-        if p.is_file():
-            seeds.append(p.read_bytes())
-    if not seeds:
-        raise CampaignError(f"no initial seeds in {seeds_dir}")
-    return seeds
+def _read_files(directory: FsPath) -> list[tuple[str, bytes]]:
+    """(name, bytes) of each regular file in ``directory``, sorted by name;
+    empty when the directory does not exist."""
+    if not directory.is_dir():
+        return []
+    paths = (directory / name for name in sorted(os.listdir(directory)))
+    return [(p.name, p.read_bytes()) for p in paths if p.is_file()]
 
 
 def _write_meta(meta_dir: FsPath, entry: SeedEntry) -> None:
@@ -184,37 +173,38 @@ class Campaign:
         self._known_stale: dict = {}  # run signature -> corpus version with 0 new edges
 
         # The executor: run(data) -> (path, valid, status, signature).
+        # Only ``_exec`` calls it.
         if cfg.target_spec is not None:
-            self.spec: Optional[TargetSpec] = load_spec(cfg.target_spec, cfg.map_size)
-            self.compiled: Optional[CompiledTarget] = CompiledTarget(self.spec)
+            self.compiled: Optional[CompiledTarget] = CompiledTarget(load_spec(cfg.target_spec))
             self._run = self.compiled.run
         else:
-            self.spec = None
             self.compiled = None
             self._run = self._run_external
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
 
-    @property
-    def synthetic(self) -> bool:
-        return self.compiled is not None
-
-    def _charge(self, valid: Optional[bool], crashed: bool) -> None:
+    def _exec(self, data: bytes) -> tuple[Path, Optional[bool], ExecStatus, Path]:
+        """Execute ``data`` in any phase (dry run, probe, mutation): charge
+        the budget and stats, write the interval row, save a crash, and
+        return the executor's (path, valid, status, signature)."""
+        path, valid, status, signature = self._run(data)
         st = self.stats
         st.executions += 1
         if valid is True:
             st.valid_count += 1
         elif valid is False:
             st.invalid_count += 1
-        if crashed:
+        if status is ExecStatus.CRASH:
             st.crashes += 1
-        if self.synthetic:
+            self._save_crash(data)
+        if self.compiled is not None:
             st.elapsed = st.executions * VIRTUAL_SECONDS_PER_EXEC
         else:
             st.elapsed = time.monotonic() - self._wall_start
         if st.executions % self.cfg.stats_interval == 0:
             self._emit_row()
+        return path, valid, status, signature
 
     def _emit_row(self) -> None:
         if self._stats_writer is not None:
@@ -226,17 +216,8 @@ class Campaign:
 
     def _run_external(self, data: bytes) -> tuple[Path, None, ExecStatus, Path]:
         """Executor for external targets; the path is its own signature."""
-        result = execute_external(
-            self.cfg.command, data, self.cfg.exec_timeout, self.cfg.map_size
-        )
+        result = execute_external(self.cfg.command, data, self.cfg.exec_timeout)
         return result.path, None, result.exec_status, result.path
-
-    def _run_charged(self, data: bytes) -> Path:
-        """Execute outside mutation (dry run, probes), charge the budget and
-        return the path."""
-        path, valid, status, _ = self._run(data)
-        self._charge(valid, status is ExecStatus.CRASH)
-        return path
 
     def _budget_left(self) -> bool:
         b = self.cfg.budget
@@ -255,7 +236,7 @@ class Campaign:
         """One-time fitness/mask computation; probes charge the budget."""
 
         def probe(mutant: bytes) -> Path:
-            path = self._run_charged(mutant)
+            path = self._exec(mutant)[0]
             self.corpus.merge(path)
             return path
 
@@ -267,45 +248,32 @@ class Campaign:
     # -- campaign -----------------------------------------------------------
 
     def _dry_run(self) -> None:
-        seeds = _load_initial_seeds(self.corpus_dir / "seeds_in")
-        resumed = self._load_resumable()
-        if resumed:
-            seeds = seeds + resumed
+        seeds_dir = self.corpus_dir / "seeds_in"
+        if not seeds_dir.is_dir():
+            raise CampaignError(f"missing initial seed directory {seeds_dir}")
+        seeds = [data for _, data in _read_files(seeds_dir)]
+        if not seeds:
+            raise CampaignError(f"no initial seeds in {seeds_dir}")
 
-        saved_analysis = self._saved_analysis_by_bytes()
+        # A resumed corpus re-runs its queue after the initial seeds and
+        # keeps each queue entry's saved analysis.
+        meta_dir = self.corpus_dir / "meta"
+        saved_analysis: dict[bytes, SeedAnalysis] = {}
+        for name, data in _read_files(self.corpus_dir / "queue"):
+            seeds.append(data)
+            meta_path = meta_dir / f"{name}.meta"
+            if meta_path.is_file():
+                sa = _read_meta_analysis(meta_path)
+                if sa is not None:
+                    saved_analysis[data] = sa
+
         start = self.stats.executions
-        self.corpus = dry_run(seeds, self._run_charged)
+        self.corpus = dry_run(seeds, lambda d: self._exec(d)[0])
         self.stats.dry_run_execs = self.stats.executions - start
         for entry in self.corpus.entries:
             cached = saved_analysis.get(entry.data)
             if cached is not None and len(cached.mask) == len(entry.data):
                 entry.analysis = cached
-
-    def _load_resumable(self) -> list[bytes]:
-        queue_dir = self.corpus_dir / "queue"
-        if not queue_dir.is_dir():
-            return []
-        out = []
-        for name in sorted(os.listdir(queue_dir)):
-            p = queue_dir / name
-            if p.is_file():
-                out.append(p.read_bytes())
-        return out
-
-    def _saved_analysis_by_bytes(self) -> dict[bytes, SeedAnalysis]:
-        queue_dir = self.corpus_dir / "queue"
-        meta_dir = self.corpus_dir / "meta"
-        if not queue_dir.is_dir() or not meta_dir.is_dir():
-            return {}
-        out: dict[bytes, SeedAnalysis] = {}
-        for name in sorted(os.listdir(queue_dir)):
-            meta_path = meta_dir / f"{name}.meta"
-            if not meta_path.is_file():
-                continue
-            sa = _read_meta_analysis(meta_path)
-            if sa is not None:
-                out[(queue_dir / name).read_bytes()] = sa
-        return out
 
     def _save_crash(self, data: bytes) -> None:
         self.crash_dir.mkdir(exist_ok=True)
@@ -324,7 +292,6 @@ class Campaign:
             mask = entry.analysis.mask
 
         n_all = 0
-        run = self._run
         known_stale = self._known_stale
         seed_data = entry.data
 
@@ -333,11 +300,8 @@ class Campaign:
                 break
             child = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            path, valid, status, sig = run(child)
-            crashed = status is ExecStatus.CRASH
-            self._charge(valid, crashed)
-            if crashed:
-                self._save_crash(child)
+            path, _, status, sig = self._exec(child)
+            if status is ExecStatus.CRASH:
                 corpus.merge(path)
                 continue
             if known_stale.get(sig) == corpus.version:
@@ -363,8 +327,6 @@ class Campaign:
             pass
         finally:
             if self.corpus is not None:
-                self.stats.seeds = len(self.corpus)
-                self.stats.edges_covered = self.corpus.edges_covered
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)
             self._stats_writer.close()
@@ -410,7 +372,6 @@ def replay(
     command: Optional[Sequence[str]] = None,
     corpus_dir: Optional[str] = None,
     show_path: bool = False,
-    map_size: int = DEFAULT_MAP_SIZE,
     exec_timeout: float = 5.0,
 ) -> ReplayReport:
     """Execute one stored input and report path size, novelty and verdict."""
@@ -422,9 +383,9 @@ def replay(
     if (target_spec is None) == (command is None):
         raise ValueError("exactly one of target_spec or command must be set")
     if target_spec is not None:
-        result = CompiledTarget(load_spec(target_spec, map_size)).execute(data)
+        result = CompiledTarget(load_spec(target_spec)).execute(data)
     else:
-        result = execute_external(command, data, exec_timeout, map_size)
+        result = execute_external(command, data, exec_timeout)
 
     known: set[int] = set()
     if corpus_dir is not None:

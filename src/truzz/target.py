@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coverage import DEFAULT_MAP_SIZE, Path
+from .coverage import MAP_SIZE, Path
 
 COVERAGE_FILE_ENV = "TRUZZ_COV_FILE"
 INPUT_PLACEHOLDER = "@@"
@@ -275,7 +275,7 @@ def _build_stage(stage_id: str, keys: dict[str, str], input_length: int) -> Stag
     return Stage(stage_id, check, pass_region, fail_region)
 
 
-def parse_spec(text: str, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
+def parse_spec(text: str) -> TargetSpec:
     """Parse a synthetic target document.
 
     Raises MalformedSpecError, ByteRangeError or RegionOverlapError with the
@@ -335,9 +335,9 @@ def parse_spec(text: str, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
             regions.append(stage.fail_region)
         for region in regions:
             lo, hi = region.edge_base, region.edge_base + region.edge_count
-            if lo < 0 or hi > map_size:
+            if lo < 0 or hi > MAP_SIZE:
                 raise RegionOverlapError(
-                    f"edge interval [{lo}, {hi}) outside map of size {map_size}",
+                    f"edge interval [{lo}, {hi}) outside map of size {MAP_SIZE}",
                     stage.id,
                 )
             for olo, ohi, owner in claimed:
@@ -351,9 +351,9 @@ def parse_spec(text: str, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
     return TargetSpec(input_length, stages)
 
 
-def load_spec(path: str | os.PathLike, map_size: int = DEFAULT_MAP_SIZE) -> TargetSpec:
+def load_spec(path: str | os.PathLike) -> TargetSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read(), map_size)
+        return parse_spec(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,6 @@ def execute_external(
     command: Sequence[str],
     data: bytes,
     timeout: float = 5.0,
-    map_size: int = DEFAULT_MAP_SIZE,
 ) -> ExecResult:
     """Run an external target on one input.
 
@@ -495,7 +494,7 @@ def execute_external(
                     if not line:
                         continue
                     edge = int(line)
-                    if edge < 0 or edge >= map_size:
+                    if edge < 0 or edge >= MAP_SIZE:
                         raise ValueError(f"edge id {edge} out of range")
                     edges.add(edge)
         except FileNotFoundError:

@@ -240,7 +240,8 @@ CRASHY_TARGET = textwrap.dedent(
 
 
 class TestExternalCampaign:
-    def test_crashes_saved_not_retained(self, tmp_path):
+    @pytest.mark.parametrize("mask_enabled", [False, True])
+    def test_crashes_saved_not_retained(self, tmp_path, mask_enabled):
         script = tmp_path / "target.py"
         script.write_text(CRASHY_TARGET)
         corpus = tmp_path / "c"
@@ -251,7 +252,7 @@ class TestExternalCampaign:
             command=[sys.executable, str(script), "@@"],
             budget=Budget(max_execs=120),
             scheduler=SchedulerConfig(energy=30),
-            mask_enabled=False,
+            mask_enabled=mask_enabled,
             rng_seed=5,
             stats_interval=50,
         )
@@ -260,13 +261,17 @@ class TestExternalCampaign:
         assert stats.executions == 120
         # valid/invalid undefined for external targets
         assert stats.valid_count == 0 and stats.invalid_count == 0
-        if stats.crashes:
-            crash_files = list((corpus / "crashes").iterdir())
-            assert len(crash_files) == stats.crashes
-            for f in crash_files:
-                assert f.read_bytes()[1] == 0xFF
-            retained = {e.data for e in campaign.corpus.entries}
-            assert not any(d[1] == 0xFF for d in retained if len(d) > 1)
+        # Every crash, whether from a mutated child or a byte-analysis
+        # probe, is saved under its crash count.
+        assert stats.crashes > 0
+        crash_files = sorted((corpus / "crashes").iterdir())
+        assert [f.name for f in crash_files] == [
+            f"crash_{i:06d}" for i in range(1, stats.crashes + 1)
+        ]
+        for f in crash_files:
+            assert f.read_bytes()[1] == 0xFF
+        retained = {e.data for e in campaign.corpus.entries}
+        assert not any(d[1] == 0xFF for d in retained if len(d) > 1)
 
 
 class TestReplay:

@@ -5,6 +5,10 @@ its artifacts with digests recorded before the engine's synthetic and
 external fuzz loops were merged into one; that refactor left them
 unchanged. A change meant to keep behaviour must keep these digests.
 
+The external digest was recorded again when crashes found by byte-analysis
+probes began to be saved: its ``crashes/`` gained ``crash_000001``, while
+its ``queue/``, ``meta/`` and ``overall.cov`` stayed the same.
+
 ROADMAP direction 3 (counter-keyed RNG) changes the mutation stream and is
 expected to change these digests once. That change records the new digests
 here and says so in CHANGES.md.
@@ -39,7 +43,7 @@ GOLDEN = {
     "magic64-truzz": "7a31e355bc36fe4af9f41af815d4304181f4891a8f39f7b9b74912879d21c5d3",
     "chain128-truzz": "30f813f66f3de96f41da4d051bb7c956ade978923b024ee060d270bdbb763088",
     "header128-fifo": "f2546f6a0d5e8bdda9fb66405091397312dd3c7fc41458aa00e0cfa9ebb1f67d",
-    "external-crashy": "609020c2ec4117af0b3a62bddb43516f65950e175ca2fba3aaab2edef282e074",
+    "external-crashy": "30413e8e148b16fac9489c5dde40a6d2d7334862c5dd287b6c80841a86d2dac7",
 }
 
 

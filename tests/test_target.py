@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truzz.coverage import MAP_SIZE
 from truzz.target import (
     ByteRangeError,
     CheckKind,
     CompiledTarget,
+    CoverageDumpError,
     ExecStatus,
     MalformedSpecError,
     PredicateKind,
@@ -66,6 +68,14 @@ class TestParseSpec:
         bad = TWO_STAGE.replace("pass.base = 10", "pass.base = 2")
         with pytest.raises(RegionOverlapError, match="branch"):
             parse_spec(bad)
+
+    def test_region_past_map_end_rejected(self):
+        # The branch stage's fail region has 3 edges.
+        at_end = TWO_STAGE.replace("fail.base = 20", f"fail.base = {MAP_SIZE - 3}")
+        assert parse_spec(at_end).stages[1].fail_region.edge_base == MAP_SIZE - 3
+        past_end = TWO_STAGE.replace("fail.base = 20", f"fail.base = {MAP_SIZE - 2}")
+        with pytest.raises(RegionOverlapError, match="branch"):
+            parse_spec(past_end)
 
     def test_byte_index_out_of_range(self):
         bad = TWO_STAGE.replace("check.bytes = 1", "check.bytes = 9")
@@ -194,6 +204,14 @@ DUMP_TARGET = textwrap.dedent(
 )
 
 
+ECHO_TARGET = textwrap.dedent(
+    """
+    import os, shutil, sys
+    shutil.copyfile(sys.argv[1], os.environ['TRUZZ_COV_FILE'])
+    """
+)
+
+
 class TestExternalExecution:
     @pytest.fixture()
     def target_script(self, tmp_path):
@@ -218,3 +236,19 @@ class TestExternalExecution:
     def test_crash_detected(self, target_script):
         result = execute_external(target_script, b"CRASH")
         assert result.exec_status is ExecStatus.CRASH
+
+    @pytest.fixture()
+    def echo_script(self, tmp_path):
+        """A target whose coverage dump is its input, verbatim."""
+        script = tmp_path / "echo.py"
+        script.write_text(ECHO_TARGET)
+        return [sys.executable, str(script), "@@"]
+
+    def test_last_map_edge_accepted(self, echo_script):
+        result = execute_external(echo_script, f"{MAP_SIZE - 1}\n".encode())
+        assert result.path == {MAP_SIZE - 1}
+
+    @pytest.mark.parametrize("line", [str(MAP_SIZE).encode(), b"seven"])
+    def test_bad_dump_line_rejected(self, echo_script, line):
+        with pytest.raises(CoverageDumpError, match="corrupt coverage dump"):
+            execute_external(echo_script, b"3\n" + line + b"\n")
