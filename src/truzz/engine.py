@@ -99,6 +99,7 @@ class _StatsWriter:
         if row != self._last_row:
             self._last_row = row
             self._fh.write(row)
+            self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()
@@ -251,7 +252,11 @@ class Campaign:
         seeds_dir = self.corpus_dir / "seeds_in"
         if not seeds_dir.is_dir():
             raise CampaignError(f"missing initial seed directory {seeds_dir}")
-        seeds = [data for _, data in _read_files(seeds_dir)]
+        seeds = []
+        for name, data in _read_files(seeds_dir):
+            if not data:
+                raise CampaignError(f"initial seed {seeds_dir / name} is empty")
+            seeds.append(data)
         if not seeds:
             raise CampaignError(f"no initial seeds in {seeds_dir}")
 
@@ -267,8 +272,18 @@ class Campaign:
                 if sa is not None:
                     saved_analysis[data] = sa
 
+        corpus = Corpus()
+
+        def run(data: bytes) -> Path:
+            path, _, status, _ = self._exec(data)
+            if status is ExecStatus.CRASH:
+                # Saved by _exec; like a crashing child, merged but not kept.
+                corpus.merge(path)
+                return frozenset()
+            return path
+
         start = self.stats.executions
-        self.corpus = dry_run(seeds, lambda d: self._exec(d)[0])
+        self.corpus = dry_run(seeds, run, corpus)
         self.stats.dry_run_execs = self.stats.executions - start
         for entry in self.corpus.entries:
             cached = saved_analysis.get(entry.data)

@@ -5,6 +5,13 @@ mask (rejection sampling), so the long-run frequency of mutating byte i is
 proportional to mask.probability[i]. All operators preserve length: the
 fitness map for a seed is positional and must stay valid for every input
 derived from it.
+
+The random stream is ``random.Random``'s MT19937 stream, decoded exactly
+as ``random.Random`` decodes it. ``randrange(n)`` takes
+``getrandbits(n.bit_length())`` and draws again while the value is >= n.
+``mutate`` inlines that loop on the C ``getrandbits``, so it consumes the
+same words, in the same order, as ``select_byte`` and ``randrange`` calls
+would.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ ARITH_MAX = 35
 # Rejection-sampling retries before falling back to the most mutable byte.
 RETRY_FACTOR = 16
 OP_COUNT_MAX_EXP = 6  # ops per input drawn as 2**k, k in [0, OP_COUNT_MAX_EXP]
+
+# Bits per draw in mutate's inlined randrange(n): n.bit_length().
+_ARITH_BITS = ARITH_MAX.bit_length()
+_INTERESTING_BITS = len(INTERESTING_BYTES).bit_length()
 
 
 class Rng(random.Random):
@@ -56,24 +67,56 @@ def mutate(
     rng: random.Random,
     ops_per_input: int,
 ) -> bytes:
-    """Apply ``ops_per_input`` random operators at mask-gated positions."""
+    """Apply ``ops_per_input`` random operators at mask-gated positions.
+
+    Each operator draws what ``select_byte(mask, rng, len(seed))`` and the
+    ``randrange`` calls named in the comments below would draw.
+    """
     if ops_per_input < 1:
         raise ValueError(f"ops_per_input must be >= 1, got {ops_per_input}")
     data = bytearray(seed)
     length = len(data)
-    randrange = rng.randrange
+    if length < 1:
+        raise ValueError("cannot mutate an empty input")
+    bits = rng.getrandbits
+    rand = rng.random
+    length_bits = length.bit_length()
+    probs = None if mask is None else mask.probability
+    tries = range(RETRY_FACTOR * length)
     for _ in range(ops_per_input):
-        idx = select_byte(mask, rng, length)
-        op = randrange(4)
-        if op == 0:  # BIT_FLIP
-            data[idx] ^= 1 << randrange(8)
-        elif op == 1:  # BYTE_RANDOM
-            data[idx] = randrange(256)
-        elif op == 2:  # BYTE_ARITH
-            delta = randrange(1, ARITH_MAX + 1)
-            if randrange(2):
+        if probs is None:  # randrange(length)
+            while (idx := bits(length_bits)) >= length:
+                pass
+        else:
+            for _ in tries:
+                while (idx := bits(length_bits)) >= length:
+                    pass
+                p = probs[idx]
+                if p >= 1.0 or rand() < p:
+                    break
+            else:
+                idx = mask.argmax
+        while (op := bits(3)) >= 4:  # randrange(4)
+            pass
+        if op == 0:  # BIT_FLIP: randrange(8)
+            while (bit := bits(4)) >= 8:
+                pass
+            data[idx] ^= 1 << bit
+        elif op == 1:  # BYTE_RANDOM: randrange(256)
+            while (value := bits(9)) >= 256:
+                pass
+            data[idx] = value
+        elif op == 2:  # BYTE_ARITH: randrange(1, ARITH_MAX + 1), randrange(2)
+            while (delta := bits(_ARITH_BITS)) >= ARITH_MAX:
+                pass
+            delta += 1
+            while (sign := bits(2)) >= 2:
+                pass
+            if sign:
                 delta = -delta
             data[idx] = (data[idx] + delta) & 0xFF
-        else:  # INTERESTING_BYTE
-            data[idx] = INTERESTING_BYTES[randrange(5)]
+        else:  # INTERESTING_BYTE: randrange(len(INTERESTING_BYTES))
+            while (pick := bits(_INTERESTING_BITS)) >= len(INTERESTING_BYTES):
+                pass
+            data[idx] = INTERESTING_BYTES[pick]
     return bytes(data)

@@ -6,11 +6,10 @@ from __future__ import annotations
 import csv
 import enum
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Sequence
-
-import numpy as np
 
 from .engine import STATS_HEADER
 
@@ -47,11 +46,13 @@ def a12(sample1: Sequence[float], sample2: Sequence[float]) -> A12Result:
     """
     if not len(sample1) or not len(sample2):
         raise ValueError("both samples must be non-empty")
-    x = np.asarray(sample1, dtype=float)[:, None]
-    y = np.asarray(sample2, dtype=float)[None, :]
-    wins = int(np.count_nonzero(x > y))
-    ties = int(np.count_nonzero(x == y))
-    score = (wins + 0.5 * ties) / (x.size * y.size)
+    ys = sorted(float(v) for v in sample2)
+    wins = ties = 0
+    for x in map(float, sample1):
+        below = bisect_left(ys, x)
+        wins += below
+        ties += bisect_right(ys, x, below) - below
+    score = (wins + 0.5 * ties) / (len(sample1) * len(ys))
     effect = max(score, 1.0 - score)
     magnitude = Magnitude.NONE
     for threshold, mag in _THRESHOLDS:

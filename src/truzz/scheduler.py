@@ -143,17 +143,23 @@ class Corpus:
         return keys == sorted(keys)
 
 
-def dry_run(initial_seeds: Sequence[bytes], run: Callable[[bytes], Path]) -> Corpus:
+def dry_run(
+    initial_seeds: Sequence[bytes],
+    run: Callable[[bytes], Path],
+    corpus: Optional[Corpus] = None,
+) -> Corpus:
     """Execute the initial seeds in order and rank the keepers.
 
     ``run`` returns an input's covered path. A seed is retained with
     rank = its new-edge count against the coverage accumulated so far;
-    duplicate-coverage seeds are discarded. Raises CampaignError when no
-    seed contributes any coverage.
+    duplicate-coverage seeds are discarded. Seeds are retained into
+    ``corpus`` (a new one by default), which ``run`` may also merge paths
+    into. Raises CampaignError when no seed contributes any coverage.
     """
     if not initial_seeds:
         raise CampaignError("no initial seeds")
-    corpus = Corpus()
+    if corpus is None:
+        corpus = Corpus()
     for data in initial_seeds:
         corpus.retain_if_new(data, run(data))
     if not corpus.entries:

@@ -395,42 +395,59 @@ def execute_synthetic(spec: TargetSpec, data: bytes) -> ExecResult:
     )
 
 
+def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
+    """(start, stop, lo, hi) such that ``check.passes(data)`` is
+    ``lo <= data[start:stop] <= hi``. Bytes compare lexicographically, so
+    a one-byte slice against one-byte bounds is a plain byte comparison;
+    ``b"\\x01" > b"\\x00"`` encodes a check that never passes."""
+    if check.predicate is PredicateKind.EQ:
+        return check.start, check.end + 1, check.constant, check.constant
+    if check.predicate is PredicateKind.LT:
+        lo, hi = 0, check.lo - 1
+    else:
+        lo, hi = max(check.lo, 0), check.hi
+    hi = min(hi, 0xFF)
+    if lo > hi:
+        return check.start, check.start + 1, b"\x01", b"\x00"
+    return check.start, check.start + 1, bytes((lo,)), bytes((hi,))
+
+
 class CompiledTarget:
     """Memoized synthetic runner for campaign hot loops.
 
-    The covered path depends only on the vector of check outcomes, so paths
-    and verdicts are cached per outcome signature. ``run`` returns
-    ``(path, valid, status, signature)``, the campaign's executor shape;
-    ``execute`` wraps it in an ExecResult.
+    Each check is compiled once to a byte-slice comparison. The covered
+    path depends only on the vector of check outcomes, so paths and
+    verdicts are cached per outcome signature, filled from
+    ``execute_synthetic``. ``run`` returns ``(path, valid, status,
+    signature)``, the campaign's executor shape; ``execute`` wraps it in
+    an ExecResult.
     """
 
     def __init__(self, spec: TargetSpec):
         self.spec = spec
         self._cache: dict[tuple, tuple[Path, bool]] = {}
-        self._stages = spec.stages
+        # (start, stop, lo, hi, stops execution when failed), in stage order
+        self._ops = tuple(
+            (*_compile_check(stage.check),
+             stage.fail_region is not None and stage.fail_region.terminal)
+            for stage in spec.stages
+            if stage.check is not None
+        )
 
     def run(self, data: bytes) -> tuple[Path, bool, ExecStatus, tuple]:
-        spec = self.spec
-        n = spec.input_length
+        n = self.spec.input_length
         if len(data) != n:
             data = fit_input(data, n)
         outcome: list[bool] = []
-        for stage in self._stages:
-            check = stage.check
-            if check is None:
-                continue
-            ok = check.passes(data)
+        for start, stop, lo, hi, terminal in self._ops:
+            ok = lo <= data[start:stop] <= hi
             outcome.append(ok)
-            if (
-                not ok
-                and stage.fail_region is not None
-                and stage.fail_region.terminal
-            ):
+            if terminal and not ok:
                 break
         sig = tuple(outcome)
         cached = self._cache.get(sig)
         if cached is None:
-            result = execute_synthetic(spec, data)
+            result = execute_synthetic(self.spec, data)
             cached = (result.path, bool(result.valid))
             self._cache[sig] = cached
         return cached[0], cached[1], ExecStatus.NORMAL, sig

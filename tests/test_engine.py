@@ -224,6 +224,36 @@ class TestSyntheticCampaign:
         with pytest.raises(CampaignError):
             run_campaign(config(spec_path, empty, budget=Budget(max_execs=10)))
 
+    def test_empty_seed_file_named_in_error(self, tmp_path):
+        from truzz.scheduler import CampaignError
+
+        spec_path, corpus = make_corpus(
+            tmp_path, "magic64", seeds=[bundled_seed("magic64"), b""]
+        )
+        with pytest.raises(CampaignError, match="seed_01"):
+            run_campaign(config(spec_path, corpus, budget=Budget(max_execs=10)))
+
+    def test_stats_rows_readable_while_running(self, tmp_path):
+        from truzz.report import read_stats
+
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        seen = []
+
+        class Watched(Campaign):
+            def _fuzz_round(self, entry):
+                seen.append(read_stats(corpus / "stats.csv")[-1].executions)
+                return super()._fuzz_round(entry)
+
+        cfg = config(
+            spec_path, corpus, budget=Budget(max_execs=2_000), stats_interval=1,
+            scheduler=SchedulerConfig(energy=100),
+        )
+        stats = Watched(cfg).run()
+        # Before the first round only the dry run has executed; every later
+        # round sees the rows of every execution before it.
+        assert seen[0] == stats.dry_run_execs
+        assert len(seen) > 2 and seen == sorted(seen) and seen[-1] < stats.executions
+
 
 CRASHY_TARGET = textwrap.dedent(
     """
@@ -272,6 +302,45 @@ class TestExternalCampaign:
             assert f.read_bytes()[1] == 0xFF
         retained = {e.data for e in campaign.corpus.entries}
         assert not any(d[1] == 0xFF for d in retained if len(d) > 1)
+
+    def test_crashing_initial_seed_saved_not_retained(self, tmp_path):
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+        corpus = tmp_path / "c"
+        (corpus / "seeds_in").mkdir(parents=True)
+        crashing = b"\x01\xff" + b"\x00" * 6  # new edge 5, then a crash
+        (corpus / "seeds_in" / "a").write_bytes(b"\x00" * 8)
+        (corpus / "seeds_in" / "b").write_bytes(crashing)
+        cfg = CampaignConfig(
+            corpus_dir=str(corpus),
+            command=[sys.executable, str(script), "@@"],
+            budget=Budget(max_execs=2),  # the dry run only
+            mask_enabled=False,
+        )
+        Campaign(cfg).run()
+        assert (corpus / "crashes" / "crash_000001").read_bytes() == crashing
+        assert [f.name for f in (corpus / "queue").iterdir()] == ["id_000000"]
+        assert (corpus / "queue" / "id_000000").read_bytes() == b"\x00" * 8
+        # The crash's path is merged, as a crashing child's is.
+        assert (corpus / "overall.cov").read_text() == "1\n2\n5\n"
+
+    def test_only_crashing_initial_seeds_fail(self, tmp_path):
+        from truzz.scheduler import CampaignError
+
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+        corpus = tmp_path / "c"
+        (corpus / "seeds_in").mkdir(parents=True)
+        (corpus / "seeds_in" / "seed").write_bytes(b"\x00\xff" + b"\x00" * 6)
+        cfg = CampaignConfig(
+            corpus_dir=str(corpus),
+            command=[sys.executable, str(script), "@@"],
+            budget=Budget(max_execs=5),
+            mask_enabled=False,
+        )
+        with pytest.raises(CampaignError):
+            Campaign(cfg).run()
+        assert (corpus / "crashes" / "crash_000001").is_file()
 
 
 class TestReplay:

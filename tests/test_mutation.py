@@ -1,11 +1,17 @@
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from truzz.byte_analysis import MutationMask
 from truzz.mutation import (
+    ARITH_MAX,
+    INTERESTING_BYTES,
+    RETRY_FACTOR,
     Rng,
     draw_op_count,
     mutate,
@@ -131,3 +137,129 @@ class TestMutate:
         mask = MutationMask(probability=[1.0, 0.5])
         out = mutate(b"xy", mask, Rng(0), 4)
         assert len(out) == 2
+
+    def test_empty_input_rejected(self):
+        # A draw below 0 has no value to return; it must not loop forever.
+        with pytest.raises(ValueError):
+            mutate(b"", None, Rng(0), 1)
+        with pytest.raises(ValueError):
+            mutate(b"", MutationMask(probability=[]), Rng(0), 1)
+
+
+# ---------------------------------------------------------------------------
+# Stream identity: mutate decodes MT19937 words inline, and must consume
+# exactly the words the randrange-based version below consumed.
+# ---------------------------------------------------------------------------
+
+
+def oracle_select_byte(mask, rng, length):
+    randrange = rng.randrange
+    if mask is None:
+        return randrange(length)
+    probs = mask.probability
+    rand = rng.random
+    for _ in range(RETRY_FACTOR * length):
+        idx = randrange(length)
+        p = probs[idx]
+        if p >= 1.0 or rand() < p:
+            return idx
+    return mask.argmax
+
+
+def oracle_mutate(seed, mask, rng, ops_per_input):
+    data = bytearray(seed)
+    length = len(data)
+    randrange = rng.randrange
+    for _ in range(ops_per_input):
+        idx = oracle_select_byte(mask, rng, length)
+        op = randrange(4)
+        if op == 0:
+            data[idx] ^= 1 << randrange(8)
+        elif op == 1:
+            data[idx] = randrange(256)
+        elif op == 2:
+            delta = randrange(1, ARITH_MAX + 1)
+            if randrange(2):
+                delta = -delta
+            data[idx] = (data[idx] + delta) & 0xFF
+        else:
+            data[idx] = INTERESTING_BYTES[randrange(5)]
+    return bytes(data)
+
+
+def draw(rng, kind, n):
+    if kind == 0:
+        return rng.randrange(n)
+    if kind == 1:
+        return rng.randrange(-n, n + 1)
+    if kind == 2:
+        return rng.random()
+    if kind == 3:
+        return rng.getrandbits(n % 65)
+    return rng.choice(range(n))
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+DRAWS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 2**40)), max_size=300)
+# 0.0 never accepts, so an all-zero mask reaches the argmax fallback.
+PROBS = st.sampled_from([0.0, 0.05, 0.3, 0.99, 1.0])
+
+
+@st.composite
+def seed_and_mask(draw_, masked):
+    data = draw_(st.binary(min_size=1, max_size=300))
+    if not masked:
+        return data, None
+    probs = draw_(st.lists(PROBS, min_size=len(data), max_size=len(data)))
+    return data, MutationMask(probability=probs)
+
+
+class TestStreamIdentity:
+    @settings(max_examples=200)
+    @given(SEEDS, DRAWS)
+    def test_rng_equals_random_random(self, seed, draws):
+        ours, reference = Rng(seed), random.Random(seed)
+        assert [draw(ours, k, n) for k, n in draws] == [
+            draw(reference, k, n) for k, n in draws
+        ]
+        # A bulk draw spans many MT state refreshes (624 words each).
+        assert ours.getrandbits(32 * 2000) == reference.getrandbits(32 * 2000)
+        assert ours.getstate() == reference.getstate()
+
+    @settings(max_examples=50)
+    @given(SEEDS, DRAWS, st.integers(1, 64))
+    def test_getstate_setstate_round_trip(self, seed, draws, ops):
+        rng = Rng(seed)
+        for k, n in draws:
+            draw(rng, k, n)
+        state = rng.getstate()
+        first = [mutate(b"\x00" * 16, None, rng, ops), rng.random()]
+        rng.setstate(state)
+        assert [mutate(b"\x00" * 16, None, rng, ops), rng.random()] == first
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @settings(max_examples=150)
+    @given(data=st.data(), seed=SEEDS)
+    def test_mutate_equals_oracle(self, masked, data, seed):
+        seed_bytes, mask = data.draw(seed_and_mask(masked))
+        ours, reference = Rng(seed), Rng(seed)
+        for _ in range(5):
+            ops = draw_op_count(ours)
+            assert ops == draw_op_count(reference)
+            assert mutate(seed_bytes, mask, ours, ops) == oracle_mutate(
+                seed_bytes, mask, reference, ops
+            )
+        assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("length", [1, 3, 8, 64, 128])
+    def test_argmax_fallback_equals_oracle(self, length):
+        probs = [0.0] * length
+        probs[length // 2] = 1e-9  # the argmax, never accepted in practice
+        mask = MutationMask(probability=probs)
+        ours, reference = Rng(length), Rng(length)
+        for _ in range(3):
+            child = mutate(bytes(length), mask, ours, 4)
+            assert child == oracle_mutate(bytes(length), mask, reference, 4)
+            changed = [i for i in range(length) if child[i]]
+            assert set(changed) <= {length // 2}
+        assert ours.getstate() == reference.getstate()

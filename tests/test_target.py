@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truzz.coverage import MAP_SIZE
+from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.target import (
     ByteRangeError,
+    Check,
     CheckKind,
     CompiledTarget,
     CoverageDumpError,
@@ -15,6 +17,7 @@ from truzz.target import (
     MalformedSpecError,
     PredicateKind,
     RegionOverlapError,
+    _compile_check,
     execute_external,
     execute_synthetic,
     parse_spec,
@@ -188,6 +191,50 @@ def test_compiled_runner_agrees_with_interpreter(data, name):
     fast = compiled.execute(data)
     assert fast.path == direct.path
     assert fast.valid == direct.valid
+
+
+def reached_outcomes(spec, data):
+    """The outcome of each check execution reaches, in stage order."""
+    outcomes = []
+    for stage in spec.stages:
+        if stage.check is None:
+            continue
+        ok = stage.check.passes(data)
+        outcomes.append(ok)
+        if not ok and stage.fail_region is not None and stage.fail_region.terminal:
+            break
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_names()))
+def test_compiled_runner_agrees_on_mutants_of_the_seed(name):
+    # Mutants of a passing seed pass and fail every check, unlike random bytes.
+    spec, seed = load_bundled(name)
+    compiled = CompiledTarget(spec)
+    rng = Rng(len(seed))
+    signatures = set()
+    for _ in range(3_000):
+        data = mutate(seed, None, rng, draw_op_count(rng))
+        path, valid, status, signature = compiled.run(data)
+        direct = execute_synthetic(spec, data)
+        assert (path, valid, status) == (direct.path, direct.valid, ExecStatus.NORMAL)
+        assert signature == reached_outcomes(spec, data)
+        signatures.add(signature)
+    assert len(signatures) > 1
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([PredicateKind.LT, PredicateKind.IN_RANGE]),
+    st.integers(-3, 260),
+    st.integers(-3, 260),
+    st.binary(min_size=1, max_size=1),
+)
+def test_compiled_byte_check_agrees_with_passes(predicate, lo, hi, data):
+    # Thresholds outside 0..255 are legal in a spec and must compile too.
+    check = Check(0, 0, predicate, CheckKind.VALIDATION, lo=lo, hi=hi)
+    start, stop, lo_b, hi_b = _compile_check(check)
+    assert (lo_b <= data[start:stop] <= hi_b) == check.passes(data)
 
 
 DUMP_TARGET = textwrap.dedent(
