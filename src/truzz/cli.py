@@ -88,17 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.budget_execs is None and args.budget_secs is None:
         args.budget_execs = 100_000
-    cfg = CampaignConfig(
-        corpus_dir=args.corpus,
-        target_spec=args.target,
-        command=shlex.split(args.cmd) if args.cmd else None,
-        budget=Budget(max_execs=args.budget_execs, max_seconds=args.budget_secs),
-        scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
-        analysis=_analysis_config(args),
-        mask_enabled=args.mask == "on",
-        rng_seed=args.rng_seed,
-        stats_interval=args.stats_interval,
-    )
+    try:
+        cfg = CampaignConfig(
+            corpus_dir=args.corpus,
+            target_spec=args.target,
+            command=shlex.split(args.cmd) if args.cmd else None,
+            budget=Budget(max_execs=args.budget_execs, max_seconds=args.budget_secs),
+            scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
+            analysis=_analysis_config(args),
+            mask_enabled=args.mask == "on",
+            rng_seed=args.rng_seed,
+            stats_interval=args.stats_interval,
+        )
+    except ValueError as exc:
+        # A malformed setting is reported before the corpus is touched.
+        sys.exit(f"truzz fuzz: {exc}")
     stats = run_campaign(cfg)
     print(
         f"executions={stats.executions} seeds={stats.seeds} "

@@ -8,6 +8,8 @@ one binary.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -25,7 +27,13 @@ from .scheduler import (
     SeedEntry,
     dry_run,
 )
-from .target import CompiledTarget, ExecStatus, execute_external, load_spec
+from .target import (
+    CompiledTarget,
+    ExecStatus,
+    execute_external,
+    load_spec,
+    placeholder_index,
+)
 
 STATS_HEADER = "elapsed_s,executions,seeds,edges_covered,valid,invalid,crashes"
 
@@ -64,6 +72,8 @@ class CampaignConfig:
     def __post_init__(self):
         if (self.target_spec is None) == (self.command is None):
             raise ValueError("exactly one of target_spec or command must be set")
+        if self.command is not None:
+            placeholder_index(self.command)
         if self.stats_interval < 1:
             raise ValueError(f"stats_interval must be >= 1, got {self.stats_interval}")
 
@@ -172,6 +182,7 @@ class Campaign:
         self._stats_writer: Optional[_StatsWriter] = None
         self._wall_start = 0.0
         self._known_stale: dict = {}  # run signature -> corpus version with 0 new edges
+        self._workdir: Optional[str] = None  # external targets' input and coverage files
 
         # The executor: run(data) -> (path, valid, status, signature).
         # Only ``_exec`` calls it.
@@ -217,7 +228,9 @@ class Campaign:
 
     def _run_external(self, data: bytes) -> tuple[Path, None, ExecStatus, Path]:
         """Executor for external targets; the path is its own signature."""
-        result = execute_external(self.cfg.command, data, self.cfg.exec_timeout)
+        result = execute_external(
+            self.cfg.command, data, self.cfg.exec_timeout, self._workdir
+        )
         return result.path, None, result.exec_status, result.path
 
     def _budget_left(self) -> bool:
@@ -283,7 +296,15 @@ class Campaign:
             return path
 
         start = self.stats.executions
-        self.corpus = dry_run(seeds, run, corpus)
+        crashes_before = self.stats.crashes
+        try:
+            self.corpus = dry_run(seeds, run, corpus)
+        except CampaignError:
+            if self.stats.crashes - crashes_before == len(seeds):
+                raise CampaignError(
+                    f"every initial seed crashed; the inputs are saved in {self.crash_dir}"
+                ) from None
+            raise
         self.stats.dry_run_execs = self.stats.executions - start
         for entry in self.corpus.entries:
             cached = saved_analysis.get(entry.data)
@@ -333,6 +354,8 @@ class Campaign:
         self._wall_start = time.monotonic()
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv")
         try:
+            if self.compiled is None:
+                self._workdir = tempfile.mkdtemp(prefix="truzz-exec-")
             self._dry_run()
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
@@ -341,6 +364,9 @@ class Campaign:
         except KeyboardInterrupt:
             pass
         finally:
+            if self._workdir is not None:
+                shutil.rmtree(self._workdir)
+                self._workdir = None
             if self.corpus is not None:
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)
@@ -400,7 +426,8 @@ def replay(
     if target_spec is not None:
         result = CompiledTarget(load_spec(target_spec)).execute(data)
     else:
-        result = execute_external(command, data, exec_timeout)
+        with tempfile.TemporaryDirectory(prefix="truzz-exec-") as workdir:
+            result = execute_external(command, data, exec_timeout, workdir)
 
     known: set[int] = set()
     if corpus_dir is not None:

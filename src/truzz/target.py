@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import os
+import select
 import subprocess
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -462,64 +462,111 @@ class CompiledTarget:
 # ---------------------------------------------------------------------------
 
 
+def placeholder_index(command: Sequence[str]) -> int:
+    """Index of the one ``@@`` token in an external target's ``command``;
+    ValueError unless there is exactly one."""
+    placeholders = [i for i, tok in enumerate(command) if tok == INPUT_PLACEHOLDER]
+    if len(placeholders) != 1:
+        raise ValueError(
+            f"command must contain exactly one {INPUT_PLACEHOLDER!r} token, "
+            f"got {list(command)!r}"
+        )
+    return placeholders[0]
+
+
+def _wait_exit(proc: subprocess.Popen, timeout: float) -> Optional[int]:
+    """Block until ``proc`` exits or ``timeout`` seconds pass; return its
+    return code, or None when it is still running.
+
+    On Linux this polls a pidfd, which wakes the moment the child exits.
+    ``Popen.wait(timeout)`` instead checks in sleeps of 1, 2, 4 ... ms, so
+    a child that exits after 1.1 ms is noticed only at 3 ms; it remains the
+    fallback on platforms without ``os.pidfd_open`` (all but Linux), the
+    only platform branch. A signal that interrupts ``poll`` does not end
+    the wait: the call is retried with the time that remains (PEP 475).
+    """
+    if not hasattr(os, "pidfd_open"):
+        try:
+            return proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            return None
+    pidfd = os.pidfd_open(proc.pid)
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(timeout * 1000):
+            return None
+    finally:
+        os.close(pidfd)
+    return proc.wait()
+
+
 def execute_external(
     command: Sequence[str],
     data: bytes,
-    timeout: float = 5.0,
+    timeout: float,
+    workdir: str | os.PathLike,
 ) -> ExecResult:
     """Run an external target on one input.
 
     ``command`` must contain exactly one ``@@`` token, replaced by the path
-    of a temporary file holding the input. The target reports coverage by
-    writing newline-separated decimal edge identifiers to the file named in
-    the TRUZZ_COV_FILE environment variable.
+    of ``workdir/input``, which holds the input. The target reports
+    coverage by writing newline-separated decimal edge identifiers to the
+    file named in the TRUZZ_COV_FILE environment variable,
+    ``workdir/coverage``; a dump left by an earlier run is deleted first.
+    ``workdir`` belongs to the caller and may be reused across runs. A
+    target still running after ``timeout`` seconds is killed.
     """
-    placeholders = [i for i, tok in enumerate(command) if tok == INPUT_PLACEHOLDER]
-    if len(placeholders) != 1:
-        raise ValueError(
-            f"command must contain exactly one {INPUT_PLACEHOLDER!r} token"
+    slot = placeholder_index(command)
+    input_path = os.path.join(workdir, "input")
+    dump_path = os.path.join(workdir, "coverage")
+    with open(input_path, "wb") as fh:
+        fh.write(data)
+    try:
+        os.unlink(dump_path)
+    except FileNotFoundError:
+        pass
+    argv = list(command)
+    argv[slot] = input_path
+    env = dict(os.environ)
+    env[COVERAGE_FILE_ENV] = dump_path
+    try:
+        proc = subprocess.Popen(
+            argv,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
+    except OSError as exc:
+        raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
+    try:
+        returncode = _wait_exit(proc, timeout)
+    finally:
+        # On a timeout, and on an interrupt during the wait, the child is
+        # killed and reaped rather than left running.
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+    if returncode is None:
+        status = ExecStatus.TIMEOUT
+    else:
+        status = ExecStatus.CRASH if returncode < 0 else ExecStatus.NORMAL
 
-    with tempfile.TemporaryDirectory(prefix="truzz-exec-") as tmp:
-        input_path = os.path.join(tmp, "input")
-        dump_path = os.path.join(tmp, "coverage")
-        with open(input_path, "wb") as fh:
-            fh.write(data)
-        argv = list(command)
-        argv[placeholders[0]] = input_path
-        env = dict(os.environ)
-        env[COVERAGE_FILE_ENV] = dump_path
-        try:
-            proc = subprocess.run(
-                argv,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=timeout,
-            )
-            status = ExecStatus.CRASH if proc.returncode < 0 else ExecStatus.NORMAL
-        except subprocess.TimeoutExpired:
-            status = ExecStatus.TIMEOUT
-        except OSError as exc:
-            raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
+    edges: set[int] = set()
+    try:
+        with open(dump_path, "r", encoding="ascii") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                edge = int(line)
+                if edge < 0 or edge >= MAP_SIZE:
+                    raise ValueError(f"edge id {edge} out of range")
+                edges.add(edge)
+    except FileNotFoundError:
+        if status is ExecStatus.NORMAL:
+            raise CoverageDumpError(f"no coverage dump at {dump_path}") from None
+    except ValueError as exc:
+        raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
 
-        edges: set[int] = set()
-        try:
-            with open(dump_path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    edge = int(line)
-                    if edge < 0 or edge >= MAP_SIZE:
-                        raise ValueError(f"edge id {edge} out of range")
-                    edges.add(edge)
-        except FileNotFoundError:
-            if status is ExecStatus.NORMAL:
-                raise CoverageDumpError(
-                    f"no coverage dump at {dump_path}"
-                ) from None
-        except ValueError as exc:
-            raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
-
-        return ExecResult(path=frozenset(edges), exec_status=status)
+    return ExecResult(path=frozenset(edges), exec_status=status)

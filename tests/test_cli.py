@@ -56,6 +56,12 @@ class TestFuzz:
                 ]
             )
 
+    def test_cmd_without_placeholder_rejected(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        with pytest.raises(SystemExit, match="exactly one '@@' token"):
+            main(["fuzz", "--cmd", "/bin/true", "--corpus", str(corpus)])
+        assert not corpus.exists()
+
 
 class TestAnalyze:
     def test_prints_fitness_and_probability(self, campaign_dir, capsys):

@@ -1,9 +1,11 @@
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import truzz.engine
 from truzz.engine import (
     STATS_HEADER,
     Budget,
@@ -48,6 +50,11 @@ class TestValidation:
             CampaignConfig(
                 corpus_dir=str(tmp_path), target_spec="x", command=["y", "@@"]
             )
+
+    @pytest.mark.parametrize("command", [["prog"], ["prog", "@@", "@@"], ["prog", "@@x"]])
+    def test_command_needs_one_placeholder(self, tmp_path, command):
+        with pytest.raises(ValueError, match="exactly one '@@' token"):
+            CampaignConfig(corpus_dir=str(tmp_path), command=command)
 
 
 class TestSyntheticCampaign:
@@ -338,9 +345,58 @@ class TestExternalCampaign:
             budget=Budget(max_execs=5),
             mask_enabled=False,
         )
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError, match=r"every initial seed crashed.*crashes"):
             Campaign(cfg).run()
         assert (corpus / "crashes" / "crash_000001").is_file()
+
+    def test_no_work_directory_left_behind(self, tmp_path, monkeypatch):
+        from truzz.scheduler import CampaignError
+
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        workdirs = []
+        execute = truzz.engine.execute_external
+
+        def recording(command, data, timeout, workdir):
+            workdirs.append(workdir)
+            return execute(command, data, timeout, workdir)
+
+        monkeypatch.setattr(truzz.engine, "execute_external", recording)
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+
+        def campaign(label, seed):
+            corpus = tmp_path / label
+            (corpus / "seeds_in").mkdir(parents=True)
+            (corpus / "seeds_in" / "seed").write_bytes(seed)
+            return Campaign(CampaignConfig(
+                corpus_dir=str(corpus),
+                command=[sys.executable, str(script), "@@"],
+                budget=Budget(max_execs=20),
+                scheduler=SchedulerConfig(energy=10),
+            ))
+
+        stats = campaign("finishes", b"\x00" * 8).run()
+        assert stats.executions == 20
+        # One work directory serves the whole campaign.
+        assert len(set(workdirs)) == 1
+        assert Path(workdirs[0]).parent == tmp
+        assert Path(workdirs[0]).name.startswith("truzz-exec-")
+        assert list(tmp.iterdir()) == []
+
+        with pytest.raises(CampaignError):
+            campaign("all-crash", b"\x00\xff" + b"\x00" * 6).run()
+        assert len(set(workdirs)) == 2
+        assert list(tmp.iterdir()) == []
+
+        rep = replay(
+            str(tmp_path / "finishes" / "queue" / "id_000000"),
+            command=[sys.executable, str(script), "@@"],
+        )
+        assert rep.path_size == 2
+        assert len(set(workdirs)) == 3
+        assert list(tmp.iterdir()) == []
 
 
 class TestReplay:

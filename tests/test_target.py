@@ -1,5 +1,8 @@
+import os
+import signal
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,8 @@ DUMP_TARGET = textwrap.dedent(
     """
     import os, sys
     data = open(sys.argv[1], 'rb').read()
+    if data.startswith(b'EARLY'):
+        os.kill(os.getpid(), 9)
     with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
         fh.write('3\\n7\\n')
         if data.startswith(b'!'):
@@ -266,23 +271,70 @@ class TestExternalExecution:
         script.write_text(DUMP_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    def test_placeholder_required(self):
-        with pytest.raises(ValueError):
-            execute_external([sys.executable, "-c", "pass"], b"x")
+    @pytest.fixture()
+    def workdir(self, tmp_path):
+        path = tmp_path / "work"
+        path.mkdir()
+        return path
 
-    def test_dump_read_as_coverage(self, target_script):
-        result = execute_external(target_script, b"hello")
+    @pytest.fixture(params=["pidfd", "popen-wait"])
+    def wait_path(self, request, monkeypatch):
+        """Each wait test runs on the pidfd wait and on the fallback."""
+        if request.param == "pidfd" and not hasattr(os, "pidfd_open"):
+            pytest.skip("no os.pidfd_open on this platform")
+        if request.param == "popen-wait":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        return request.param
+
+    def test_placeholder_required(self, workdir):
+        with pytest.raises(ValueError):
+            execute_external([sys.executable, "-c", "pass"], b"x", 5.0, workdir)
+
+    def test_dump_read_as_coverage(self, target_script, workdir):
+        result = execute_external(target_script, b"hello", 5.0, workdir)
         assert result.path == {3, 7}
         assert result.exec_status is ExecStatus.NORMAL
         assert result.valid is None
 
-    def test_input_dependent_coverage(self, target_script):
-        result = execute_external(target_script, b"!x")
+    def test_input_dependent_coverage(self, target_script, workdir):
+        result = execute_external(target_script, b"!x", 5.0, workdir)
         assert result.path == {3, 7, 11}
 
-    def test_crash_detected(self, target_script):
-        result = execute_external(target_script, b"CRASH")
+    def test_crash_detected(self, target_script, workdir):
+        result = execute_external(target_script, b"CRASH", 5.0, workdir)
         assert result.exec_status is ExecStatus.CRASH
+
+    def test_no_stale_coverage_in_reused_workdir(self, target_script, workdir):
+        first = execute_external(target_script, b"!" + b"x" * 63, 5.0, workdir)
+        assert first.path == {3, 7, 11}
+        # Killed before writing a dump: the earlier dump must not be read.
+        second = execute_external(target_script, b"EARLY", 5.0, workdir)
+        assert second.exec_status is ExecStatus.CRASH
+        assert second.path == frozenset()
+        assert (workdir / "input").read_bytes() == b"EARLY"
+
+    def test_timeout_kills_and_reaps(self, tmp_path, workdir, wait_path):
+        pid_file = tmp_path / "pid"
+        command = ["/bin/sh", "-c", 'echo $$ > "$0"; exec sleep 30', str(pid_file), "@@"]
+        start = time.monotonic()
+        result = execute_external(command, b"x", 0.3, workdir)
+        assert time.monotonic() - start < 5
+        assert result.exec_status is ExecStatus.TIMEOUT
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_wait_survives_signal_storm(self, workdir, wait_path):
+        command = ["/bin/sh", "-c", 'sleep 0.2; echo 4 > "$TRUZZ_COV_FILE"', "@@"]
+        previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)
+            result = execute_external(command, b"x", 5.0, workdir)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result.exec_status is ExecStatus.NORMAL
+        assert result.path == {4}
 
     @pytest.fixture()
     def echo_script(self, tmp_path):
@@ -291,11 +343,11 @@ class TestExternalExecution:
         script.write_text(ECHO_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    def test_last_map_edge_accepted(self, echo_script):
-        result = execute_external(echo_script, f"{MAP_SIZE - 1}\n".encode())
+    def test_last_map_edge_accepted(self, echo_script, workdir):
+        result = execute_external(echo_script, f"{MAP_SIZE - 1}\n".encode(), 5.0, workdir)
         assert result.path == {MAP_SIZE - 1}
 
     @pytest.mark.parametrize("line", [str(MAP_SIZE).encode(), b"seven"])
-    def test_bad_dump_line_rejected(self, echo_script, line):
+    def test_bad_dump_line_rejected(self, echo_script, workdir, line):
         with pytest.raises(CoverageDumpError, match="corrupt coverage dump"):
-            execute_external(echo_script, b"3\n" + line + b"\n")
+            execute_external(echo_script, b"3\n" + line + b"\n", 5.0, workdir)
