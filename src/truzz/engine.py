@@ -13,7 +13,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .byte_analysis import AnalysisConfig, FitnessMap, MutationMask, analyze, mask_from_fitness
 from .coverage import Path
@@ -29,6 +29,7 @@ from .scheduler import (
 )
 from .target import (
     CompiledTarget,
+    ExecResult,
     ExecStatus,
     execute_external,
     load_spec,
@@ -93,22 +94,25 @@ class CampaignStats:
 
 
 class _StatsWriter:
-    def __init__(self, path: FsPath):
+    def __init__(self, path: FsPath, clock: Callable[[], float]):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
         self._fh.write(STATS_HEADER + "\n")
-        self._last_row = ""
+        self._clock = clock
+        self._last_counts = ""
 
     def row(self, stats: CampaignStats) -> None:
         # An interval row is written before that execution's retention, so
-        # the final row may share its execution count but not its contents.
-        row = (
-            f"{stats.elapsed:.6f},{stats.executions},{stats.seeds},"
-            f"{stats.edges_covered},{stats.valid_count},{stats.invalid_count},"
-            f"{stats.crashes}\n"
+        # the final row may repeat its execution count; a row whose counts
+        # all repeat the last row's is skipped. Only a written row reads the
+        # clock, so ``stats.elapsed`` is always the last row's.
+        counts = (
+            f"{stats.executions},{stats.seeds},{stats.edges_covered},"
+            f"{stats.valid_count},{stats.invalid_count},{stats.crashes}\n"
         )
-        if row != self._last_row:
-            self._last_row = row
-            self._fh.write(row)
+        if counts != self._last_counts:
+            self._last_counts = counts
+            stats.elapsed = self._clock()
+            self._fh.write(f"{stats.elapsed:.6f},{counts}")
             self._fh.flush()
 
     def close(self) -> None:
@@ -171,7 +175,8 @@ def _persist_corpus(corpus_dir: FsPath, corpus: Corpus) -> None:
 
 
 class Campaign:
-    """One fuzzing campaign over a synthetic or external target."""
+    """One fuzzing campaign over a synthetic or external target. Every
+    execution goes through ``_exec`` and yields the executor's ExecResult."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -181,11 +186,11 @@ class Campaign:
         self.crash_dir = self.corpus_dir / "crashes"
         self._stats_writer: Optional[_StatsWriter] = None
         self._wall_start = 0.0
-        self._known_stale: dict = {}  # run signature -> corpus version with 0 new edges
+        # Paths that added no edge. Coverage only grows, so they never will.
+        self._known_stale: set[Path] = set()
         self._workdir: Optional[str] = None  # external targets' input and coverage files
 
-        # The executor: run(data) -> (path, valid, status, signature).
-        # Only ``_exec`` calls it.
+        # The executor: run(data) -> ExecResult. Only ``_exec`` calls it.
         if cfg.target_spec is not None:
             self.compiled: Optional[CompiledTarget] = CompiledTarget(load_spec(cfg.target_spec))
             self._run = self.compiled.run
@@ -196,27 +201,23 @@ class Campaign:
 
     # -- execution ----------------------------------------------------------
 
-    def _exec(self, data: bytes) -> tuple[Path, Optional[bool], ExecStatus, Path]:
+    def _exec(self, data: bytes) -> ExecResult:
         """Execute ``data`` in any phase (dry run, probe, mutation): charge
         the budget and stats, write the interval row, save a crash, and
-        return the executor's (path, valid, status, signature)."""
-        path, valid, status, signature = self._run(data)
+        return the executor's result."""
+        result = self._run(data)
         st = self.stats
         st.executions += 1
-        if valid is True:
+        if result.valid is True:
             st.valid_count += 1
-        elif valid is False:
+        elif result.valid is False:
             st.invalid_count += 1
-        if status is ExecStatus.CRASH:
+        if result.exec_status is ExecStatus.CRASH:
             st.crashes += 1
             self._save_crash(data)
-        if self.compiled is not None:
-            st.elapsed = st.executions * VIRTUAL_SECONDS_PER_EXEC
-        else:
-            st.elapsed = time.monotonic() - self._wall_start
         if st.executions % self.cfg.stats_interval == 0:
             self._emit_row()
-        return path, valid, status, signature
+        return result
 
     def _emit_row(self) -> None:
         if self._stats_writer is not None:
@@ -226,12 +227,17 @@ class Campaign:
             )
             self._stats_writer.row(self.stats)
 
-    def _run_external(self, data: bytes) -> tuple[Path, None, ExecStatus, Path]:
-        """Executor for external targets; the path is its own signature."""
-        result = execute_external(
+    def _elapsed(self) -> float:
+        """Virtual seconds for a synthetic target, wall seconds otherwise."""
+        if self.compiled is not None:
+            return self.stats.executions * VIRTUAL_SECONDS_PER_EXEC
+        return time.monotonic() - self._wall_start
+
+    def _run_external(self, data: bytes) -> ExecResult:
+        """Executor for external targets."""
+        return execute_external(
             self.cfg.command, data, self.cfg.exec_timeout, self._workdir
         )
-        return result.path, None, result.exec_status, result.path
 
     def _budget_left(self) -> bool:
         b = self.cfg.budget
@@ -250,7 +256,7 @@ class Campaign:
         """One-time fitness/mask computation; probes charge the budget."""
 
         def probe(mutant: bytes) -> Path:
-            path = self._exec(mutant)[0]
+            path = self._exec(mutant).path
             self.corpus.merge(path)
             return path
 
@@ -288,12 +294,12 @@ class Campaign:
         corpus = Corpus()
 
         def run(data: bytes) -> Path:
-            path, _, status, _ = self._exec(data)
-            if status is ExecStatus.CRASH:
+            result = self._exec(data)
+            if result.exec_status is ExecStatus.CRASH:
                 # Saved by _exec; like a crashing child, merged but not kept.
-                corpus.merge(path)
+                corpus.merge(result.path)
                 return frozenset()
-            return path
+            return result.path
 
         start = self.stats.executions
         crashes_before = self.stats.crashes
@@ -336,15 +342,16 @@ class Campaign:
                 break
             child = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            path, _, status, sig = self._exec(child)
-            if status is ExecStatus.CRASH:
+            result = self._exec(child)
+            path = result.path
+            if result.exec_status is ExecStatus.CRASH:
                 corpus.merge(path)
                 continue
-            if known_stale.get(sig) == corpus.version:
+            if path in known_stale:
                 continue
             kept = corpus.retain_if_new(child, path)
             if kept is None:
-                known_stale[sig] = corpus.version
+                known_stale.add(path)
             else:
                 n_all += kept.rank_key
         return n_all
@@ -352,7 +359,7 @@ class Campaign:
     def run(self) -> CampaignStats:
         self.corpus_dir.mkdir(parents=True, exist_ok=True)
         self._wall_start = time.monotonic()
-        self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv")
+        self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
         try:
             if self.compiled is None:
                 self._workdir = tempfile.mkdtemp(prefix="truzz-exec-")

@@ -90,17 +90,7 @@ def read_stats(path: str | os.PathLike) -> list[StatsRow]:
         for rec in reader:
             if len(rec) != len(STATS_COLUMNS):
                 raise StatsSchemaError(f"{path}: malformed row {rec}")
-            rows.append(
-                StatsRow(
-                    float(rec[0]),
-                    int(rec[1]),
-                    int(rec[2]),
-                    int(rec[3]),
-                    int(rec[4]),
-                    int(rec[5]),
-                    int(rec[6]),
-                )
-            )
+            rows.append(StatsRow(float(rec[0]), *map(int, rec[1:])))
     if not rows:
         raise StatsSchemaError(f"{path}: no data rows")
     return rows

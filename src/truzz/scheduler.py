@@ -55,16 +55,12 @@ class SeedEntry:
 
 
 class Corpus:
-    """Seed entries plus the campaign's overall covered-edge set.
-
-    ``version`` increments whenever overall coverage grows, letting callers
-    cheaply invalidate "this path adds nothing new" caches.
-    """
+    """Seed entries plus the campaign's overall covered-edge set, which
+    only grows."""
 
     def __init__(self):
         self.entries: list[SeedEntry] = []
         self.covered: set[int] = set()
-        self.version = 0
         self._next_id = 0
         self._fifo_cursor = 0
         self._zero_cursor = 0
@@ -81,9 +77,7 @@ class Corpus:
     def merge(self, path: Path) -> int:
         """Fold a path into overall coverage; returns the new-edge count."""
         new = path - self.covered
-        if new:
-            self.covered |= new
-            self.version += 1
+        self.covered |= new
         return len(new)
 
     def add_entry(self, data: bytes, path: Path, rank_key: int) -> SeedEntry:

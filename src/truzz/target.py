@@ -129,9 +129,9 @@ class TargetSpec:
     stages: tuple[Stage, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecResult:
-    """Outcome of one execution.
+    """Outcome of one execution, the one result every executor returns.
 
     ``valid`` is defined only for synthetic targets: True iff every
     validation check reached was passed. ``path`` is the covered edge set.
@@ -416,16 +416,15 @@ class CompiledTarget:
     """Memoized synthetic runner for campaign hot loops.
 
     Each check is compiled once to a byte-slice comparison. The covered
-    path depends only on the vector of check outcomes, so paths and
-    verdicts are cached per outcome signature, filled from
-    ``execute_synthetic``. ``run`` returns ``(path, valid, status,
-    signature)``, the campaign's executor shape; ``execute`` wraps it in
-    an ExecResult.
+    path depends only on the vector of check outcomes, so ``run`` caches
+    one ExecResult per outcome vector, filled from ``execute_synthetic``,
+    and returns that same object for every input that reaches it.
+    ``execute`` is another name for ``run``.
     """
 
     def __init__(self, spec: TargetSpec):
         self.spec = spec
-        self._cache: dict[tuple, tuple[Path, bool]] = {}
+        self._cache: dict[tuple, ExecResult] = {}
         # (start, stop, lo, hi, stops execution when failed), in stage order
         self._ops = tuple(
             (*_compile_check(stage.check),
@@ -434,7 +433,7 @@ class CompiledTarget:
             if stage.check is not None
         )
 
-    def run(self, data: bytes) -> tuple[Path, bool, ExecStatus, tuple]:
+    def run(self, data: bytes) -> ExecResult:
         n = self.spec.input_length
         if len(data) != n:
             data = fit_input(data, n)
@@ -444,17 +443,13 @@ class CompiledTarget:
             outcome.append(ok)
             if terminal and not ok:
                 break
-        sig = tuple(outcome)
-        cached = self._cache.get(sig)
-        if cached is None:
-            result = execute_synthetic(self.spec, data)
-            cached = (result.path, bool(result.valid))
-            self._cache[sig] = cached
-        return cached[0], cached[1], ExecStatus.NORMAL, sig
+        key = tuple(outcome)
+        result = self._cache.get(key)
+        if result is None:
+            result = self._cache[key] = execute_synthetic(self.spec, data)
+        return result
 
-    def execute(self, data: bytes) -> ExecResult:
-        path, valid, status, _ = self.run(data)
-        return ExecResult(path=path, exec_status=status, valid=valid)
+    execute = run
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from test_target import DUMP_TARGET
@@ -14,7 +15,7 @@ def campaign_dir(tmp_path):
     corpus = tmp_path / "corpus"
     seeds_in = corpus / "seeds_in"
     seeds_in.mkdir(parents=True)
-    seeds_in.joinpath("seed").write_bytes(open(seed_path, "rb").read())
+    seeds_in.joinpath("seed").write_bytes(Path(seed_path).read_bytes())
     return spec_path, seed_path, corpus
 
 

@@ -331,6 +331,28 @@ class TestExternalCampaign:
         # The crash's path is merged, as a crashing child's is.
         assert (corpus / "overall.cov").read_text() == "1\n2\n5\n"
 
+    def test_final_stats_row_not_repeated(self, tmp_path):
+        """Nothing changes after the last interval row but the wall clock;
+        the final row must not repeat the interval row's counts."""
+        from truzz.report import read_stats
+
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+        corpus = tmp_path / "c"
+        (corpus / "seeds_in").mkdir(parents=True)
+        # Covers every edge, and is too short to crash the target.
+        (corpus / "seeds_in" / "seed").write_bytes(b"\x01")
+        stats = Campaign(CampaignConfig(
+            corpus_dir=str(corpus),
+            command=[sys.executable, str(script), "@@"],
+            budget=Budget(max_execs=20),
+            mask_enabled=False,
+            stats_interval=10,
+        )).run()
+        rows = read_stats(corpus / "stats.csv")
+        assert [r.executions for r in rows] == [10, 20]
+        assert rows[-1].elapsed_s == float(f"{stats.elapsed:.6f}")
+
     def test_only_crashing_initial_seeds_fail(self, tmp_path):
         from truzz.scheduler import CampaignError
 

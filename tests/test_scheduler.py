@@ -95,18 +95,37 @@ class TestRetention:
     def test_no_new_edges_not_retained_but_merged(self):
         corpus = seeded_corpus({"A": 3})
         corpus.merge(frozenset({ord("A")}))
-        before = corpus.version
+        before = set(corpus.covered)
         assert corpus.retain_if_new(b"X", frozenset({ord("A")})) is None
-        assert corpus.version == before
+        assert corpus.covered == before
 
-    def test_merge_bumps_version_only_on_growth(self):
+    def test_merge_returns_new_edge_count(self):
         corpus = Corpus()
         assert corpus.merge(frozenset({1, 2})) == 2
-        v = corpus.version
         assert corpus.merge(frozenset({2})) == 0
-        assert corpus.version == v
+        assert corpus.covered == {1, 2}
         assert corpus.merge(frozenset({3})) == 1
-        assert corpus.version == v + 1
+        assert corpus.covered == {1, 2, 3}
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(
+        st.booleans(), st.frozensets(st.integers(0, 15), max_size=6))))
+    def test_stale_path_stays_stale(self, ops):
+        # The campaign skips a child whose path once added no edge; that
+        # holds because covered only grows.
+        corpus = Corpus()
+        stale = set()
+        for is_merge, path in ops:
+            if is_merge:
+                corpus.merge(path)
+                continue
+            before = set(corpus.covered)
+            kept = corpus.retain_if_new(b"x", path)
+            if path in stale:
+                assert kept is None
+                assert corpus.covered == before
+            if kept is None:
+                stale.add(path)
 
 
 class TestRankUpdate:

@@ -215,15 +215,14 @@ def test_compiled_runner_agrees_on_mutants_of_the_seed(name):
     spec, seed = load_bundled(name)
     compiled = CompiledTarget(spec)
     rng = Rng(len(seed))
-    signatures = set()
     for _ in range(3_000):
         data = mutate(seed, None, rng, draw_op_count(rng))
-        path, valid, status, signature = compiled.run(data)
+        result = compiled.run(data)
         direct = execute_synthetic(spec, data)
-        assert (path, valid, status) == (direct.path, direct.valid, ExecStatus.NORMAL)
-        assert signature == reached_outcomes(spec, data)
-        signatures.add(signature)
-    assert len(signatures) > 1
+        assert compiled._cache[reached_outcomes(spec, data)] is result
+        assert (result.path, result.valid, result.exec_status) == (
+            direct.path, direct.valid, ExecStatus.NORMAL)
+    assert len(compiled._cache) > 1
 
 
 @settings(max_examples=300)
