@@ -8,8 +8,7 @@ one binary.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -31,12 +30,15 @@ from .target import (
     CompiledTarget,
     ExecResult,
     ExecStatus,
+    ExternalTarget,
     execute_external,
     load_spec,
     placeholder_index,
 )
 
 STATS_HEADER = "elapsed_s,executions,seeds,edges_covered,valid,invalid,crashes"
+
+_CRASH_NAME = re.compile(r"crash_([0-9]{6,})")
 
 # Virtual seconds charged per synthetic execution; keeps stats.csv
 # deterministic (wall clock would differ between identical runs).
@@ -159,6 +161,15 @@ def _read_meta_analysis(meta_path: FsPath) -> Optional[SeedAnalysis]:
     return SeedAnalysis(FitnessMap(fitness, probe_count), MutationMask(probability))
 
 
+def _last_crash_number(crash_dir: FsPath) -> int:
+    """The highest N of a ``crash_NNNNNN`` file in ``crash_dir``, 0 if none;
+    a resumed campaign numbers its crashes after it."""
+    if not crash_dir.is_dir():
+        return 0
+    matches = (_CRASH_NAME.fullmatch(name) for name in os.listdir(crash_dir))
+    return max((int(m[1]) for m in matches if m), default=0)
+
+
 def _persist_corpus(corpus_dir: FsPath, corpus: Corpus) -> None:
     queue_dir = corpus_dir / "queue"
     meta_dir = corpus_dir / "meta"
@@ -188,7 +199,8 @@ class Campaign:
         self._wall_start = 0.0
         # Paths that added no edge. Coverage only grows, so they never will.
         self._known_stale: set[Path] = set()
-        self._workdir: Optional[str] = None  # external targets' input and coverage files
+        self._external: Optional[ExternalTarget] = None  # open while run() runs
+        self._crash_base = 0  # the highest crash number saved before this run
 
         # The executor: run(data) -> ExecResult. Only ``_exec`` calls it.
         if cfg.target_spec is not None:
@@ -235,9 +247,7 @@ class Campaign:
 
     def _run_external(self, data: bytes) -> ExecResult:
         """Executor for external targets."""
-        return execute_external(
-            self.cfg.command, data, self.cfg.exec_timeout, self._workdir
-        )
+        return execute_external(self._external, data)
 
     def _budget_left(self) -> bool:
         b = self.cfg.budget
@@ -319,8 +329,9 @@ class Campaign:
 
     def _save_crash(self, data: bytes) -> None:
         self.crash_dir.mkdir(exist_ok=True)
-        name = f"crash_{self.stats.crashes:06d}"
-        (self.crash_dir / name).write_bytes(data)
+        name = f"crash_{self._crash_base + self.stats.crashes:06d}"
+        with open(self.crash_dir / name, "xb") as fh:
+            fh.write(data)
 
     def _fuzz_round(self, entry: SeedEntry) -> int:
         """Run one energy round on ``entry``; returns the new-edge total."""
@@ -359,10 +370,11 @@ class Campaign:
     def run(self) -> CampaignStats:
         self.corpus_dir.mkdir(parents=True, exist_ok=True)
         self._wall_start = time.monotonic()
+        self._crash_base = _last_crash_number(self.crash_dir)
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
         try:
             if self.compiled is None:
-                self._workdir = tempfile.mkdtemp(prefix="truzz-exec-")
+                self._external = ExternalTarget(self.cfg.command, self.cfg.exec_timeout)
             self._dry_run()
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
@@ -371,9 +383,9 @@ class Campaign:
         except KeyboardInterrupt:
             pass
         finally:
-            if self._workdir is not None:
-                shutil.rmtree(self._workdir)
-                self._workdir = None
+            if self._external is not None:
+                self._external.close()
+                self._external = None
             if self.corpus is not None:
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)
@@ -433,8 +445,8 @@ def replay(
     if target_spec is not None:
         result = CompiledTarget(load_spec(target_spec)).execute(data)
     else:
-        with tempfile.TemporaryDirectory(prefix="truzz-exec-") as workdir:
-            result = execute_external(command, data, exec_timeout, workdir)
+        with ExternalTarget(command, exec_timeout) as external:
+            result = execute_external(external, data)
 
     known: set[int] = set()
     if corpus_dir is not None:

@@ -15,7 +15,10 @@ from __future__ import annotations
 import enum
 import os
 import select
-import subprocess
+import shutil
+import signal
+import tempfile
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -469,79 +472,147 @@ def placeholder_index(command: Sequence[str]) -> int:
     return placeholders[0]
 
 
-def _wait_exit(proc: subprocess.Popen, timeout: float) -> Optional[int]:
-    """Block until ``proc`` exits or ``timeout`` seconds pass; return its
-    return code, or None when it is still running.
+class ExternalTarget:
+    """An external target prepared once for a whole campaign.
+
+    The constructor does all one-time work: it checks ``command`` for its
+    one ``@@`` token, makes a private ``truzz-exec-*`` work directory under
+    the system temporary directory, puts the path of ``<workdir>/input`` in
+    place of ``@@``, copies the environment once with TRUZZ_COV_FILE set to
+    ``<workdir>/coverage``, and opens the input file and ``/dev/null``.
+    ``execute_external`` runs one input through it. ``close`` (or leaving a
+    ``with`` block) closes both descriptors and removes the directory.
+    """
+
+    def __init__(self, command: Sequence[str], timeout: float):
+        slot = placeholder_index(command)
+        self.timeout = timeout
+        self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+        self._input_fd = self._devnull_fd = -1
+        self.workdir: Optional[str] = tempfile.mkdtemp(prefix="truzz-exec-")
+        self.input_path = os.path.join(self.workdir, "input")
+        self.dump_path = os.path.join(self.workdir, "coverage")
+        self.argv = list(command)
+        self.argv[slot] = self.input_path
+        # Bytes keys and values: posix_spawn then encodes nothing per exec.
+        self.env = dict(os.environb)
+        self.env[os.fsencode(COVERAGE_FILE_ENV)] = os.fsencode(self.dump_path)
+        try:
+            self._input_fd = os.open(
+                self.input_path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o600
+            )
+            self._devnull_fd = os.open(os.devnull, os.O_WRONLY | os.O_CLOEXEC)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        for fd in (self._input_fd, self._devnull_fd):
+            if fd >= 0:
+                os.close(fd)
+        self._input_fd = self._devnull_fd = -1
+        if self.workdir is not None:
+            shutil.rmtree(self.workdir)
+            self.workdir = None
+
+    def __enter__(self) -> "ExternalTarget":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _inheritable_fds(self) -> list[int]:
+        """Open descriptors >= 3 that a spawned child would inherit. The
+        listing's own descriptor is closed before it is checked."""
+        fds = []
+        for name in os.listdir(self._fd_dir):
+            fd = int(name)
+            if fd < 3:
+                continue
+            try:
+                if os.get_inheritable(fd):
+                    fds.append(fd)
+            except OSError:
+                pass
+        return fds
+
+
+def _wait_exit(pid: int, timeout: float) -> Optional[int]:
+    """Block until child ``pid`` exits or ``timeout`` seconds pass; return its
+    exit code (minus the signal number for a child killed by a signal), or
+    None on a timeout. On a timeout, and on any exception during the wait,
+    the child is killed and reaped rather than left running.
 
     On Linux this polls a pidfd, which wakes the moment the child exits.
-    ``Popen.wait(timeout)`` instead checks in sleeps of 1, 2, 4 ... ms, so
-    a child that exits after 1.1 ms is noticed only at 3 ms; it remains the
-    fallback on platforms without ``os.pidfd_open`` (all but Linux), the
-    only platform branch. A signal that interrupts ``poll`` does not end
-    the wait: the call is retried with the time that remains (PEP 475).
+    Where ``os.pidfd_open`` does not exist (all but Linux), the only
+    platform branch, it polls ``waitpid(WNOHANG)`` with sleeps of 1, 2,
+    4 ... ms up to 50 ms, as ``subprocess.Popen.wait`` does. A signal whose
+    handler returns does not end the wait: ``poll`` and ``sleep`` resume
+    with the time that remains (PEP 475).
     """
-    if not hasattr(os, "pidfd_open"):
-        try:
-            return proc.wait(timeout)
-        except subprocess.TimeoutExpired:
-            return None
-    pidfd = os.pidfd_open(proc.pid)
+    status = None
     try:
-        poller = select.poll()
-        poller.register(pidfd, select.POLLIN)
-        if not poller.poll(timeout * 1000):
-            return None
+        if hasattr(os, "pidfd_open"):
+            pidfd = os.pidfd_open(pid)
+            try:
+                poller = select.poll()
+                poller.register(pidfd, select.POLLIN)
+                if poller.poll(timeout * 1000):
+                    status = os.waitpid(pid, 0)[1]
+            finally:
+                os.close(pidfd)
+        else:
+            deadline = time.monotonic() + timeout
+            delay = 0.0005
+            while True:
+                reaped, st = os.waitpid(pid, os.WNOHANG)
+                if reaped:
+                    status = st
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                delay = min(delay * 2, remaining, 0.05)
+                time.sleep(delay)
     finally:
-        os.close(pidfd)
-    return proc.wait()
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return None if status is None else os.waitstatus_to_exitcode(status)
 
 
-def execute_external(
-    command: Sequence[str],
-    data: bytes,
-    timeout: float,
-    workdir: str | os.PathLike,
-) -> ExecResult:
-    """Run an external target on one input.
+def execute_external(target: ExternalTarget, data: bytes) -> ExecResult:
+    """Run one input through an external target.
 
-    ``command`` must contain exactly one ``@@`` token, replaced by the path
-    of ``workdir/input``, which holds the input. The target reports
+    The input is written in place over ``target.input_path``, whose path
+    and inode stay the same for the whole campaign. The target reports
     coverage by writing newline-separated decimal edge identifiers to the
-    file named in the TRUZZ_COV_FILE environment variable,
-    ``workdir/coverage``; a dump left by an earlier run is deleted first.
-    ``workdir`` belongs to the caller and may be reused across runs. A
-    target still running after ``timeout`` seconds is killed.
+    file named in the TRUZZ_COV_FILE environment variable; a dump left by
+    an earlier run is deleted first. The target's stdout and stderr go to
+    ``/dev/null``, and every other inheritable descriptor but stdin is
+    closed in the child. A target still running after ``target.timeout``
+    seconds is killed.
     """
-    slot = placeholder_index(command)
-    input_path = os.path.join(workdir, "input")
-    dump_path = os.path.join(workdir, "coverage")
-    with open(input_path, "wb") as fh:
-        fh.write(data)
+    fd = target._input_fd
+    if os.pwrite(fd, data, 0) != len(data):
+        raise ExternalTargetError(f"short write to {target.input_path}")
+    os.ftruncate(fd, len(data))
     try:
-        os.unlink(dump_path)
+        os.unlink(target.dump_path)
     except FileNotFoundError:
         pass
-    argv = list(command)
-    argv[slot] = input_path
-    env = dict(os.environ)
-    env[COVERAGE_FILE_ENV] = dump_path
+    devnull = target._devnull_fd
+    file_actions = [
+        (os.POSIX_SPAWN_DUP2, devnull, 1),
+        (os.POSIX_SPAWN_DUP2, devnull, 2),
+    ]
+    file_actions += [(os.POSIX_SPAWN_CLOSE, n) for n in target._inheritable_fds()]
+    argv = target.argv
     try:
-        proc = subprocess.Popen(
-            argv,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        pid = os.posix_spawnp(argv[0], argv, target.env, file_actions=file_actions)
     except OSError as exc:
         raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
-    try:
-        returncode = _wait_exit(proc, timeout)
-    finally:
-        # On a timeout, and on an interrupt during the wait, the child is
-        # killed and reaped rather than left running.
-        if proc.returncode is None:
-            proc.kill()
-            proc.wait()
+    returncode = _wait_exit(pid, target.timeout)
     if returncode is None:
         status = ExecStatus.TIMEOUT
     else:
@@ -549,18 +620,21 @@ def execute_external(
 
     edges: set[int] = set()
     try:
-        with open(dump_path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                edge = int(line)
-                if edge < 0 or edge >= MAP_SIZE:
-                    raise ValueError(f"edge id {edge} out of range")
-                edges.add(edge)
+        # Text mode turns \r\n and \r into \n, so these are the lines a
+        # line-by-line read of the file gives.
+        with open(target.dump_path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            edge = int(line)
+            if edge < 0 or edge >= MAP_SIZE:
+                raise ValueError(f"edge id {edge} out of range")
+            edges.add(edge)
     except FileNotFoundError:
         if status is ExecStatus.NORMAL:
-            raise CoverageDumpError(f"no coverage dump at {dump_path}") from None
+            raise CoverageDumpError(f"no coverage dump at {target.dump_path}") from None
     except ValueError as exc:
         raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
 

@@ -4,6 +4,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from test_target import open_fd_count
 
 import truzz.engine
 from truzz.engine import (
@@ -371,6 +372,33 @@ class TestExternalCampaign:
             Campaign(cfg).run()
         assert (corpus / "crashes" / "crash_000001").is_file()
 
+    def test_crashes_numbered_after_earlier_runs(self, tmp_path):
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+        corpus = tmp_path / "c"
+        (corpus / "seeds_in").mkdir(parents=True)
+        (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
+
+        def run(rng_seed):
+            return Campaign(CampaignConfig(
+                corpus_dir=str(corpus),
+                command=[sys.executable, str(script), "@@"],
+                budget=Budget(max_execs=80),
+                scheduler=SchedulerConfig(energy=20),
+                mask_enabled=False,
+                rng_seed=rng_seed,
+            )).run().crashes
+
+        first = run(5)
+        assert first > 0
+        saved = {f.name: f.read_bytes() for f in (corpus / "crashes").iterdir()}
+        second = run(6)
+        assert second > 0
+        names = sorted(f.name for f in (corpus / "crashes").iterdir())
+        assert names == [f"crash_{i:06d}" for i in range(1, first + second + 1)]
+        for name, data in saved.items():
+            assert (corpus / "crashes" / name).read_bytes() == data
+
     def test_no_work_directory_left_behind(self, tmp_path, monkeypatch):
         from truzz.scheduler import CampaignError
 
@@ -380,9 +408,9 @@ class TestExternalCampaign:
         workdirs = []
         execute = truzz.engine.execute_external
 
-        def recording(command, data, timeout, workdir):
-            workdirs.append(workdir)
-            return execute(command, data, timeout, workdir)
+        def recording(target, data):
+            workdirs.append(target.workdir)
+            return execute(target, data)
 
         monkeypatch.setattr(truzz.engine, "execute_external", recording)
         script = tmp_path / "target.py"
@@ -399,6 +427,7 @@ class TestExternalCampaign:
                 scheduler=SchedulerConfig(energy=10),
             ))
 
+        fds = open_fd_count()
         stats = campaign("finishes", b"\x00" * 8).run()
         assert stats.executions == 20
         # One work directory serves the whole campaign.
@@ -406,11 +435,13 @@ class TestExternalCampaign:
         assert Path(workdirs[0]).parent == tmp
         assert Path(workdirs[0]).name.startswith("truzz-exec-")
         assert list(tmp.iterdir()) == []
+        assert open_fd_count() == fds
 
         with pytest.raises(CampaignError):
             campaign("all-crash", b"\x00\xff" + b"\x00" * 6).run()
         assert len(set(workdirs)) == 2
         assert list(tmp.iterdir()) == []
+        assert open_fd_count() == fds
 
         rep = replay(
             str(tmp_path / "finishes" / "queue" / "id_000000"),
@@ -419,6 +450,7 @@ class TestExternalCampaign:
         assert rep.path_size == 2
         assert len(set(workdirs)) == 3
         assert list(tmp.iterdir()) == []
+        assert open_fd_count() == fds
 
 
 class TestReplay:

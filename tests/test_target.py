@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import sys
 import textwrap
@@ -17,9 +18,11 @@ from truzz.target import (
     CompiledTarget,
     CoverageDumpError,
     ExecStatus,
+    ExternalTarget,
     MalformedSpecError,
     PredicateKind,
     RegionOverlapError,
+    SpawnError,
     _compile_check,
     execute_external,
     execute_synthetic,
@@ -263,6 +266,30 @@ ECHO_TARGET = textwrap.dedent(
 )
 
 
+FD_TARGET = textwrap.dedent(
+    """
+    import os
+    # The lowest free descriptor; listdir's directory handle takes it.
+    own = os.open(os.devnull, os.O_RDONLY)
+    os.close(own)
+    fds = [name for name in os.listdir('/proc/self/fd') if int(name) != own]
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('\\n'.join(fds) + '\\n')
+    """
+)
+
+
+def open_fd_count():
+    """Descriptors open in this process, the listing's own included."""
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def run_external(command, data, timeout=5.0):
+    """One input through an ExternalTarget made and closed for it."""
+    with ExternalTarget(command, timeout) as target:
+        return execute_external(target, data)
+
+
 class TestExternalExecution:
     @pytest.fixture()
     def target_script(self, tmp_path):
@@ -270,65 +297,117 @@ class TestExternalExecution:
         script.write_text(DUMP_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    @pytest.fixture()
-    def workdir(self, tmp_path):
-        path = tmp_path / "work"
-        path.mkdir()
-        return path
-
-    @pytest.fixture(params=["pidfd", "popen-wait"])
+    @pytest.fixture(params=["pidfd", "waitpid-poll"])
     def wait_path(self, request, monkeypatch):
         """Each wait test runs on the pidfd wait and on the fallback."""
         if request.param == "pidfd" and not hasattr(os, "pidfd_open"):
             pytest.skip("no os.pidfd_open on this platform")
-        if request.param == "popen-wait":
+        if request.param == "waitpid-poll":
             monkeypatch.delattr(os, "pidfd_open", raising=False)
         return request.param
 
-    def test_placeholder_required(self, workdir):
+    def test_placeholder_required(self):
         with pytest.raises(ValueError):
-            execute_external([sys.executable, "-c", "pass"], b"x", 5.0, workdir)
+            ExternalTarget([sys.executable, "-c", "pass"], 5.0)
 
-    def test_dump_read_as_coverage(self, target_script, workdir):
-        result = execute_external(target_script, b"hello", 5.0, workdir)
+    def test_dump_read_as_coverage(self, target_script):
+        result = run_external(target_script, b"hello")
         assert result.path == {3, 7}
         assert result.exec_status is ExecStatus.NORMAL
         assert result.valid is None
 
-    def test_input_dependent_coverage(self, target_script, workdir):
-        result = execute_external(target_script, b"!x", 5.0, workdir)
+    def test_input_dependent_coverage(self, target_script):
+        result = run_external(target_script, b"!x")
         assert result.path == {3, 7, 11}
 
-    def test_crash_detected(self, target_script, workdir):
-        result = execute_external(target_script, b"CRASH", 5.0, workdir)
+    def test_crash_detected(self, target_script):
+        result = run_external(target_script, b"CRASH")
         assert result.exec_status is ExecStatus.CRASH
 
-    def test_no_stale_coverage_in_reused_workdir(self, target_script, workdir):
-        first = execute_external(target_script, b"!" + b"x" * 63, 5.0, workdir)
-        assert first.path == {3, 7, 11}
-        # Killed before writing a dump: the earlier dump must not be read.
-        second = execute_external(target_script, b"EARLY", 5.0, workdir)
-        assert second.exec_status is ExecStatus.CRASH
-        assert second.path == frozenset()
-        assert (workdir / "input").read_bytes() == b"EARLY"
+    def test_no_stale_coverage_in_reused_workdir(self, target_script):
+        with ExternalTarget(target_script, 5.0) as target:
+            first = execute_external(target, b"!" + b"x" * 63)
+            assert first.path == {3, 7, 11}
+            inode = os.stat(target.input_path).st_ino
+            # Killed before writing a dump: the earlier dump must not be read.
+            second = execute_external(target, b"EARLY")
+            assert second.exec_status is ExecStatus.CRASH
+            assert second.path == frozenset()
+            # Rewritten in place: the same file, holding exactly the shorter input.
+            assert os.stat(target.input_path).st_ino == inode
+            with open(target.input_path, "rb") as fh:
+                assert fh.read() == b"EARLY"
 
-    def test_timeout_kills_and_reaps(self, tmp_path, workdir, wait_path):
+    def test_target_sees_only_stdio(self, tmp_path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd on this platform")
+        script = tmp_path / "fds.py"
+        script.write_text(FD_TARGET)
+        extra = os.open(os.devnull, os.O_RDONLY)
+        try:
+            os.set_inheritable(extra, True)
+            with ExternalTarget([sys.executable, str(script), "@@"], 5.0) as target:
+                result = execute_external(target, b"x")
+                executor_fds = {target._input_fd, target._devnull_fd}
+        finally:
+            os.close(extra)
+        assert result.exec_status is ExecStatus.NORMAL
+        assert {1, 2} <= result.path <= {0, 1, 2}
+        assert not ({extra} | executor_fds) & result.path
+
+    @pytest.mark.parametrize("kind", ["missing", "not-executable"])
+    def test_spawn_error_names_binary(self, tmp_path, kind):
+        binary = tmp_path / "prog"
+        if kind == "not-executable":
+            binary.write_text("#!/bin/sh\nexit 0\n")
+            binary.chmod(0o644)
+        before = open_fd_count()
+        with pytest.raises(SpawnError, match=re.escape(repr(str(binary)))):
+            run_external([str(binary), "@@"], b"x")
+        assert open_fd_count() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_timeout_kills_and_reaps(self, tmp_path, wait_path):
         pid_file = tmp_path / "pid"
         command = ["/bin/sh", "-c", 'echo $$ > "$0"; exec sleep 30', str(pid_file), "@@"]
         start = time.monotonic()
-        result = execute_external(command, b"x", 0.3, workdir)
+        result = run_external(command, b"x", timeout=0.3)
         assert time.monotonic() - start < 5
         assert result.exec_status is ExecStatus.TIMEOUT
         pid = int(pid_file.read_text())
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
-    def test_wait_survives_signal_storm(self, workdir, wait_path):
+    def test_interrupt_kills_and_reaps(self, tmp_path, wait_path):
+        pid_file = tmp_path / "pid"
+        command = ["/bin/sh", "-c", 'echo $$ > "$0"; exec sleep 30', str(pid_file), "@@"]
+
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with ExternalTarget(command, 5.0) as target:
+                signal.setitimer(signal.ITIMER_REAL, 0.1)
+                with pytest.raises(Interrupt):
+                    execute_external(target, b"x")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_wait_survives_signal_storm(self, wait_path):
         command = ["/bin/sh", "-c", 'sleep 0.2; echo 4 > "$TRUZZ_COV_FILE"', "@@"]
         previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)
-            result = execute_external(command, b"x", 5.0, workdir)
+            result = run_external(command, b"x")
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -342,11 +421,11 @@ class TestExternalExecution:
         script.write_text(ECHO_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    def test_last_map_edge_accepted(self, echo_script, workdir):
-        result = execute_external(echo_script, f"{MAP_SIZE - 1}\n".encode(), 5.0, workdir)
+    def test_last_map_edge_accepted(self, echo_script):
+        result = run_external(echo_script, f"{MAP_SIZE - 1}\n".encode())
         assert result.path == {MAP_SIZE - 1}
 
-    @pytest.mark.parametrize("line", [str(MAP_SIZE).encode(), b"seven"])
-    def test_bad_dump_line_rejected(self, echo_script, workdir, line):
+    @pytest.mark.parametrize("line", [str(MAP_SIZE).encode(), b"seven", b"-1", b"1 2"])
+    def test_bad_dump_line_rejected(self, echo_script, line):
         with pytest.raises(CoverageDumpError, match="corrupt coverage dump"):
-            execute_external(echo_script, b"3\n" + line + b"\n", 5.0, workdir)
+            run_external(echo_script, b"3\n" + line + b"\n")
