@@ -7,11 +7,11 @@ import shlex
 import sys
 from pathlib import Path as FsPath
 
-from .byte_analysis import AnalysisConfig, analyze, mask_from_fitness
+from .byte_analysis import AnalysisConfig, AnalysisError, analyze, mask_from_fitness
 from .engine import Budget, CampaignConfig, replay, run_campaign
 from .report import a12, collect_final_metric, compare_campaigns
-from .scheduler import Policy, SchedulerConfig
-from .target import CompiledTarget, load_spec
+from .scheduler import CampaignError, Policy, SchedulerConfig
+from .target import CompiledTarget, ExternalTargetError, TargetSpecError, load_spec
 
 
 def _add_target_args(p: argparse.ArgumentParser) -> None:
@@ -157,7 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         "replay": _cmd_replay,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (TargetSpecError, CampaignError, ExternalTargetError, AnalysisError) as exc:
+        # A named failure of the target, corpus or analysis is one line.
+        sys.exit(f"truzz {args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ one binary.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import time
@@ -176,9 +177,7 @@ def _persist_corpus(corpus_dir: FsPath, corpus: Corpus) -> None:
     queue_dir.mkdir(exist_ok=True)
     meta_dir.mkdir(exist_ok=True)
     for entry in corpus.entries:
-        seed_path = queue_dir / f"id_{entry.id:06d}"
-        if not seed_path.exists():
-            seed_path.write_bytes(entry.data)
+        (queue_dir / f"id_{entry.id:06d}").write_bytes(entry.data)
         _write_meta(meta_dir, entry)
     (corpus_dir / "overall.cov").write_text(
         "".join(f"{e}\n" for e in sorted(corpus.covered)), encoding="ascii"
@@ -199,24 +198,22 @@ class Campaign:
         self._wall_start = 0.0
         # Paths that added no edge. Coverage only grows, so they never will.
         self._known_stale: set[Path] = set()
-        self._external: Optional[ExternalTarget] = None  # open while run() runs
         self._crash_base = 0  # the highest crash number saved before this run
-
-        # The executor: run(data) -> ExecResult. Only ``_exec`` calls it.
+        self.compiled: Optional[CompiledTarget] = None
         if cfg.target_spec is not None:
-            self.compiled: Optional[CompiledTarget] = CompiledTarget(load_spec(cfg.target_spec))
-            self._run = self.compiled.run
-        else:
-            self.compiled = None
-            self._run = self._run_external
+            self.compiled = CompiledTarget(load_spec(cfg.target_spec))
+        # The executor, run(data) -> ExecResult, bound while run() runs.
+        # Only ``_exec`` calls it.
+        self._run: Optional[Callable[[bytes], ExecResult]] = None
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
 
     def _exec(self, data: bytes) -> ExecResult:
         """Execute ``data`` in any phase (dry run, probe, mutation): charge
-        the budget and stats, write the interval row, save a crash, and
-        return the executor's result."""
+        the budget and stats, write the interval row, and return the
+        executor's result. A crash is saved and its path merged into the
+        corpus's coverage, so retention never keeps a crashing input."""
         result = self._run(data)
         st = self.stats
         st.executions += 1
@@ -227,27 +224,21 @@ class Campaign:
         if result.exec_status is ExecStatus.CRASH:
             st.crashes += 1
             self._save_crash(data)
+            self.corpus.merge(result.path)
         if st.executions % self.cfg.stats_interval == 0:
             self._emit_row()
         return result
 
     def _emit_row(self) -> None:
-        if self._stats_writer is not None:
-            self.stats.seeds = len(self.corpus) if self.corpus else 0
-            self.stats.edges_covered = (
-                self.corpus.edges_covered if self.corpus else 0
-            )
-            self._stats_writer.row(self.stats)
+        self.stats.seeds = len(self.corpus)
+        self.stats.edges_covered = self.corpus.edges_covered
+        self._stats_writer.row(self.stats)
 
     def _elapsed(self) -> float:
         """Virtual seconds for a synthetic target, wall seconds otherwise."""
         if self.compiled is not None:
             return self.stats.executions * VIRTUAL_SECONDS_PER_EXEC
         return time.monotonic() - self._wall_start
-
-    def _run_external(self, data: bytes) -> ExecResult:
-        """Executor for external targets."""
-        return execute_external(self._external, data)
 
     def _budget_left(self) -> bool:
         b = self.cfg.budget
@@ -289,33 +280,26 @@ class Campaign:
         if not seeds:
             raise CampaignError(f"no initial seeds in {seeds_dir}")
 
-        # A resumed corpus re-runs its queue after the initial seeds and
-        # keeps each queue entry's saved analysis.
+        # A resumed corpus re-runs its queue before the initial seeds, so
+        # each queue entry keeps its id and its saved analysis.
         meta_dir = self.corpus_dir / "meta"
         saved_analysis: dict[bytes, SeedAnalysis] = {}
-        for name, data in _read_files(self.corpus_dir / "queue"):
-            seeds.append(data)
+        queue = _read_files(self.corpus_dir / "queue")
+        for name, data in queue:
             meta_path = meta_dir / f"{name}.meta"
             if meta_path.is_file():
                 sa = _read_meta_analysis(meta_path)
                 if sa is not None:
                     saved_analysis[data] = sa
-
-        corpus = Corpus()
-
-        def run(data: bytes) -> Path:
-            result = self._exec(data)
-            if result.exec_status is ExecStatus.CRASH:
-                # Saved by _exec; like a crashing child, merged but not kept.
-                corpus.merge(result.path)
-                return frozenset()
-            return result.path
+        seeds = [data for _, data in queue] + seeds
 
         start = self.stats.executions
         crashes_before = self.stats.crashes
+        self.corpus = Corpus()
         try:
-            self.corpus = dry_run(seeds, run, corpus)
+            dry_run(seeds, lambda d: self._exec(d).path, self.corpus)
         except CampaignError:
+            self.corpus = None  # a failed dry run persists nothing
             if self.stats.crashes - crashes_before == len(seeds):
                 raise CampaignError(
                     f"every initial seed crashed; the inputs are saved in {self.crash_dir}"
@@ -353,11 +337,7 @@ class Campaign:
                 break
             child = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            result = self._exec(child)
-            path = result.path
-            if result.exec_status is ExecStatus.CRASH:
-                corpus.merge(path)
-                continue
+            path = self._exec(child).path
             if path in known_stale:
                 continue
             kept = corpus.retain_if_new(child, path)
@@ -372,9 +352,15 @@ class Campaign:
         self._wall_start = time.monotonic()
         self._crash_base = _last_crash_number(self.crash_dir)
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
+        external = None
         try:
-            if self.compiled is None:
-                self._external = ExternalTarget(self.cfg.command, self.cfg.exec_timeout)
+            if self.compiled is not None:
+                self._run = self.compiled.run
+            else:
+                external = ExternalTarget(self.cfg.command, self.cfg.exec_timeout)
+                # The module global, looked up now, so a wrapper installed
+                # before the campaign runs sees every execution.
+                self._run = functools.partial(execute_external, external)
             self._dry_run()
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
@@ -383,9 +369,9 @@ class Campaign:
         except KeyboardInterrupt:
             pass
         finally:
-            if self._external is not None:
-                self._external.close()
-                self._external = None
+            self._run = None
+            if external is not None:
+                external.close()
             if self.corpus is not None:
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)

@@ -147,8 +147,10 @@ def dry_run(
     ``run`` returns an input's covered path. A seed is retained with
     rank = its new-edge count against the coverage accumulated so far;
     duplicate-coverage seeds are discarded. Seeds are retained into
-    ``corpus`` (a new one by default), which ``run`` may also merge paths
-    into. Raises CampaignError when no seed contributes any coverage.
+    ``corpus`` (a new one by default). ``run`` may merge a path into it
+    before returning that path, as a campaign does for a crashing seed;
+    the seed then adds no edge and is not kept. Raises CampaignError when
+    no seed contributes any coverage.
     """
     if not initial_seeds:
         raise CampaignError("no initial seeds")

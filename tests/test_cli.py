@@ -64,6 +64,25 @@ class TestFuzz:
         assert not corpus.exists()
 
 
+    def test_bad_spec_is_one_line_error(self, tmp_path):
+        spec = tmp_path / "bad.tspec"
+        spec.write_text(
+            "input_length = 4\n\n[stage.gate]\ncheck.bytes = 9\n"
+            "check.predicate = EQ 43\ncheck.kind = VALIDATION\n"
+            "pass.base = 0\npass.edges = 1\n"
+        )
+        with pytest.raises(SystemExit, match=r"^truzz fuzz: .*\b9\b") as exc:
+            run_fuzz(str(spec), tmp_path / "corpus")
+        assert "\n" not in str(exc.value)
+
+    def test_missing_seed_directory_is_one_line_error(self, campaign_dir):
+        spec_path, _, corpus = campaign_dir
+        (corpus / "seeds_in" / "seed").unlink()
+        (corpus / "seeds_in").rmdir()
+        with pytest.raises(SystemExit, match=r"^truzz fuzz: missing initial seed directory"):
+            run_fuzz(spec_path, corpus)
+
+
 class TestAnalyze:
     def test_prints_fitness_and_probability(self, campaign_dir, capsys):
         spec_path, seed_path, _ = campaign_dir

@@ -143,6 +143,18 @@ class TestSyntheticCampaign:
             stats.valid_count, stats.invalid_count, stats.crashes,
         )
 
+    def test_dry_run_rows_count_seeds_kept_so_far(self, tmp_path):
+        """An interval row is written before its execution's retention, in
+        the dry run as in mutation, so the second row counts the first seed."""
+        from truzz.report import read_stats
+
+        spec_path, corpus = make_corpus(
+            tmp_path, "magic64", seeds=[bundled_seed("magic64"), bytes(64)]
+        )
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2), stats_interval=1))
+        second = read_stats(corpus / "stats.csv")[1]
+        assert (second.executions, second.seeds, second.edges_covered) == (2, 1, 100)
+
     def test_persistence_layout(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         campaign = Campaign(config(spec_path, corpus))
@@ -180,6 +192,26 @@ class TestSyntheticCampaign:
         assert reattached == {
             e.data for e in second.corpus.entries if e.data in analyzed_before
         }
+
+    def test_resume_keeps_queue_ids_with_an_added_seed(self, tmp_path):
+        """A seed added to seeds_in/ between runs comes after the queue, so
+        every queue entry keeps its id and the added seed gets a new one."""
+        spec_path, corpus = make_corpus(tmp_path, "chain128")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=3_000), rng_seed=3))
+        seed = bundled_seed("chain128")
+        added = seed[:8] + b"\x29\x29" + seed[10:]  # passes chain01 and chain02
+        (corpus / "seeds_in" / "seed_01").write_bytes(added)
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=1_000), rng_seed=3))
+
+        compiled = CompiledTarget(load_spec(spec_path))
+        queue = sorted((corpus / "queue").iterdir())
+        for path in queue:
+            meta = (corpus / "meta" / f"{path.name}.meta").read_text()
+            size = len(compiled.run(path.read_bytes()).path)
+            assert f"path_size = {size}\n" in meta, path.name
+        datas = [p.read_bytes() for p in queue]
+        assert added in datas
+        assert len(set(datas)) == len(datas)
 
     def test_mask_off_fifo_equals_vanilla_reference(self, tmp_path):
         """The baseline configuration must reproduce a hand-written vanilla
