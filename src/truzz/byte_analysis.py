@@ -67,10 +67,6 @@ class MutationMask:
     def __len__(self) -> int:
         return len(self.probability)
 
-    @classmethod
-    def uniform(cls, length: int) -> "MutationMask":
-        return cls([1.0] * length)
-
 
 def path_fitness(seed_path: Path, mutant_path: Path) -> float:
     """Score a path transition in [0, 1).

@@ -9,7 +9,7 @@ from pathlib import Path as FsPath
 
 from .byte_analysis import AnalysisConfig, AnalysisError, analyze, mask_from_fitness
 from .engine import Budget, CampaignConfig, replay, run_campaign
-from .report import a12, collect_final_metric, compare_campaigns
+from .report import STATS_COLUMNS, StatsSchemaError, a12, collect_final_metric, compare_campaigns
 from .scheduler import CampaignError, Policy, SchedulerConfig
 from .target import CompiledTarget, ExternalTargetError, TargetSpecError, load_spec
 
@@ -24,9 +24,10 @@ def _add_target_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--min-interval", type=int, default=1)
-    p.add_argument("--lp", type=float, default=0.05, help="mutation probability floor")
+    p.add_argument("--threshold", type=float, default=AnalysisConfig.threshold)
+    p.add_argument("--min-interval", type=int, default=AnalysisConfig.min_interval)
+    p.add_argument("--lp", type=float, default=AnalysisConfig.prob_floor,
+                   help="mutation probability floor")
 
 
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -50,12 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--corpus", required=True, help="corpus directory")
     fuzz.add_argument("--budget-execs", type=int, default=None)
     fuzz.add_argument("--budget-secs", type=float, default=None)
-    fuzz.add_argument("--energy", type=int, default=1024)
-    fuzz.add_argument("--policy", choices=["truzz", "fifo"], default="truzz")
-    fuzz.add_argument("--mask", choices=["on", "off"], default="on")
+    fuzz.add_argument("--energy", type=int, default=SchedulerConfig.energy)
+    fuzz.add_argument("--policy", choices=["truzz", "fifo"],
+                      default=SchedulerConfig.policy.value)
+    fuzz.add_argument("--mask", choices=["on", "off"],
+                      default="on" if CampaignConfig.mask_enabled else "off")
     _add_analysis_args(fuzz)
-    fuzz.add_argument("--rng-seed", type=int, default=0)
-    fuzz.add_argument("--stats-interval", type=int, default=10_000)
+    fuzz.add_argument("--rng-seed", type=int, default=CampaignConfig.rng_seed)
+    fuzz.add_argument("--stats-interval", type=int, default=CampaignConfig.stats_interval)
 
     ana = sub.add_parser("analyze", help="fitness/probability arrays for one seed")
     ana.add_argument("--target", required=True)
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     a12p = report_sub.add_parser(
         "a12", help="effect size between two directories of repeated runs"
     )
-    a12p.add_argument("--metric", default="edges_covered")
+    a12p.add_argument("--metric", choices=STATS_COLUMNS, default="edges_covered")
     a12p.add_argument("dir_a")
     a12p.add_argument("dir_b")
 
@@ -86,14 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.budget_execs is None and args.budget_secs is None:
-        args.budget_execs = 100_000
     try:
+        budget_kw = {}
+        if args.budget_execs is not None or args.budget_secs is not None:
+            budget_kw["budget"] = Budget(args.budget_execs, args.budget_secs)
         cfg = CampaignConfig(
             corpus_dir=args.corpus,
             target_spec=args.target,
             command=shlex.split(args.cmd) if args.cmd else None,
-            budget=Budget(max_execs=args.budget_execs, max_seconds=args.budget_secs),
+            **budget_kw,
             scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
             analysis=_analysis_config(args),
             mask_enabled=args.mask == "on",
@@ -113,11 +117,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    try:
+        cfg = _analysis_config(args)
+    except ValueError as exc:
+        sys.exit(f"truzz analyze: {exc}")
     spec = load_spec(args.target)
     seed = FsPath(args.seed).read_bytes()
     compiled = CompiledTarget(spec)
     seed_path = compiled.execute(seed).path
-    cfg = _analysis_config(args)
     fm = analyze(seed, seed_path, lambda d: compiled.execute(d).path, cfg)
     mask = mask_from_fitness(fm, cfg)
     print("fitness:     " + " ".join(f"{v:.4f}" for v in fm.values))
@@ -159,8 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TargetSpecError, CampaignError, ExternalTargetError, AnalysisError) as exc:
-        # A named failure of the target, corpus or analysis is one line.
+    except (TargetSpecError, CampaignError, ExternalTargetError, AnalysisError,
+            StatsSchemaError, FileNotFoundError) as exc:
+        # A named failure, or a missing input file, is one line.
         sys.exit(f"truzz {args.command}: {exc}")
 
 

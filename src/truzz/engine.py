@@ -134,7 +134,7 @@ def _read_files(directory: FsPath) -> list[tuple[str, bytes]]:
 def _write_meta(meta_dir: FsPath, entry: SeedEntry) -> None:
     lines = [
         f"rank_key = {entry.rank_key}",
-        f"insertion_order = {entry.insertion_order}",
+        f"insertion_order = {entry.id}",
         f"path_size = {len(entry.path)}",
         f"times_selected = {entry.times_selected}",
     ]
@@ -196,8 +196,6 @@ class Campaign:
         self.crash_dir = self.corpus_dir / "crashes"
         self._stats_writer: Optional[_StatsWriter] = None
         self._wall_start = 0.0
-        # Paths that added no edge. Coverage only grows, so they never will.
-        self._known_stale: set[Path] = set()
         self._crash_base = 0  # the highest crash number saved before this run
         self.compiled: Optional[CompiledTarget] = None
         if cfg.target_spec is not None:
@@ -235,7 +233,8 @@ class Campaign:
         self._stats_writer.row(self.stats)
 
     def _elapsed(self) -> float:
-        """Virtual seconds for a synthetic target, wall seconds otherwise."""
+        """The campaign's one clock, read by the time budget and stats.csv:
+        virtual seconds for a synthetic target, wall seconds otherwise."""
         if self.compiled is not None:
             return self.stats.executions * VIRTUAL_SECONDS_PER_EXEC
         return time.monotonic() - self._wall_start
@@ -244,10 +243,7 @@ class Campaign:
         b = self.cfg.budget
         if b.max_execs is not None and self.stats.executions >= b.max_execs:
             return False
-        if (
-            b.max_seconds is not None
-            and time.monotonic() - self._wall_start >= b.max_seconds
-        ):
+        if b.max_seconds is not None and self._elapsed() >= b.max_seconds:
             return False
         return True
 
@@ -270,28 +266,30 @@ class Campaign:
 
     def _dry_run(self) -> None:
         seeds_dir = self.corpus_dir / "seeds_in"
+        queue_dir = self.corpus_dir / "queue"
         if not seeds_dir.is_dir():
             raise CampaignError(f"missing initial seed directory {seeds_dir}")
-        seeds = []
-        for name, data in _read_files(seeds_dir):
-            if not data:
-                raise CampaignError(f"initial seed {seeds_dir / name} is empty")
-            seeds.append(data)
-        if not seeds:
+        initial = _read_files(seeds_dir)
+        if not initial:
             raise CampaignError(f"no initial seeds in {seeds_dir}")
 
         # A resumed corpus re-runs its queue before the initial seeds, so
-        # each queue entry keeps its id and its saved analysis.
+        # each queue entry keeps its id and its saved analysis. A kept seed
+        # is never empty, so an empty queue file is a torn write.
+        queue = _read_files(queue_dir)
+        for directory, files in ((queue_dir, queue), (seeds_dir, initial)):
+            for name, data in files:
+                if not data:
+                    raise CampaignError(f"seed {directory / name} is empty")
+        seeds = [data for _, data in queue + initial]
         meta_dir = self.corpus_dir / "meta"
         saved_analysis: dict[bytes, SeedAnalysis] = {}
-        queue = _read_files(self.corpus_dir / "queue")
         for name, data in queue:
             meta_path = meta_dir / f"{name}.meta"
             if meta_path.is_file():
                 sa = _read_meta_analysis(meta_path)
                 if sa is not None:
                     saved_analysis[data] = sa
-        seeds = [data for _, data in queue] + seeds
 
         start = self.stats.executions
         crashes_before = self.stats.crashes
@@ -329,7 +327,6 @@ class Campaign:
             mask = entry.analysis.mask
 
         n_all = 0
-        known_stale = self._known_stale
         seed_data = entry.data
 
         for _ in range(cfg.scheduler.energy):
@@ -337,13 +334,8 @@ class Campaign:
                 break
             child = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            path = self._exec(child).path
-            if path in known_stale:
-                continue
-            kept = corpus.retain_if_new(child, path)
-            if kept is None:
-                known_stale.add(path)
-            else:
+            kept = corpus.retain_if_new(child, self._exec(child).path)
+            if kept is not None:
                 n_all += kept.rank_key
         return n_all
 
@@ -418,12 +410,12 @@ def replay(
     command: Optional[Sequence[str]] = None,
     corpus_dir: Optional[str] = None,
     show_path: bool = False,
-    exec_timeout: float = 5.0,
+    exec_timeout: float = CampaignConfig.exec_timeout,
 ) -> ReplayReport:
     """Execute one stored input and report path size, novelty and verdict."""
     p = FsPath(input_path)
     if not p.is_file():
-        raise FileNotFoundError(input_path)
+        raise FileNotFoundError(f"no input file {input_path}")
     data = p.read_bytes()
 
     if (target_spec is None) == (command is None):

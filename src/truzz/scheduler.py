@@ -45,11 +45,10 @@ class SeedAnalysis:
 
 @dataclass
 class SeedEntry:
-    id: int
+    id: int                          # insertion order; entries are never removed
     data: bytes
     path: Path                       # fixed at retention time
     rank_key: int
-    insertion_order: int
     analysis: Optional[SeedAnalysis] = None
     times_selected: int = 0
 
@@ -61,7 +60,8 @@ class Corpus:
     def __init__(self):
         self.entries: list[SeedEntry] = []
         self.covered: set[int] = set()
-        self._next_id = 0
+        # Paths that added no edge when offered; coverage only grows, so never will.
+        self.stale: set[Path] = set()
         self._fifo_cursor = 0
         self._zero_cursor = 0
 
@@ -81,23 +81,22 @@ class Corpus:
         return len(new)
 
     def add_entry(self, data: bytes, path: Path, rank_key: int) -> SeedEntry:
-        entry = SeedEntry(
-            id=self._next_id,
-            data=data,
-            path=path,
-            rank_key=rank_key,
-            insertion_order=self._next_id,
-        )
-        self._next_id += 1
+        entry = SeedEntry(id=len(self.entries), data=data, path=path, rank_key=rank_key)
         self.entries.append(entry)
         return entry
 
     def retain_if_new(self, data: bytes, path: Path) -> Optional[SeedEntry]:
         """Keep ``data`` as a seed iff ``path`` has edges not covered yet,
-        ranked by their count; overall coverage takes those edges.
+        ranked by their count; overall coverage takes those edges. A path
+        that adds none is remembered as stale and refused at once later.
         """
+        if path in self.stale:
+            return None
         n_new = self.merge(path)
-        return self.add_entry(data, path, n_new) if n_new else None
+        if not n_new:
+            self.stale.add(path)
+            return None
+        return self.add_entry(data, path, n_new)
 
     # -- selection ----------------------------------------------------------
 
@@ -105,16 +104,14 @@ class Corpus:
         if not self.entries:
             raise CampaignError("corpus is empty")
         if policy is Policy.FIFO:
-            ordered = sorted(self.entries, key=lambda e: e.insertion_order)
+            ordered = sorted(self.entries, key=lambda e: e.id)
             entry = ordered[self._fifo_cursor % len(ordered)]
             self._fifo_cursor += 1
         else:
-            entry = max(
-                self.entries, key=lambda e: (e.rank_key, -e.insertion_order)
-            )
+            entry = max(self.entries, key=lambda e: (e.rank_key, -e.id))
             if entry.rank_key == 0:
                 # Starvation guard: round-robin when every rank is zero.
-                ordered = sorted(self.entries, key=lambda e: e.insertion_order)
+                ordered = sorted(self.entries, key=lambda e: e.id)
                 entry = ordered[self._zero_cursor % len(ordered)]
                 self._zero_cursor += 1
         entry.times_selected += 1
@@ -130,10 +127,10 @@ class Corpus:
         self.sort()
 
     def sort(self) -> None:
-        self.entries.sort(key=lambda e: (-e.rank_key, e.insertion_order))
+        self.entries.sort(key=lambda e: (-e.rank_key, e.id))
 
     def is_sorted(self) -> bool:
-        keys = [(-e.rank_key, e.insertion_order) for e in self.entries]
+        keys = [(-e.rank_key, e.id) for e in self.entries]
         return keys == sorted(keys)
 
 

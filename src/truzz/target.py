@@ -544,16 +544,20 @@ def _wait_exit(pid: int, timeout: float) -> Optional[int]:
     the child is killed and reaped rather than left running.
 
     On Linux this polls a pidfd, which wakes the moment the child exits.
-    Where ``os.pidfd_open`` does not exist (all but Linux), the only
-    platform branch, it polls ``waitpid(WNOHANG)`` with sleeps of 1, 2,
-    4 ... ms up to 50 ms, as ``subprocess.Popen.wait`` does. A signal whose
-    handler returns does not end the wait: ``poll`` and ``sleep`` resume
-    with the time that remains (PEP 475).
+    Where ``os.pidfd_open`` does not exist (all but Linux) or the kernel
+    refuses it (ENOSYS before Linux 5.3, EPERM under a seccomp filter), it
+    polls ``waitpid(WNOHANG)`` with sleeps of 1, 2, 4 ... ms up to 50 ms, as
+    ``subprocess.Popen.wait`` does. A signal whose handler returns does not
+    end the wait: ``poll`` and ``sleep`` resume with the time that remains
+    (PEP 475).
     """
     status = None
     try:
-        if hasattr(os, "pidfd_open"):
+        try:
             pidfd = os.pidfd_open(pid)
+        except (AttributeError, OSError):  # not on this platform, or refused
+            pidfd = -1
+        if pidfd >= 0:
             try:
                 poller = select.poll()
                 poller.register(pidfd, select.POLLIN)

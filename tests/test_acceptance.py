@@ -281,7 +281,7 @@ def test_criterion_8_determinism_and_baseline_equivalence(capsys, tmp_path):
     ref = dry_run([bundled_seed("header128")], run)
     cursor = 0
     while execs < budget:
-        ordered = sorted(ref.entries, key=lambda e: e.insertion_order)
+        ordered = sorted(ref.entries, key=lambda e: e.id)
         entry = ordered[cursor % len(ordered)]
         cursor += 1
         for _ in range(energy):

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from test_target import DUMP_TARGET
 
-from truzz.cli import main
+import truzz.cli
+from truzz.byte_analysis import AnalysisConfig
+from truzz.cli import _analysis_config, build_parser, main
+from truzz.engine import CampaignConfig, CampaignStats
 from truzz.targets import write_bundled
 
 
@@ -82,6 +85,16 @@ class TestFuzz:
         with pytest.raises(SystemExit, match=r"^truzz fuzz: missing initial seed directory"):
             run_fuzz(spec_path, corpus)
 
+    def test_parsed_defaults_are_the_config_defaults(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            truzz.cli, "run_campaign", lambda cfg: built.append(cfg) or CampaignStats()
+        )
+        assert main(["fuzz", "--target", "t.tspec", "--corpus", "c"]) == 0
+        assert built == [CampaignConfig(corpus_dir="c", target_spec="t.tspec")]
+        args = build_parser().parse_args(["analyze", "--target", "t.tspec", "seed"])
+        assert _analysis_config(args) == AnalysisConfig()
+
 
 class TestAnalyze:
     def test_prints_fitness_and_probability(self, campaign_dir, capsys):
@@ -107,6 +120,18 @@ class TestAnalyze:
         assert rc == 0
         probs = capsys.readouterr().out.splitlines()[1].split()[1:]
         assert min(float(p) for p in probs) >= 0.1
+
+    def test_bad_threshold_is_one_line_error(self, campaign_dir):
+        spec_path, seed_path, _ = campaign_dir
+        with pytest.raises(SystemExit, match=r"^truzz analyze: threshold must be in"):
+            main(["analyze", "--target", spec_path, "--threshold", "2", seed_path])
+
+    def test_missing_seed_is_one_line_error(self, campaign_dir, tmp_path):
+        spec_path, _, _ = campaign_dir
+        missing = str(tmp_path / "nope")
+        with pytest.raises(SystemExit, match=r"^truzz analyze: .*nope") as exc:
+            main(["analyze", "--target", spec_path, missing])
+        assert "\n" not in str(exc.value)
 
 
 class TestReplay:
@@ -138,6 +163,13 @@ class TestReplay:
         cmd = shlex.join([sys.executable, str(script), "@@"])
         assert main(["replay", "--cmd", cmd, "--show-path", str(data)]) == 0
         assert "edges:       3 7 11" in capsys.readouterr().out
+
+    def test_missing_input_is_one_line_error(self, campaign_dir, tmp_path):
+        spec_path, _, _ = campaign_dir
+        missing = str(tmp_path / "nope")
+        with pytest.raises(SystemExit, match=r"^truzz replay: .*nope") as exc:
+            main(["replay", "--target", spec_path, missing])
+        assert "\n" not in str(exc.value)
 
 
 class TestReport:
@@ -174,3 +206,15 @@ class TestReport:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["report"])
+
+    def test_compare_wrong_columns_is_one_line_error(self, tmp_path):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("time,execs\n0.1,10\n")
+        with pytest.raises(SystemExit, match=r"^truzz report: .*expected columns"):
+            main(["report", "compare", str(stats), str(stats)])
+
+    def test_a12_unknown_metric_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "a12", "--metric", "nope", str(tmp_path), str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from truzz.engine import (
     run_campaign,
 )
 from truzz.mutation import Rng, draw_op_count, mutate
-from truzz.scheduler import SchedulerConfig, dry_run
+from truzz.scheduler import CampaignError, SchedulerConfig, dry_run
 from truzz.target import CompiledTarget, ExecStatus, load_spec
 from truzz.targets import bundled_seed, write_bundled
 
@@ -35,6 +35,14 @@ def config(spec_path, corpus, **kw):
     kw.setdefault("budget", Budget(max_execs=10_000))
     kw.setdefault("stats_interval", 1_000)
     return CampaignConfig(corpus_dir=str(corpus), target_spec=spec_path, **kw)
+
+
+def artifacts(corpus):
+    """Relative name -> bytes of stats.csv, overall.cov and each queue/ and
+    meta/ file of a finished campaign."""
+    files = [corpus / "stats.csv", corpus / "overall.cov"]
+    files += sorted((corpus / "queue").iterdir()) + sorted((corpus / "meta").iterdir())
+    return {f.relative_to(corpus).as_posix(): f.read_bytes() for f in files}
 
 
 class TestValidation:
@@ -73,6 +81,16 @@ class TestSyntheticCampaign:
             }
             outputs.append((stats_bytes, queue))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", ["magic64", "chain128"])
+    def test_time_budget_reads_the_virtual_clock(self, tmp_path, name):
+        """A synthetic campaign's time budget counts the virtual seconds that
+        stats.csv reports, so 0.05 s is the same campaign as 5000 execs."""
+        spec_path, by_execs = make_corpus(tmp_path, name, "execs")
+        _, by_secs = make_corpus(tmp_path, name, "secs")
+        run_campaign(config(spec_path, by_execs, budget=Budget(max_execs=5_000)))
+        run_campaign(config(spec_path, by_secs, budget=Budget(max_seconds=0.05)))
+        assert artifacts(by_execs) == artifacts(by_secs)
 
     def test_execution_accounting(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
@@ -242,7 +260,7 @@ class TestSyntheticCampaign:
         ref = dry_run(seeds, run)
         cursor = 0
         while execs < 6_000:
-            ordered = sorted(ref.entries, key=lambda e: e.insertion_order)
+            ordered = sorted(ref.entries, key=lambda e: e.id)
             seed = ordered[cursor % len(ordered)]
             cursor += 1
             for _ in range(256):
@@ -272,6 +290,19 @@ class TestSyntheticCampaign:
         )
         with pytest.raises(CampaignError, match="seed_01"):
             run_campaign(config(spec_path, corpus, budget=Budget(max_execs=10)))
+
+    def test_empty_queue_file_named_on_resume(self, tmp_path):
+        """A kept seed is never empty, so an empty queue file is a torn
+        write; resume names it instead of fuzzing an empty seed."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        (corpus / "queue" / "id_000000").write_bytes(b"")
+        cfg = config(
+            spec_path, corpus, budget=Budget(max_execs=2_000),
+            scheduler=SchedulerConfig(energy=100, policy="fifo"),
+        )
+        with pytest.raises(CampaignError, match="id_000000"):
+            run_campaign(cfg)
 
     def test_stats_rows_readable_while_running(self, tmp_path):
         from truzz.report import read_stats

@@ -111,21 +111,20 @@ class TestRetention:
     @given(st.lists(st.tuples(
         st.booleans(), st.frozensets(st.integers(0, 15), max_size=6))))
     def test_stale_path_stays_stale(self, ops):
-        # The campaign skips a child whose path once added no edge; that
-        # holds because covered only grows.
+        # retain_if_new refuses a path in corpus.stale without merging it;
+        # that is sound because covered only grows.
         corpus = Corpus()
-        stale = set()
         for is_merge, path in ops:
             if is_merge:
                 corpus.merge(path)
                 continue
             before = set(corpus.covered)
+            was_stale = path in corpus.stale
             kept = corpus.retain_if_new(b"x", path)
-            if path in stale:
-                assert kept is None
+            assert (kept is None) == (path in corpus.stale)
+            if was_stale:
                 assert corpus.covered == before
-            if kept is None:
-                stale.add(path)
+            assert (kept is None) == (path <= before)
 
 
 class TestRankUpdate:

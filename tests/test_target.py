@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import signal
@@ -297,13 +298,21 @@ class TestExternalExecution:
         script.write_text(DUMP_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    @pytest.fixture(params=["pidfd", "waitpid-poll"])
+    @pytest.fixture(params=["pidfd", "waitpid-poll", "pidfd-refused"])
     def wait_path(self, request, monkeypatch):
-        """Each wait test runs on the pidfd wait and on the fallback."""
+        """Each wait test runs on the pidfd wait, on the fallback where
+        ``os.pidfd_open`` does not exist, and on the fallback where the
+        kernel refuses it (ENOSYS before Linux 5.3)."""
         if request.param == "pidfd" and not hasattr(os, "pidfd_open"):
             pytest.skip("no os.pidfd_open on this platform")
         if request.param == "waitpid-poll":
             monkeypatch.delattr(os, "pidfd_open", raising=False)
+        if request.param == "pidfd-refused":
+
+            def refuse(pid, flags=0):
+                raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+            monkeypatch.setattr(os, "pidfd_open", refuse, raising=False)
         return request.param
 
     def test_placeholder_required(self):
