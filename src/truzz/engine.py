@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
 
-from .byte_analysis import AnalysisConfig, FitnessMap, MutationMask, analyze, mask_from_fitness
+from .byte_analysis import AnalysisConfig, FitnessMap, analyze, mask_from_fitness
 from .coverage import Path
 from .mutation import Rng, draw_op_count, mutate
 from .scheduler import (
@@ -149,17 +149,44 @@ def _write_meta(meta_dir: FsPath, entry: SeedEntry) -> None:
     )
 
 
-def _read_meta_analysis(meta_path: FsPath) -> Optional[SeedAnalysis]:
-    fields: dict[str, str] = {}
-    for line in meta_path.read_text(encoding="ascii").splitlines():
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if "fitness" not in fields or "probability" not in fields:
+def _read_meta_fitness(meta_path: FsPath, length: int) -> Optional[FitnessMap]:
+    """The fitness of a ``length``-byte seed saved in a ``.meta`` file, or
+    None. A ``.meta`` file caches a deterministic analysis, so one that is
+    missing or cannot be parsed only means the seed is analysed again."""
+    try:
+        fields = {}
+        for line in meta_path.read_text(encoding="ascii").splitlines():
+            key, _, value = line.partition("=")
+            fields[key.strip()] = value.strip()
+        fitness = [float(v) for v in fields["fitness"].split(",") if v]
+        probe_count = int(fields.get("probe_count", "0"))
+    except (OSError, KeyError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    fitness = [float(v) for v in fields["fitness"].split(",") if v]
-    probability = [float(v) for v in fields["probability"].split(",") if v]
-    probe_count = int(fields.get("probe_count", "0"))
-    return SeedAnalysis(FitnessMap(fitness, probe_count), MutationMask(probability))
+    if len(fitness) != length or not all(0.0 <= f < 1.0 for f in fitness):
+        return None
+    return FitnessMap(fitness, probe_count)
+
+
+def _load_seeds(corpus_dir: FsPath) -> tuple[list[bytes], dict[bytes, Optional[FitnessMap]]]:
+    """Read and check a campaign's seeds before anything is written. A
+    resumed corpus runs its queue before ``seeds_in/``, so each queue entry
+    keeps its id, and brings its saved fitness. A kept seed is never empty,
+    so an empty queue file is a torn write."""
+    seeds_dir = corpus_dir / "seeds_in"
+    queue_dir = corpus_dir / "queue"
+    if not seeds_dir.is_dir():
+        raise CampaignError(f"missing initial seed directory {seeds_dir}")
+    initial = _read_files(seeds_dir)
+    if not initial:
+        raise CampaignError(f"no initial seeds in {seeds_dir}")
+    queue = _read_files(queue_dir)
+    for directory, files in ((queue_dir, queue), (seeds_dir, initial)):
+        for name, data in files:
+            if not data:
+                raise CampaignError(f"seed {directory / name} is empty")
+    saved = {data: _read_meta_fitness(corpus_dir / "meta" / f"{name}.meta", len(data))
+             for name, data in queue}
+    return [data for _, data in queue + initial], saved
 
 
 def _last_crash_number(crash_dir: FsPath) -> int:
@@ -264,50 +291,23 @@ class Campaign:
 
     # -- campaign -----------------------------------------------------------
 
-    def _dry_run(self) -> None:
-        seeds_dir = self.corpus_dir / "seeds_in"
-        queue_dir = self.corpus_dir / "queue"
-        if not seeds_dir.is_dir():
-            raise CampaignError(f"missing initial seed directory {seeds_dir}")
-        initial = _read_files(seeds_dir)
-        if not initial:
-            raise CampaignError(f"no initial seeds in {seeds_dir}")
-
-        # A resumed corpus re-runs its queue before the initial seeds, so
-        # each queue entry keeps its id and its saved analysis. A kept seed
-        # is never empty, so an empty queue file is a torn write.
-        queue = _read_files(queue_dir)
-        for directory, files in ((queue_dir, queue), (seeds_dir, initial)):
-            for name, data in files:
-                if not data:
-                    raise CampaignError(f"seed {directory / name} is empty")
-        seeds = [data for _, data in queue + initial]
-        meta_dir = self.corpus_dir / "meta"
-        saved_analysis: dict[bytes, SeedAnalysis] = {}
-        for name, data in queue:
-            meta_path = meta_dir / f"{name}.meta"
-            if meta_path.is_file():
-                sa = _read_meta_analysis(meta_path)
-                if sa is not None:
-                    saved_analysis[data] = sa
-
-        start = self.stats.executions
-        crashes_before = self.stats.crashes
+    def _dry_run(self, seeds: list[bytes], saved: dict[bytes, Optional[FitnessMap]]) -> None:
+        """Execute ``seeds`` into a new corpus, then reattach each kept
+        seed's saved fitness with its mask built under the running floor."""
         self.corpus = Corpus()
         try:
             dry_run(seeds, lambda d: self._exec(d).path, self.corpus)
         except CampaignError:
-            self.corpus = None  # a failed dry run persists nothing
-            if self.stats.crashes - crashes_before == len(seeds):
+            if self.stats.crashes == len(seeds):
                 raise CampaignError(
                     f"every initial seed crashed; the inputs are saved in {self.crash_dir}"
                 ) from None
             raise
-        self.stats.dry_run_execs = self.stats.executions - start
+        self.stats.dry_run_execs = self.stats.executions
         for entry in self.corpus.entries:
-            cached = saved_analysis.get(entry.data)
-            if cached is not None and len(cached.mask) == len(entry.data):
-                entry.analysis = cached
+            fm = saved.get(entry.data)
+            if fm is not None:
+                entry.analysis = SeedAnalysis(fm, mask_from_fitness(fm, self.cfg.analysis))
 
     def _save_crash(self, data: bytes) -> None:
         self.crash_dir.mkdir(exist_ok=True)
@@ -340,7 +340,7 @@ class Campaign:
         return n_all
 
     def run(self) -> CampaignStats:
-        self.corpus_dir.mkdir(parents=True, exist_ok=True)
+        seeds, saved = _load_seeds(self.corpus_dir)
         self._wall_start = time.monotonic()
         self._crash_base = _last_crash_number(self.crash_dir)
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
@@ -353,7 +353,7 @@ class Campaign:
                 # The module global, looked up now, so a wrapper installed
                 # before the campaign runs sees every execution.
                 self._run = functools.partial(execute_external, external)
-            self._dry_run()
+            self._dry_run(seeds, saved)
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
                 n_all = self._fuzz_round(entry)
@@ -364,7 +364,7 @@ class Campaign:
             self._run = None
             if external is not None:
                 external.close()
-            if self.corpus is not None:
+            if self.corpus:  # a failed dry run kept no seed and persists nothing
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)
             self._stats_writer.close()
@@ -404,6 +404,19 @@ class ReplayReport:
         return "\n".join(lines)
 
 
+def _read_coverage(cov: FsPath) -> set[int]:
+    """The edge ids in an ``overall.cov`` file, one per line."""
+    known = set()
+    lines = cov.read_text(encoding="ascii", errors="replace").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                known.add(int(line))
+            except ValueError:
+                raise CampaignError(f"{cov} line {number}: {line!r} is not an edge id") from None
+    return known
+
+
 def replay(
     input_path: str,
     target_spec: Optional[str] = None,
@@ -430,11 +443,7 @@ def replay(
     if corpus_dir is not None:
         cov = FsPath(corpus_dir) / "overall.cov"
         if cov.is_file():
-            known = {
-                int(line)
-                for line in cov.read_text(encoding="ascii").splitlines()
-                if line.strip()
-            }
+            known = _read_coverage(cov)
 
     warning = None
     if target_spec is not None and "crash" in p.name.lower():

@@ -90,7 +90,12 @@ def read_stats(path: str | os.PathLike) -> list[StatsRow]:
         for rec in reader:
             if len(rec) != len(STATS_COLUMNS):
                 raise StatsSchemaError(f"{path}: malformed row {rec}")
-            rows.append(StatsRow(float(rec[0]), *map(int, rec[1:])))
+            try:
+                rows.append(StatsRow(float(rec[0]), *map(int, rec[1:])))
+            except ValueError:
+                raise StatsSchemaError(
+                    f"{path}: non-numeric cell in row {reader.line_num}: {rec}"
+                ) from None
     if not rows:
         raise StatsSchemaError(f"{path}: no data rows")
     return rows

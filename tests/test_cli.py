@@ -8,7 +8,7 @@ from test_target import DUMP_TARGET
 import truzz.cli
 from truzz.byte_analysis import AnalysisConfig
 from truzz.cli import _analysis_config, build_parser, main
-from truzz.engine import CampaignConfig, CampaignStats
+from truzz.engine import STATS_HEADER, CampaignConfig, CampaignStats
 from truzz.targets import write_bundled
 
 
@@ -171,6 +171,14 @@ class TestReplay:
             main(["replay", "--target", spec_path, missing])
         assert "\n" not in str(exc.value)
 
+    def test_corrupt_coverage_file_is_one_line_error(self, campaign_dir):
+        spec_path, seed_path, corpus = campaign_dir
+        (corpus / "overall.cov").write_text("3\nxx\n")
+        argv = ["replay", "--target", spec_path, "--corpus", str(corpus), seed_path]
+        with pytest.raises(SystemExit, match=r"^truzz replay: .*overall\.cov line 2: 'xx'") as exc:
+            main(argv)
+        assert "\n" not in str(exc.value)
+
 
 class TestReport:
     def test_compare_and_a12(self, campaign_dir, tmp_path, capsys):
@@ -212,6 +220,13 @@ class TestReport:
         stats.write_text("time,execs\n0.1,10\n")
         with pytest.raises(SystemExit, match=r"^truzz report: .*expected columns"):
             main(["report", "compare", str(stats), str(stats)])
+
+    def test_compare_non_numeric_cell_is_one_line_error(self, tmp_path):
+        stats = tmp_path / "a.csv"
+        stats.write_text(f"{STATS_HEADER}\n0.1,x,1,1,1,1,0\n")
+        with pytest.raises(SystemExit, match=r"^truzz report: .*a\.csv: .*row 2") as exc:
+            main(["report", "compare", str(stats), str(stats)])
+        assert "\n" not in str(exc.value)
 
     def test_a12_unknown_metric_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

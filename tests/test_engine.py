@@ -1,3 +1,4 @@
+import shutil
 import sys
 import tempfile
 import textwrap
@@ -7,6 +8,7 @@ import pytest
 from test_target import open_fd_count
 
 import truzz.engine
+from truzz.byte_analysis import AnalysisConfig, mask_from_fitness
 from truzz.engine import (
     STATS_HEADER,
     Budget,
@@ -35,6 +37,14 @@ def config(spec_path, corpus, **kw):
     kw.setdefault("budget", Budget(max_execs=10_000))
     kw.setdefault("stats_interval", 1_000)
     return CampaignConfig(corpus_dir=str(corpus), target_spec=spec_path, **kw)
+
+
+def snapshot(root):
+    """Relative name -> bytes (None for a directory) of everything under root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
 
 
 def artifacts(corpus):
@@ -303,6 +313,73 @@ class TestSyntheticCampaign:
         )
         with pytest.raises(CampaignError, match="id_000000"):
             run_campaign(cfg)
+
+    @pytest.mark.parametrize("fault", ["missing seeds_in", "empty seed file", "empty queue file"])
+    def test_refused_start_leaves_the_corpus_as_it_was(self, tmp_path, fault):
+        """Every input is checked before anything is written, so a refused
+        resume keeps the earlier campaign's stats.csv and corpus."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000), stats_interval=500))
+        if fault == "missing seeds_in":
+            shutil.rmtree(corpus / "seeds_in")
+        elif fault == "empty seed file":
+            (corpus / "seeds_in" / "seed_01").write_bytes(b"")
+        else:
+            (corpus / "queue" / "id_000000").write_bytes(b"")
+        before = snapshot(corpus)
+        assert before["stats.csv"].count(b"\n") == 5
+        with pytest.raises(CampaignError):
+            run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        assert snapshot(corpus) == before
+
+    def test_refused_fresh_start_creates_no_directory(self, tmp_path):
+        spec_path, _ = write_bundled("magic64", tmp_path / "target")
+        corpus = tmp_path / "fresh"
+        with pytest.raises(CampaignError, match="missing initial seed directory"):
+            run_campaign(config(spec_path, corpus, budget=Budget(max_execs=10)))
+        assert not corpus.exists()
+
+    def test_resume_builds_masks_under_the_running_floor(self, tmp_path):
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        analysis = AnalysisConfig(prob_floor=0.3)
+        # A one-execution budget stops after the dry run, so every analysis
+        # the campaign holds was reattached from meta/.
+        resumed = Campaign(config(spec_path, corpus, budget=Budget(max_execs=1), analysis=analysis))
+        resumed.run()
+        reattached = [e.analysis for e in resumed.corpus.entries if e.analysis is not None]
+        assert reattached and resumed.stats.probe_execs == 0
+        for sa in reattached:
+            assert sa.mask.probability == mask_from_fitness(sa.fitness, analysis).probability
+            assert min(sa.mask.probability) == 0.3
+
+    @pytest.mark.parametrize("damage", ["not ascii", "not a float"])
+    def test_unreadable_meta_means_the_seed_is_analysed_again(self, tmp_path, damage):
+        """A .meta file caches a deterministic analysis, so resume treats
+        one it cannot parse as missing and analyses the seed again."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        first = Campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        first.run()
+        fitness = {e.data: e.analysis.fitness for e in first.corpus.entries if e.analysis}
+        meta = corpus / "meta" / "id_000000.meta"
+        if damage == "not ascii":
+            meta.write_bytes(b"\xff\xfe garbage")
+        else:
+            lines = meta.read_text().splitlines()
+            lines = ["fitness = 0.5,zz" if ln.startswith("fitness") else ln for ln in lines]
+            meta.write_text("\n".join(lines) + "\n")
+        seed = (corpus / "queue" / "id_000000").read_bytes()
+        assert seed in fitness
+
+        # FIFO selects id 0 first, and the mask needs its analysis.
+        resumed = Campaign(config(
+            spec_path, corpus, budget=Budget(max_execs=2_000),
+            scheduler=SchedulerConfig(energy=1, policy="fifo"),
+        ))
+        resumed.run()
+        entry = next(e for e in resumed.corpus.entries if e.data == seed)
+        assert entry.analysis.fitness == fitness[seed]
+        assert "fitness = 0.5,zz" not in meta.read_text()
 
     def test_stats_rows_readable_while_running(self, tmp_path):
         from truzz.report import read_stats

@@ -13,6 +13,11 @@ ROADMAP direction 3 (counter-keyed RNG) changes the mutation stream and is
 expected to change these digests once. That change records the new digests
 here and says so in CHANGES.md.
 
+The resumed magic64 case runs a second campaign on the first one's corpus
+under another RNG seed, so it pins the resume path: the queue re-run, the
+saved analyses reattached from ``meta/`` and the corpus persisted again.
+Its digest was recorded before the resume path was rewritten.
+
 Synthetic campaigns charge virtual time, so their whole ``stats.csv`` is
 pinned. The external campaign's ``elapsed_s`` is wall-clock, so its
 ``stats.csv`` is left out.
@@ -32,11 +37,13 @@ from truzz.targets import bundled_seed, write_bundled
 SYNTHETIC_PARTS = ("stats.csv", "queue", "meta", "overall.cov")
 EXTERNAL_PARTS = ("queue", "meta", "crashes", "overall.cov")
 
-# name -> (target, policy, mask, budget, rng_seed)
+# name -> (target, policy, mask, budget, rng_seeds); each RNG seed runs one
+# campaign of ``budget`` executions, every one after the first a resume.
 SYNTHETIC = {
-    "magic64-truzz": ("magic64", Policy.TRUZZ, True, 20_000, 3),
-    "chain128-truzz": ("chain128", Policy.TRUZZ, True, 30_000, 1),
-    "header128-fifo": ("header128", Policy.FIFO, False, 20_000, 2),
+    "magic64-truzz": ("magic64", Policy.TRUZZ, True, 20_000, (3,)),
+    "chain128-truzz": ("chain128", Policy.TRUZZ, True, 30_000, (1,)),
+    "header128-fifo": ("header128", Policy.FIFO, False, 20_000, (2,)),
+    "magic64-truzz-resume": ("magic64", Policy.TRUZZ, True, 5_000, (3, 103)),
 }
 
 GOLDEN = {
@@ -44,6 +51,7 @@ GOLDEN = {
     "chain128-truzz": "30f813f66f3de96f41da4d051bb7c956ade978923b024ee060d270bdbb763088",
     "header128-fifo": "f2546f6a0d5e8bdda9fb66405091397312dd3c7fc41458aa00e0cfa9ebb1f67d",
     "external-crashy": "30413e8e148b16fac9489c5dde40a6d2d7334862c5dd287b6c80841a86d2dac7",
+    "magic64-truzz-resume": "477c280a180d5be760f077e847f6f7010324b2843dc70b85c6d4607a4eee7fa3",
 }
 
 
@@ -67,18 +75,19 @@ def _corpus(tmp_path: Path, seed: bytes) -> Path:
 
 
 def run_synthetic(name: str, tmp_path: Path) -> str:
-    target, policy, mask, budget, rng_seed = SYNTHETIC[name]
+    target, policy, mask, budget, rng_seeds = SYNTHETIC[name]
     spec_path, _ = write_bundled(target, tmp_path / "target")
     corpus = _corpus(tmp_path, bundled_seed(target))
-    Campaign(CampaignConfig(
-        corpus_dir=str(corpus),
-        target_spec=spec_path,
-        budget=Budget(max_execs=budget),
-        scheduler=SchedulerConfig(policy=policy),
-        mask_enabled=mask,
-        rng_seed=rng_seed,
-        stats_interval=1_000,
-    )).run()
+    for rng_seed in rng_seeds:
+        Campaign(CampaignConfig(
+            corpus_dir=str(corpus),
+            target_spec=spec_path,
+            budget=Budget(max_execs=budget),
+            scheduler=SchedulerConfig(policy=policy),
+            mask_enabled=mask,
+            rng_seed=rng_seed,
+            stats_interval=1_000,
+        )).run()
     return digest(corpus, SYNTHETIC_PARTS)
 
 
