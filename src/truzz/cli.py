@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--budget-execs", type=int, default=None)
     fuzz.add_argument("--budget-secs", type=float, default=None)
     fuzz.add_argument("--energy", type=int, default=SchedulerConfig.energy)
-    fuzz.add_argument("--policy", choices=["truzz", "fifo"],
+    fuzz.add_argument("--policy", choices=[p.value for p in Policy],
                       default=SchedulerConfig.policy.value)
     fuzz.add_argument("--mask", choices=["on", "off"],
                       default="on" if CampaignConfig.mask_enabled else "off")

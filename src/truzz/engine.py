@@ -97,9 +97,12 @@ class CampaignStats:
 
 
 class _StatsWriter:
+    """Writes ``stats.csv``. The file is created, or an earlier campaign's
+    truncated, only when the first row is written."""
+
     def __init__(self, path: FsPath, clock: Callable[[], float]):
-        self._fh = open(path, "w", encoding="ascii", newline="\n")
-        self._fh.write(STATS_HEADER + "\n")
+        self._path = path
+        self._fh = None
         self._clock = clock
         self._last_counts = ""
 
@@ -113,13 +116,17 @@ class _StatsWriter:
             f"{stats.valid_count},{stats.invalid_count},{stats.crashes}\n"
         )
         if counts != self._last_counts:
+            if self._fh is None:
+                self._fh = open(self._path, "w", encoding="ascii", newline="\n")
+                self._fh.write(STATS_HEADER + "\n")
             self._last_counts = counts
             stats.elapsed = self._clock()
             self._fh.write(f"{stats.elapsed:.6f},{counts}")
             self._fh.flush()
 
     def close(self) -> None:
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
 
 def _read_files(directory: FsPath) -> list[tuple[str, bytes]]:
@@ -345,6 +352,7 @@ class Campaign:
         self._crash_base = _last_crash_number(self.crash_dir)
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
         external = None
+        dry_run_done = False
         try:
             if self.compiled is not None:
                 self._run = self.compiled.run
@@ -354,6 +362,7 @@ class Campaign:
                 # before the campaign runs sees every execution.
                 self._run = functools.partial(execute_external, external)
             self._dry_run(seeds, saved)
+            dry_run_done = True
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
                 n_all = self._fuzz_round(entry)
@@ -364,7 +373,9 @@ class Campaign:
             self._run = None
             if external is not None:
                 external.close()
-            if self.corpus:  # a failed dry run kept no seed and persists nothing
+            # A dry run that failed or was interrupted has not yet reattached
+            # the saved fitness, so it persists nothing.
+            if dry_run_done:
                 self._emit_row()
                 _persist_corpus(self.corpus_dir, self.corpus)
             self._stats_writer.close()
@@ -388,7 +399,6 @@ class ReplayReport:
     valid: Optional[bool]
     exec_status: ExecStatus
     edges: Optional[list[int]] = None
-    warning: Optional[str] = None
 
     def render(self) -> str:
         lines = [
@@ -397,8 +407,6 @@ class ReplayReport:
             f"valid:       {'n/a' if self.valid is None else self.valid}",
             f"exec status: {self.exec_status.value}",
         ]
-        if self.warning:
-            lines.append(f"warning:     {self.warning}")
         if self.edges is not None:
             lines.append("edges:       " + " ".join(str(e) for e in self.edges))
         return "\n".join(lines)
@@ -445,15 +453,10 @@ def replay(
         if cov.is_file():
             known = _read_coverage(cov)
 
-    warning = None
-    if target_spec is not None and "crash" in p.name.lower():
-        warning = "synthetic targets cannot crash; replayed normally"
-
     return ReplayReport(
         path_size=len(result.path),
         new_edges=len(result.path - known),
         valid=result.valid,
         exec_status=result.exec_status,
         edges=sorted(result.path) if show_path else None,
-        warning=warning,
     )

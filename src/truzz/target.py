@@ -96,14 +96,6 @@ class Check:
     lo: int = 0            # LT threshold / IN_RANGE lower bound
     hi: int = 0            # IN_RANGE upper bound
 
-    def passes(self, data: bytes) -> bool:
-        if self.predicate is PredicateKind.EQ:
-            return data[self.start : self.end + 1] == self.constant
-        first = data[self.start]
-        if self.predicate is PredicateKind.LT:
-            return first < self.lo
-        return self.lo <= first <= self.hi
-
 
 @dataclass(frozen=True)
 class Region:
@@ -384,7 +376,11 @@ def execute_synthetic(spec: TargetSpec, data: bytes) -> ExecResult:
     edges: set[int] = set()
     valid = True
     for stage in spec.stages:
-        if stage.check is None or stage.check.passes(data):
+        passed = stage.check is None
+        if not passed:
+            start, stop, lo, hi = _compile_check(stage.check)
+            passed = lo <= data[start:stop] <= hi
+        if passed:
             edges.update(stage.pass_region.edges)
             continue
         if stage.check.kind is CheckKind.VALIDATION:
@@ -399,9 +395,9 @@ def execute_synthetic(spec: TargetSpec, data: bytes) -> ExecResult:
 
 
 def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
-    """(start, stop, lo, hi) such that ``check.passes(data)`` is
-    ``lo <= data[start:stop] <= hi``. Bytes compare lexicographically, so
-    a one-byte slice against one-byte bounds is a plain byte comparison;
+    """(start, stop, lo, hi) such that ``check`` passes on ``data`` exactly
+    when ``lo <= data[start:stop] <= hi``. Bytes compare lexicographically,
+    so a one-byte slice against one-byte bounds is a plain byte comparison;
     ``b"\\x01" > b"\\x00"`` encodes a check that never passes."""
     if check.predicate is PredicateKind.EQ:
         return check.start, check.end + 1, check.constant, check.constant

@@ -9,6 +9,7 @@ import truzz.cli
 from truzz.byte_analysis import AnalysisConfig
 from truzz.cli import _analysis_config, build_parser, main
 from truzz.engine import STATS_HEADER, CampaignConfig, CampaignStats
+from truzz.scheduler import Policy
 from truzz.targets import write_bundled
 
 
@@ -92,6 +93,11 @@ class TestFuzz:
         )
         assert main(["fuzz", "--target", "t.tspec", "--corpus", "c"]) == 0
         assert built == [CampaignConfig(corpus_dir="c", target_spec="t.tspec")]
+        for policy in Policy:
+            args = build_parser().parse_args(
+                ["fuzz", "--target", "t.tspec", "--corpus", "c", "--policy", policy.value]
+            )
+            assert Policy(args.policy) is policy
         args = build_parser().parse_args(["analyze", "--target", "t.tspec", "seed"])
         assert _analysis_config(args) == AnalysisConfig()
 

@@ -1,3 +1,4 @@
+import itertools
 import shutil
 import sys
 import tempfile
@@ -45,6 +46,21 @@ def snapshot(root):
         p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
         for p in sorted(root.rglob("*"))
     }
+
+
+def interrupt_at(campaign, k):
+    """Make the k-th execution (from 1) of synthetic ``campaign`` raise
+    KeyboardInterrupt, as a Ctrl-C during it would; return the campaign."""
+    run = campaign.compiled.run
+    calls = itertools.count(1)
+
+    def interrupted(data):
+        if next(calls) == k:
+            raise KeyboardInterrupt
+        return run(data)
+
+    campaign.compiled.run = interrupted
+    return campaign
 
 
 def artifacts(corpus):
@@ -339,6 +355,27 @@ class TestSyntheticCampaign:
             run_campaign(config(spec_path, corpus, budget=Budget(max_execs=10)))
         assert not corpus.exists()
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_interrupted_resume_dry_run_leaves_the_corpus_as_it_was(self, tmp_path, k):
+        """The saved fitness is reattached only when the dry run ends, so an
+        interrupt before then persists nothing and rewrites no stats.csv."""
+        spec_path, corpus = make_corpus(tmp_path, "chain128")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=5_000),
+                            rng_seed=1, stats_interval=500))
+        before = snapshot(corpus)
+        assert b"fitness" in before["meta/id_000000.meta"]
+        resumed = interrupt_at(Campaign(config(spec_path, corpus, stats_interval=500)), k)
+        stats = resumed.run()
+        # dry_run_execs is set when the dry run ends, so k fell inside it.
+        assert stats.executions == k - 1 and stats.dry_run_execs == 0
+        assert snapshot(corpus) == before
+
+    def test_interrupted_fresh_dry_run_writes_nothing(self, tmp_path):
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        before = snapshot(corpus)
+        interrupt_at(Campaign(config(spec_path, corpus)), 1).run()
+        assert snapshot(corpus) == before
+
     def test_resume_builds_masks_under_the_running_floor(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
@@ -608,14 +645,6 @@ class TestReplay:
         rep = replay(seed_path, target_spec=spec_path, show_path=True)
         assert rep.new_edges == rep.path_size == len(rep.edges)
         assert rep.valid is True
-
-    def test_replay_crash_artifact_on_synthetic_warns(self, tmp_path):
-        spec_path, _ = write_bundled("magic64", tmp_path / "t")
-        crash = tmp_path / "crash_000001"
-        crash.write_bytes(b"\x00" * 64)
-        rep = replay(str(crash), target_spec=spec_path)
-        assert rep.warning is not None
-        assert rep.exec_status is ExecStatus.NORMAL
 
     def test_replay_missing_file(self, tmp_path):
         spec_path, _ = write_bundled("magic64", tmp_path / "t")

@@ -9,9 +9,9 @@ The external digest was recorded again when crashes found by byte-analysis
 probes began to be saved: its ``crashes/`` gained ``crash_000001``, while
 its ``queue/``, ``meta/`` and ``overall.cov`` stayed the same.
 
-ROADMAP direction 3 (counter-keyed RNG) changes the mutation stream and is
-expected to change these digests once. That change records the new digests
-here and says so in CHANGES.md.
+The ROADMAP direction "counter-keyed, batched mutation" changes the
+mutation stream and is expected to change these digests once. That change
+records the new digests here and says so in CHANGES.md.
 
 The resumed magic64 case runs a second campaign on the first one's corpus
 under another RNG seed, so it pins the resume path: the queue re-run, the

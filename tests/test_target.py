@@ -160,14 +160,24 @@ class TestSyntheticExecution:
         assert any(edges <= result.path for edges in terminal_fails)
 
 
-def oracle_execute(spec, data):
-    """Straight-line reference interpreter for small specs."""
-    from truzz.target import fit_input
+def oracle_passes(check, data):
+    """Reference statement of a check: EQ compares the whole range with the
+    constant; LT and IN_RANGE test only the range's first byte."""
+    if check.predicate is PredicateKind.EQ:
+        return data[check.start : check.end + 1] == check.constant
+    first = data[check.start]
+    if check.predicate is PredicateKind.LT:
+        return first < check.lo
+    return check.lo <= first <= check.hi
 
-    data = fit_input(data, spec.input_length)
+
+def oracle_execute(spec, data):
+    """Straight-line reference interpreter, built from no package code."""
+    n = spec.input_length
+    data = bytes(data[:n]).ljust(n, b"\0")
     edges, valid = set(), True
     for stage in spec.stages:
-        if stage.check is None or stage.check.passes(data):
+        if stage.check is None or oracle_passes(stage.check, data):
             edges |= set(stage.pass_region.edges)
             continue
         if stage.check.kind is CheckKind.VALIDATION:
@@ -179,25 +189,39 @@ def oracle_execute(spec, data):
     return frozenset(edges), valid
 
 
+def spec_and_seed(name):
+    """A bundled target and its seed, or TWO_STAGE and an input that passes
+    its gate."""
+    if name == "TWO_STAGE":
+        return parse_spec(TWO_STAGE), b"a\0\0\0\0"
+    return load_bundled(name)
+
+
 @settings(max_examples=200)
-@given(st.binary(min_size=0, max_size=8))
-def test_execution_matches_reference_interpreter(data):
-    spec = parse_spec(TWO_STAGE)
-    result = execute_synthetic(spec, data)
-    expected_path, expected_valid = oracle_execute(spec, data)
-    assert result.path == expected_path
-    assert result.valid == expected_valid
+@given(
+    st.sampled_from(["TWO_STAGE", *sorted(bundled_names())]),
+    st.binary(min_size=0, max_size=520),
+    st.dictionaries(st.integers(0, 511), st.integers(0, 255), max_size=8),
+)
+def test_execution_matches_reference_interpreter(name, data, edits):
+    # Random bytes fail early checks; a seed with a few bytes changed
+    # passes most checks and fails some.
+    spec, seed = spec_and_seed(name)
+    mutant = bytearray(seed)
+    for i, value in edits.items():
+        if i < len(mutant):
+            mutant[i] = value
+    for candidate in (data, bytes(mutant)):
+        result = execute_synthetic(spec, candidate)
+        assert (result.path, result.valid) == oracle_execute(spec, candidate)
 
 
 @settings(max_examples=100)
 @given(st.binary(min_size=0, max_size=520), st.sampled_from(sorted(bundled_names())))
 def test_compiled_runner_agrees_with_interpreter(data, name):
     spec, _ = load_bundled(name)
-    compiled = CompiledTarget(spec)
-    direct = execute_synthetic(spec, data)
-    fast = compiled.execute(data)
-    assert fast.path == direct.path
-    assert fast.valid == direct.valid
+    fast = CompiledTarget(spec).execute(data)
+    assert (fast.path, fast.valid) == oracle_execute(spec, data)
 
 
 def reached_outcomes(spec, data):
@@ -206,7 +230,7 @@ def reached_outcomes(spec, data):
     for stage in spec.stages:
         if stage.check is None:
             continue
-        ok = stage.check.passes(data)
+        ok = oracle_passes(stage.check, data)
         outcomes.append(ok)
         if not ok and stage.fail_region is not None and stage.fail_region.terminal:
             break
@@ -222,25 +246,40 @@ def test_compiled_runner_agrees_on_mutants_of_the_seed(name):
     for _ in range(3_000):
         data = mutate(seed, None, rng, draw_op_count(rng))
         result = compiled.run(data)
-        direct = execute_synthetic(spec, data)
         assert compiled._cache[reached_outcomes(spec, data)] is result
-        assert (result.path, result.valid, result.exec_status) == (
-            direct.path, direct.valid, ExecStatus.NORMAL)
+        assert (result.path, result.valid) == oracle_execute(spec, data)
+        assert result.exec_status is ExecStatus.NORMAL
     assert len(compiled._cache) > 1
 
 
+@st.composite
+def check_and_input(draw):
+    """A check and an input long enough for it. LT and IN_RANGE thresholds
+    outside 0..255 are legal in a spec and must compile too. EQ constants
+    of 1 to 4 bytes and their inputs share a three-byte alphabet, so a
+    range often equals its constant."""
+    if draw(st.booleans()):
+        predicate = draw(st.sampled_from([PredicateKind.LT, PredicateKind.IN_RANGE]))
+        lo, hi = draw(st.integers(-3, 260)), draw(st.integers(-3, 260))
+        check = Check(0, 0, predicate, CheckKind.VALIDATION, lo=lo, hi=hi)
+        return check, draw(st.binary(min_size=1, max_size=1))
+
+    def few_bytes(lo, hi):
+        return st.lists(st.sampled_from([0x00, 0x01, 0xFF]), min_size=lo, max_size=hi).map(bytes)
+
+    start = draw(st.integers(0, 2))
+    constant = draw(few_bytes(1, 4))
+    end = start + len(constant) - 1
+    check = Check(start, end, PredicateKind.EQ, CheckKind.VALIDATION, constant=constant)
+    return check, draw(few_bytes(end + 1, end + 3))
+
+
 @settings(max_examples=300)
-@given(
-    st.sampled_from([PredicateKind.LT, PredicateKind.IN_RANGE]),
-    st.integers(-3, 260),
-    st.integers(-3, 260),
-    st.binary(min_size=1, max_size=1),
-)
-def test_compiled_byte_check_agrees_with_passes(predicate, lo, hi, data):
-    # Thresholds outside 0..255 are legal in a spec and must compile too.
-    check = Check(0, 0, predicate, CheckKind.VALIDATION, lo=lo, hi=hi)
+@given(check_and_input())
+def test_compiled_byte_check_agrees_with_passes(check_with_input):
+    check, data = check_with_input
     start, stop, lo_b, hi_b = _compile_check(check)
-    assert (lo_b <= data[start:stop] <= hi_b) == check.passes(data)
+    assert (lo_b <= data[start:stop] <= hi_b) == oracle_passes(check, data)
 
 
 DUMP_TARGET = textwrap.dedent(
