@@ -48,9 +48,6 @@ class FitnessMap:
     values: list[float]
     probe_count: int
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass
 class MutationMask:
@@ -63,9 +60,6 @@ class MutationMask:
         self.argmax = max(
             range(len(self.probability)), key=self.probability.__getitem__
         )
-
-    def __len__(self) -> int:
-        return len(self.probability)
 
 
 def path_fitness(seed_path: Path, mutant_path: Path) -> float:

@@ -123,8 +123,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         sys.exit(f"truzz analyze: {exc}")
     spec = load_spec(args.target)
     seed = FsPath(args.seed).read_bytes()
+    if not seed:
+        sys.exit(f"truzz analyze: seed {args.seed} is empty")
     compiled = CompiledTarget(spec)
     seed_path = compiled.execute(seed).path
+    if not seed_path:
+        sys.exit(f"truzz analyze: seed {args.seed} covers no edges")
     fm = analyze(seed, seed_path, lambda d: compiled.execute(d).path, cfg)
     mask = mask_from_fitness(fm, cfg)
     print("fitness:     " + " ".join(f"{v:.4f}" for v in fm.values))

@@ -43,7 +43,7 @@ class SeedAnalysis:
     mask: MutationMask
 
 
-@dataclass
+@dataclass(eq=False)
 class SeedEntry:
     id: int                          # insertion order; entries are never removed
     data: bytes
@@ -62,8 +62,7 @@ class Corpus:
         self.covered: set[int] = set()
         # Paths that added no edge when offered; coverage only grows, so never will.
         self.stale: set[Path] = set()
-        self._fifo_cursor = 0
-        self._zero_cursor = 0
+        self._cursor = 0  # round-robin position, in id order
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,17 +102,12 @@ class Corpus:
     def select_seed(self, policy: Policy) -> SeedEntry:
         if not self.entries:
             raise CampaignError("corpus is empty")
-        if policy is Policy.FIFO:
+        entry = max(self.entries, key=lambda e: (e.rank_key, -e.id))
+        # FIFO, and TRUZZ's starvation guard when every rank is zero.
+        if policy is Policy.FIFO or entry.rank_key == 0:
             ordered = sorted(self.entries, key=lambda e: e.id)
-            entry = ordered[self._fifo_cursor % len(ordered)]
-            self._fifo_cursor += 1
-        else:
-            entry = max(self.entries, key=lambda e: (e.rank_key, -e.id))
-            if entry.rank_key == 0:
-                # Starvation guard: round-robin when every rank is zero.
-                ordered = sorted(self.entries, key=lambda e: e.id)
-                entry = ordered[self._zero_cursor % len(ordered)]
-                self._zero_cursor += 1
+            entry = ordered[self._cursor % len(ordered)]
+            self._cursor += 1
         entry.times_selected += 1
         return entry
 

@@ -139,6 +139,24 @@ class TestAnalyze:
             main(["analyze", "--target", spec_path, missing])
         assert "\n" not in str(exc.value)
 
+    def test_empty_seed_is_one_line_error(self, campaign_dir, tmp_path):
+        spec_path, _, _ = campaign_dir
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        with pytest.raises(SystemExit, match=r"^truzz analyze: .*empty is empty") as exc:
+            main(["analyze", "--target", spec_path, str(empty)])
+        assert "\n" not in str(exc.value)
+
+    def test_seed_covering_no_edges_is_one_line_error(self, tmp_path):
+        # A spec with no stages parses, and every input covers no edge on it.
+        spec = tmp_path / "bare.tspec"
+        spec.write_text("input_length = 4\n")
+        seed = tmp_path / "seed"
+        seed.write_bytes(b"abcd")
+        with pytest.raises(SystemExit, match=r"^truzz analyze: .*seed covers no edges") as exc:
+            main(["analyze", "--target", str(spec), str(seed)])
+        assert "\n" not in str(exc.value)
+
 
 class TestReplay:
     def test_replay_seed(self, campaign_dir, capsys):

@@ -15,7 +15,6 @@ from truzz.mutation import (
     Rng,
     draw_op_count,
     mutate,
-    select_byte,
 )
 
 N_DRAWS = 100_000
@@ -23,11 +22,14 @@ N_DRAWS = 100_000
 
 def frequencies(mask, length, n=N_DRAWS, seed=7):
     rng = Rng(seed)
-    counts = Counter(select_byte(mask, rng, length) for _ in range(n))
+    counts = Counter(oracle_select_byte(mask, rng, length) for _ in range(n))
     return [counts[i] / n for i in range(length)]
 
 
 class TestSelectByte:
+    """Byte-selection distribution, on ``oracle_select_byte``: TestStreamIdentity
+    shows ``mutate`` draws the same words and picks the same bytes."""
+
     def test_no_mask_is_uniform(self):
         length = 8
         freqs = frequencies(None, length)
@@ -41,8 +43,8 @@ class TestSelectByte:
         # unmasked one exactly, not just statistically
         mask = MutationMask(probability=[1.0] * 8)
         a, b = Rng(3), Rng(3)
-        picks_masked = [select_byte(mask, a, 8) for _ in range(1000)]
-        picks_plain = [select_byte(None, b, 8) for _ in range(1000)]
+        picks_masked = [oracle_select_byte(mask, a, 8) for _ in range(1000)]
+        picks_plain = [oracle_select_byte(None, b, 8) for _ in range(1000)]
         assert picks_masked == picks_plain
         assert a.random() == b.random()
 
@@ -75,7 +77,7 @@ class TestSelectByte:
             mask = MutationMask(probability=list(probs))
             total = sum(probs)
             counts = Counter(
-                select_byte(mask, rng, len(probs)) for _ in range(N_DRAWS)
+                oracle_select_byte(mask, rng, len(probs)) for _ in range(N_DRAWS)
             )
             observed = [counts[i] for i in range(len(probs))]
             expected = [N_DRAWS * p / total for p in probs]
@@ -85,7 +87,7 @@ class TestSelectByte:
     def test_deterministic_for_seed(self):
         mask = MutationMask(probability=[1.0, 0.3, 0.7])
         runs = [
-            [select_byte(mask, Rng(42), 3) for _ in range(50)] for _ in range(2)
+            [oracle_select_byte(mask, Rng(42), 3) for _ in range(50)] for _ in range(2)
         ]
         assert runs[0] == runs[1]
 

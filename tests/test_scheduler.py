@@ -143,10 +143,14 @@ class TestRankUpdate:
         assert corpus.is_sorted()
 
     def test_unknown_entry_rejected(self):
-        corpus = seeded_corpus({"A": 1})
-        stranger = seeded_corpus({"B": 1}).entries[0]
-        with pytest.raises(CampaignError):
-            corpus.update_rank(stranger, 3)
+        corpus = seeded_corpus({"A": 5})
+        # The second stranger equals corpus's own entry field by field.
+        for name in ("B", "A"):
+            stranger = seeded_corpus({name: 5}).entries[0]
+            with pytest.raises(CampaignError):
+                corpus.update_rank(stranger, 0)
+            assert stranger.rank_key == 5
+        assert corpus.entries[0].rank_key == 5
 
 
 class TestConfig:

@@ -26,7 +26,6 @@ from truzz.target import (
     SpawnError,
     _compile_check,
     execute_external,
-    execute_synthetic,
     parse_spec,
 )
 from truzz.targets import bundled_names, load_bundled
@@ -70,7 +69,7 @@ class TestParseSpec:
 
     def test_zero_stage_spec(self):
         spec = parse_spec("input_length = 8\n")
-        result = execute_synthetic(spec, b"\x00" * 8)
+        result = CompiledTarget(spec).run(b"\x00" * 8)
         assert result.path == frozenset()
         assert result.valid is True
 
@@ -119,38 +118,38 @@ class TestParseSpec:
 class TestSyntheticExecution:
     def test_passing_input_covers_full_pipeline(self):
         spec, seed = load_bundled("pipeline")
-        result = execute_synthetic(spec, seed)
+        result = CompiledTarget(spec).run(seed)
         assert len(result.path) == 120
         assert result.valid is True
 
     def test_failing_gate_traps_in_error_handler(self):
         spec, seed = load_bundled("pipeline")
-        result = execute_synthetic(spec, bytes([0x00]) + seed[1:])
+        result = CompiledTarget(spec).run(bytes([0x00]) + seed[1:])
         assert result.path == frozenset(range(1000, 1010))
         assert result.valid is False
 
     def test_non_validation_branch_keeps_input_valid(self):
         spec, seed = load_bundled("pipeline")
-        result = execute_synthetic(spec, bytes([seed[0], 0xF0]) + seed[2:])
+        result = CompiledTarget(spec).run(bytes([seed[0], 0xF0]) + seed[2:])
         assert len(result.path) == 100
         assert result.valid is True
 
     def test_deterministic(self):
         spec, seed = load_bundled("magic64")
-        r1 = execute_synthetic(spec, seed)
-        r2 = execute_synthetic(spec, seed)
+        r1 = CompiledTarget(spec).run(seed)
+        r2 = CompiledTarget(spec).run(seed)
         assert r1.path == r2.path and r1.valid == r2.valid
 
     def test_input_truncated_and_padded(self):
         spec, seed = load_bundled("pipeline")
-        long_result = execute_synthetic(spec, seed + b"\xff" * 10)
-        short_result = execute_synthetic(spec, seed[:2])
-        assert long_result.path == execute_synthetic(spec, seed).path
-        assert short_result.path == execute_synthetic(spec, seed[:2] + b"\x00\x00").path
+        long_result = CompiledTarget(spec).run(seed + b"\xff" * 10)
+        short_result = CompiledTarget(spec).run(seed[:2])
+        assert long_result.path == CompiledTarget(spec).run(seed).path
+        assert short_result.path == CompiledTarget(spec).run(seed[:2] + b"\x00\x00").path
 
     def test_invalid_implies_terminal_fail_region_in_path(self):
         spec, seed = load_bundled("header128")
-        result = execute_synthetic(spec, b"\x00" * 128)
+        result = CompiledTarget(spec).run(b"\x00" * 128)
         assert result.valid is False
         terminal_fails = [
             set(s.fail_region.edges)
@@ -211,17 +210,10 @@ def test_execution_matches_reference_interpreter(name, data, edits):
     for i, value in edits.items():
         if i < len(mutant):
             mutant[i] = value
+    compiled = CompiledTarget(spec)
     for candidate in (data, bytes(mutant)):
-        result = execute_synthetic(spec, candidate)
+        result = compiled.run(candidate)
         assert (result.path, result.valid) == oracle_execute(spec, candidate)
-
-
-@settings(max_examples=100)
-@given(st.binary(min_size=0, max_size=520), st.sampled_from(sorted(bundled_names())))
-def test_compiled_runner_agrees_with_interpreter(data, name):
-    spec, _ = load_bundled(name)
-    fast = CompiledTarget(spec).execute(data)
-    assert (fast.path, fast.valid) == oracle_execute(spec, data)
 
 
 def reached_outcomes(spec, data):
