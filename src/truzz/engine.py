@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
 
 from .byte_analysis import AnalysisConfig, FitnessMap, analyze, mask_from_fitness
-from .coverage import Path
+from .coverage import Path, parse_edges
 from .mutation import Rng, draw_op_count, mutate
 from .scheduler import (
     CampaignError,
@@ -412,19 +412,6 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _read_coverage(cov: FsPath) -> set[int]:
-    """The edge ids in an ``overall.cov`` file, one per line."""
-    known = set()
-    lines = cov.read_text(encoding="ascii", errors="replace").splitlines()
-    for number, line in enumerate(lines, 1):
-        if line.strip():
-            try:
-                known.add(int(line))
-            except ValueError:
-                raise CampaignError(f"{cov} line {number}: {line!r} is not an edge id") from None
-    return known
-
-
 def replay(
     input_path: str,
     target_spec: Optional[str] = None,
@@ -447,11 +434,14 @@ def replay(
         with ExternalTarget(command, exec_timeout) as external:
             result = execute_external(external, data)
 
-    known: set[int] = set()
+    known = Path()
     if corpus_dir is not None:
         cov = FsPath(corpus_dir) / "overall.cov"
         if cov.is_file():
-            known = _read_coverage(cov)
+            try:
+                known = parse_edges(cov.read_text(encoding="ascii", errors="replace"))
+            except ValueError as exc:
+                raise CampaignError(f"{cov} {exc}") from None
 
     return ReplayReport(
         path_size=len(result.path),

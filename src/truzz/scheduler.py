@@ -1,9 +1,11 @@
-"""Ranked seed corpus: dry run, selection, retention, rank updates.
+"""Seed corpus: dry run, selection, retention, rank updates.
 
-A seed's rank key is the number of new edges its path contributed when it
-was last scored. Selection takes the top-ranked seed; after a seed's
-mutation round, its rank is replaced by the number of new edges the whole
-round discovered, so seeds that stop producing sink down the order.
+The corpus keeps its seeds in retention order, so a seed's id is its
+index. A seed's rank key is the number of new edges its path contributed
+when it was last scored. ``select_seed`` is the one place that orders
+seeds: it takes the top-ranked seed, the lowest id among equals. After a
+seed's mutation round, its rank is replaced by the number of new edges the
+whole round discovered, so seeds that stop producing are passed over.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class SeedAnalysis:
 
 @dataclass(eq=False)
 class SeedEntry:
-    id: int                          # insertion order; entries are never removed
+    id: int                          # index in Corpus.entries; entries are never removed
     data: bytes
     path: Path                       # fixed at retention time
     rank_key: int
@@ -54,15 +56,15 @@ class SeedEntry:
 
 
 class Corpus:
-    """Seed entries plus the campaign's overall covered-edge set, which
-    only grows."""
+    """Seed entries, in retention order, plus the campaign's overall
+    covered-edge set, which only grows."""
 
     def __init__(self):
         self.entries: list[SeedEntry] = []
         self.covered: set[int] = set()
         # Paths that added no edge when offered; coverage only grows, so never will.
         self.stale: set[Path] = set()
-        self._cursor = 0  # round-robin position, in id order
+        self._cursor = 0  # round-robin position
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,8 +107,7 @@ class Corpus:
         entry = max(self.entries, key=lambda e: (e.rank_key, -e.id))
         # FIFO, and TRUZZ's starvation guard when every rank is zero.
         if policy is Policy.FIFO or entry.rank_key == 0:
-            ordered = sorted(self.entries, key=lambda e: e.id)
-            entry = ordered[self._cursor % len(ordered)]
+            entry = self.entries[self._cursor % len(self.entries)]
             self._cursor += 1
         entry.times_selected += 1
         return entry
@@ -114,18 +115,10 @@ class Corpus:
     # -- ranking ------------------------------------------------------------
 
     def update_rank(self, entry: SeedEntry, n_all: int) -> None:
-        """Replace the seed's rank with the round's new-edge total, re-sort."""
-        if entry not in self.entries:
+        """Replace the seed's rank with the round's new-edge total."""
+        if not (0 <= entry.id < len(self.entries) and self.entries[entry.id] is entry):
             raise CampaignError(f"seed {entry.id} not in corpus")
         entry.rank_key = n_all
-        self.sort()
-
-    def sort(self) -> None:
-        self.entries.sort(key=lambda e: (-e.rank_key, e.id))
-
-    def is_sorted(self) -> bool:
-        keys = [(-e.rank_key, e.id) for e in self.entries]
-        return keys == sorted(keys)
 
 
 def dry_run(
@@ -151,5 +144,4 @@ def dry_run(
         corpus.retain_if_new(data, run(data))
     if not corpus.entries:
         raise CampaignError("every initial seed yielded zero new edges")
-    corpus.sort()
     return corpus

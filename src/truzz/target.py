@@ -13,6 +13,7 @@ ground truth that real campaigns obtain by marking error handlers by hand.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import select
 import shutil
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coverage import MAP_SIZE, Path
+from .coverage import MAP_SIZE, Path, parse_edges
 
 COVERAGE_FILE_ENV = "TRUZZ_COV_FILE"
 INPUT_PLACEHOLDER = "@@"
@@ -468,8 +469,9 @@ class ExternalTarget:
     """An external target prepared once for a whole campaign.
 
     The constructor does all one-time work: it checks ``command`` for its
-    one ``@@`` token, makes a private ``truzz-exec-*`` work directory under
-    the system temporary directory, puts the path of ``<workdir>/input`` in
+    one ``@@`` token and ``timeout`` for a positive, finite number of
+    seconds, makes a private ``truzz-exec-*`` work directory under the
+    system temporary directory, puts the path of ``<workdir>/input`` in
     place of ``@@``, copies the environment once with TRUZZ_COV_FILE set to
     ``<workdir>/coverage``, and opens the input file and ``/dev/null``.
     ``execute_external`` runs one input through it. ``close`` (or leaving a
@@ -478,6 +480,8 @@ class ExternalTarget:
 
     def __init__(self, command: Sequence[str], timeout: float):
         slot = placeholder_index(command)
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a positive, finite number of seconds: {timeout}")
         self.timeout = timeout
         self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
         self._input_fd = self._devnull_fd = -1
@@ -614,24 +618,14 @@ def execute_external(target: ExternalTarget, data: bytes) -> ExecResult:
     else:
         status = ExecStatus.CRASH if returncode < 0 else ExecStatus.NORMAL
 
-    edges: set[int] = set()
+    path = Path()
     try:
-        # Text mode turns \r\n and \r into \n, so these are the lines a
-        # line-by-line read of the file gives.
         with open(target.dump_path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            edge = int(line)
-            if edge < 0 or edge >= MAP_SIZE:
-                raise ValueError(f"edge id {edge} out of range")
-            edges.add(edge)
+            path = parse_edges(fh.read())
     except FileNotFoundError:
         if status is ExecStatus.NORMAL:
             raise CoverageDumpError(f"no coverage dump at {target.dump_path}") from None
     except ValueError as exc:
         raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
 
-    return ExecResult(path=frozenset(edges), exec_status=status)
+    return ExecResult(path=path, exec_status=status)

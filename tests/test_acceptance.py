@@ -164,18 +164,25 @@ def test_criterion_5_coverage_ab(capsys, tmp_path):
 def test_criterion_6_scheduler_properties(capsys):
     rng = Rng(2024)
 
-    # 10k-round randomized trace keeps the corpus sorted
+    # 10k-round randomized trace: each TRUZZ pick is the oracle's (highest
+    # rank, lowest id; the next id in turn when every rank is zero), and
+    # update_rank replaces the pick's rank
+    ranks = [rng.randrange(50) for _ in range(20)]
     corpus = Corpus()
-    for i in range(20):
-        corpus.add_entry(bytes([i]), frozenset({i}), rng.randrange(50))
-    corpus.sort()
-    sorted_ok = True
+    for i, rank in enumerate(ranks):
+        corpus.add_entry(bytes([i]), frozenset({i}), rank)
+    trace_ok, cursor = True, 0
     for _ in range(10_000):
         entry = corpus.select_seed(Policy.TRUZZ)
-        corpus.update_rank(entry, rng.randrange(50))
-        sorted_ok = sorted_ok and corpus.is_sorted()
+        if max(ranks):
+            best = ranks.index(max(ranks))
+        else:
+            best, cursor = cursor % len(ranks), cursor + 1
+        ranks[best] = rng.randrange(50)
+        corpus.update_rank(entry, ranks[best])
+        trace_ok = trace_ok and entry.data == bytes([best]) and entry.rank_key == ranks[best]
 
-    # dry-run ranks equal the greedy set-difference oracle
+    # dry-run ranks equal the greedy set-difference oracle; ids are 0..n-1
     oracle_ok = True
     for _ in range(100):
         table = {
@@ -192,12 +199,12 @@ def test_criterion_6_scheduler_properties(capsys):
             continue
         run = lambda d: frozenset(table[d])
         got = dry_run(list(table), run)
-        oracle_ok = oracle_ok and {
-            e.data: e.rank_key for e in got.entries
-        } == expected and got.is_sorted()
+        oracle_ok = oracle_ok and [(e.id, e.data, e.rank_key) for e in got.entries] == [
+            (i, data, n) for i, (data, n) in enumerate(expected.items())
+        ]
 
-    ok = sorted_ok and oracle_ok
-    _report(capsys, 6, "scheduler sort invariant and dry-run rank oracle", ok)
+    ok = trace_ok and oracle_ok
+    _report(capsys, 6, "scheduler rank-order trace and dry-run rank oracle", ok)
 
 
 def test_criterion_7_effect_size(capsys):

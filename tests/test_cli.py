@@ -203,6 +203,16 @@ class TestReplay:
             main(argv)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("edge", ["65536", "-1"])
+    def test_out_of_map_coverage_file_is_one_line_error(self, campaign_dir, edge):
+        spec_path, seed_path, corpus = campaign_dir
+        (corpus / "overall.cov").write_text(f"3\n{edge}\n")
+        argv = ["replay", "--target", spec_path, "--corpus", str(corpus), seed_path]
+        message = rf"^truzz replay: .*overall\.cov line 2: edge id {edge} out of range"
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value)
+
 
 class TestReport:
     def test_compare_and_a12(self, campaign_dir, tmp_path, capsys):

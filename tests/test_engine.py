@@ -257,6 +257,17 @@ class TestSyntheticCampaign:
         assert added in datas
         assert len(set(datas)) == len(datas)
 
+    def test_entries_stay_in_id_order(self, tmp_path):
+        """The corpus keeps seeds in retention order, entry i with id i,
+        after a campaign and after a resume of it."""
+        spec_path, corpus = make_corpus(tmp_path, "chain128")
+        for _ in range(2):
+            campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=3_000),
+                                       rng_seed=3))
+            campaign.run()
+            assert len(campaign.corpus) > 1
+            assert [e.id for e in campaign.corpus.entries] == list(range(len(campaign.corpus)))
+
     def test_mask_off_fifo_equals_vanilla_reference(self, tmp_path):
         """The baseline configuration must reproduce a hand-written vanilla
         greybox loop execution-for-execution under the same RNG seed."""

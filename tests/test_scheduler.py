@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truzz.scheduler import CampaignError, Corpus, Policy, SchedulerConfig, dry_run
+from truzz.scheduler import CampaignError, Corpus, Policy, SchedulerConfig, SeedEntry, dry_run
 
 
 def path_runner(table):
@@ -31,10 +31,15 @@ class TestDryRun:
         assert {e.data: e.rank_key for e in backward.entries} == {b"B": 4, b"A": 1}
 
     def test_result_sorted_descending(self):
+        # Selection takes the keepers by rank, highest first.
         table = {b"A": {1}, b"B": set(range(10, 30)), b"C": {2, 3}}
         corpus = dry_run([b"A", b"B", b"C"], path_runner(table))
-        assert corpus.is_sorted()
-        assert [e.data for e in corpus.entries] == [b"B", b"C", b"A"]
+        picks = []
+        for _ in range(3):
+            entry = corpus.select_seed(Policy.TRUZZ)
+            picks.append(entry.data)
+            corpus.update_rank(entry, 0)
+        assert picks == [b"B", b"C", b"A"]
 
     def test_no_seeds_rejected(self):
         with pytest.raises(CampaignError):
@@ -50,7 +55,6 @@ def seeded_corpus(ranks):
     corpus = Corpus()
     for name, rank in ranks.items():
         corpus.add_entry(name.encode(), frozenset({ord(name)}), rank)
-    corpus.sort()
     return corpus
 
 
@@ -135,18 +139,22 @@ class TestRankUpdate:
         assert entry.rank_key == 2
 
     def test_update_resorts(self):
+        # The next selection follows the replaced rank; ties go to the lower id.
         corpus = seeded_corpus({"A": 9, "B": 5})
-        top = corpus.entries[0]
+        top = corpus.select_seed(Policy.TRUZZ)
         assert top.data == b"A"
         corpus.update_rank(top, 1)
-        assert corpus.entries[0].data == b"B"
-        assert corpus.is_sorted()
+        assert corpus.select_seed(Policy.TRUZZ).data == b"B"
+        corpus.update_rank(top, 5)
+        assert corpus.select_seed(Policy.TRUZZ) is top
 
     def test_unknown_entry_rejected(self):
         corpus = seeded_corpus({"A": 5})
-        # The second stranger equals corpus's own entry field by field.
-        for name in ("B", "A"):
-            stranger = seeded_corpus({name: 5}).entries[0]
+        # The second stranger equals corpus's own entry field by field; the
+        # third has an id past the corpus's end.
+        strangers = [seeded_corpus({name: 5}).entries[0] for name in ("B", "A")]
+        strangers.append(SeedEntry(id=99, data=b"A", path=frozenset({ord("A")}), rank_key=5))
+        for stranger in strangers:
             with pytest.raises(CampaignError):
                 corpus.update_rank(stranger, 0)
             assert stranger.rank_key == 5
@@ -181,9 +189,10 @@ def test_dry_run_matches_greedy_set_oracle(edge_sets):
             dry_run(seeds, path_runner(table))
         return
     corpus = dry_run(seeds, path_runner(table))
-    assert {e.data: e.rank_key for e in corpus.entries} == expected
+    assert [(e.id, e.data, e.rank_key) for e in corpus.entries] == [
+        (i, data, n) for i, (data, n) in enumerate(expected.items())
+    ]
     assert corpus.covered == covered
-    assert corpus.is_sorted()
 
 
 @settings(max_examples=100)
@@ -192,12 +201,22 @@ def test_dry_run_matches_greedy_set_oracle(edge_sets):
     st.lists(st.tuples(st.integers(0, 7), st.integers(0, 30)), max_size=30),
 )
 def test_sorted_invariant_under_random_updates(initial_ranks, updates):
+    # After each update, TRUZZ selects the highest rank, lowest id first;
+    # when every rank is zero it cycles through the ids.
     corpus = Corpus()
     for i, rank in enumerate(initial_ranks):
         corpus.add_entry(bytes([i]), frozenset({i}), rank)
-    corpus.sort()
+    ranks = list(initial_ranks)
+    cursor = 0
     for which, new_rank in updates:
-        entry = corpus.entries[which % len(corpus.entries)]
+        i = which % len(ranks)
+        entry = corpus.entries[i]
         corpus.update_rank(entry, new_rank)
-        assert corpus.is_sorted()
+        ranks[i] = new_rank
         assert entry.rank_key == new_rank
+        if max(ranks):
+            expected = ranks.index(max(ranks))
+        else:
+            expected = cursor % len(ranks)
+            cursor += 1
+        assert corpus.select_seed(Policy.TRUZZ).data == bytes([expected])

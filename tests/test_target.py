@@ -3,6 +3,7 @@ import os
 import re
 import signal
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -349,6 +350,14 @@ class TestExternalExecution:
     def test_placeholder_required(self):
         with pytest.raises(ValueError):
             ExternalTarget([sys.executable, "-c", "pass"], 5.0)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, target_script, timeout, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match="timeout must be a positive"):
+            ExternalTarget(target_script, timeout)
+        assert list(tmp_path.glob("truzz-exec-*")) == []
 
     def test_dump_read_as_coverage(self, target_script):
         result = run_external(target_script, b"hello")
