@@ -241,12 +241,14 @@ class Campaign:
 
     # -- execution ----------------------------------------------------------
 
-    def _exec(self, data: bytes) -> ExecResult:
+    def _exec(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
         """Execute ``data`` in any phase (dry run, probe, mutation): charge
         the budget and stats, write the interval row, and return the
         executor's result. A crash is saved and its path merged into the
-        corpus's coverage, so retention never keeps a crashing input."""
-        result = self._run(data)
+        corpus's coverage, so retention never keeps a crashing input.
+        ``then``, given only to the external executor, is the input the
+        next call will execute; it is spawned while ``data`` runs."""
+        result = self._run(data) if then is None else self._run(data, then)
         st = self.stats
         st.executions += 1
         if result.valid is True:
@@ -323,7 +325,16 @@ class Campaign:
             fh.write(data)
 
     def _fuzz_round(self, entry: SeedEntry) -> int:
-        """Run one energy round on ``entry``; returns the new-edge total."""
+        """Run one energy round on ``entry``; returns the new-edge total.
+
+        On an external target, child i+1 is made before child i is
+        executed and passed to it as ``then``, so its spawn overlaps child
+        i's run. The children depend only on the seed, the mask and the RNG
+        stream, and execution draws nothing from the RNG, so they and every
+        result are the same as one child at a time. A child is made ahead
+        only when it is inside the round's energy and an execution budget
+        leaves room for it. A synthetic run is too short to gain from it.
+        """
         cfg = self.cfg
         corpus = self.corpus
         rng = self.rng
@@ -335,13 +346,22 @@ class Campaign:
 
         n_all = 0
         seed_data = entry.data
+        energy = cfg.scheduler.energy
+        max_execs = cfg.budget.max_execs
+        ahead = self.compiled is None
+        then = None
 
-        for _ in range(cfg.scheduler.energy):
+        for i in range(energy):
             if not self._budget_left():
                 break
-            child = mutate(seed_data, mask, rng, draw_op_count(rng))
+            child = mutate(seed_data, mask, rng, draw_op_count(rng)) if then is None else then
+            then = None
+            if ahead and i + 1 < energy and (
+                max_execs is None or self.stats.executions + 1 < max_execs
+            ):
+                then = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
-            kept = corpus.retain_if_new(child, self._exec(child).path)
+            kept = corpus.retain_if_new(child, self._exec(child, then).path)
             if kept is not None:
                 n_all += kept.rank_key
         return n_all

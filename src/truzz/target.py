@@ -13,7 +13,6 @@ ground truth that real campaigns obtain by marking error handlers by hand.
 from __future__ import annotations
 
 import enum
-import math
 import os
 import select
 import shutil
@@ -465,48 +464,84 @@ def placeholder_index(command: Sequence[str]) -> int:
     return placeholders[0]
 
 
+# ``poll`` waits at most 2**31 - 1 ms; a longer timeout cannot be waited for.
+MAX_TIMEOUT = (2**31 - 1) / 1000
+
+
+@dataclass(slots=True)
+class _Slot:
+    """One of an ExternalTarget's two run slots: its own input and coverage
+    files, argv and environment, and the child started in it, if any."""
+
+    input_path: str
+    dump_path: str
+    argv: list[str]
+    env: dict[bytes, bytes]
+    input_fd: int = -1
+    pid: Optional[int] = None     # the started child, until it is reaped
+    data: Optional[bytes] = None  # the input that child runs
+    deadline: float = 0.0         # time.monotonic() at which it is killed
+
+
 class ExternalTarget:
     """An external target prepared once for a whole campaign.
 
     The constructor does all one-time work: it checks ``command`` for its
-    one ``@@`` token and ``timeout`` for a positive, finite number of
-    seconds, makes a private ``truzz-exec-*`` work directory under the
-    system temporary directory, puts the path of ``<workdir>/input`` in
-    place of ``@@``, copies the environment once with TRUZZ_COV_FILE set to
-    ``<workdir>/coverage``, and opens the input file and ``/dev/null``.
-    ``execute_external`` runs one input through it. ``close`` (or leaving a
-    ``with`` block) closes both descriptors and removes the directory.
+    one ``@@`` token and ``timeout`` for a positive number of seconds no
+    greater than ``MAX_TIMEOUT``, and makes a private ``truzz-exec-*`` work
+    directory under the system temporary directory. In it, it prepares two
+    slots, so one child can be spawned while another runs. Slot ``i`` has
+    its own input file ``input<i>``, whose path replaces ``@@`` in its
+    argv, and its own coverage file ``coverage<i>``, named by
+    TRUZZ_COV_FILE in its copy of the environment, read once. The two input
+    files and ``/dev/null`` are opened once. ``execute_external`` runs
+    inputs through it. ``close`` (or leaving a ``with`` block) kills and
+    reaps any started child, closes the descriptors and removes the
+    directory.
     """
 
     def __init__(self, command: Sequence[str], timeout: float):
-        slot = placeholder_index(command)
-        if not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be a positive, finite number of seconds: {timeout}")
+        index = placeholder_index(command)
+        if not 0 < timeout <= MAX_TIMEOUT:
+            raise ValueError(
+                f"timeout must be a positive number of seconds no greater than "
+                f"{MAX_TIMEOUT} (2**31 - 1 ms, the longest poll wait): {timeout}"
+            )
         self.timeout = timeout
         self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
-        self._input_fd = self._devnull_fd = -1
+        self._devnull_fd = -1
         self.workdir: Optional[str] = tempfile.mkdtemp(prefix="truzz-exec-")
-        self.input_path = os.path.join(self.workdir, "input")
-        self.dump_path = os.path.join(self.workdir, "coverage")
-        self.argv = list(command)
-        self.argv[slot] = self.input_path
         # Bytes keys and values: posix_spawn then encodes nothing per exec.
-        self.env = dict(os.environb)
-        self.env[os.fsencode(COVERAGE_FILE_ENV)] = os.fsencode(self.dump_path)
+        environ = dict(os.environb)
+        slots = []
+        for i in range(2):
+            input_path = os.path.join(self.workdir, f"input{i}")
+            dump_path = os.path.join(self.workdir, f"coverage{i}")
+            argv = list(command)
+            argv[index] = input_path
+            env = {**environ, os.fsencode(COVERAGE_FILE_ENV): os.fsencode(dump_path)}
+            slots.append(_Slot(input_path, dump_path, argv, env))
+        self.slots = tuple(slots)
         try:
-            self._input_fd = os.open(
-                self.input_path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o600
-            )
+            for slot in self.slots:
+                slot.input_fd = os.open(
+                    slot.input_path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o600
+                )
             self._devnull_fd = os.open(os.devnull, os.O_WRONLY | os.O_CLOEXEC)
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        for fd in (self._input_fd, self._devnull_fd):
-            if fd >= 0:
-                os.close(fd)
-        self._input_fd = self._devnull_fd = -1
+        for slot in self.slots:
+            if slot.pid is not None:
+                self._discard(slot)
+            if slot.input_fd >= 0:
+                os.close(slot.input_fd)
+                slot.input_fd = -1
+        if self._devnull_fd >= 0:
+            os.close(self._devnull_fd)
+            self._devnull_fd = -1
         if self.workdir is not None:
             shutil.rmtree(self.workdir)
             self.workdir = None
@@ -532,12 +567,68 @@ class ExternalTarget:
                 pass
         return fds
 
+    def _start(self, slot: _Slot, data: bytes) -> None:
+        """Write ``data`` in place over the slot's input file, delete the
+        slot's old coverage dump, and spawn the target on it. The child's
+        stdout and stderr go to ``/dev/null`` and every other inheritable
+        descriptor but stdin is closed in it. Its deadline is its spawn
+        time plus the timeout."""
+        fd = slot.input_fd
+        if os.pwrite(fd, data, 0) != len(data):
+            raise ExternalTargetError(f"short write to {slot.input_path}")
+        os.ftruncate(fd, len(data))
+        try:
+            os.unlink(slot.dump_path)
+        except FileNotFoundError:
+            pass
+        devnull = self._devnull_fd
+        file_actions = [
+            (os.POSIX_SPAWN_DUP2, devnull, 1),
+            (os.POSIX_SPAWN_DUP2, devnull, 2),
+        ]
+        file_actions += [(os.POSIX_SPAWN_CLOSE, n) for n in self._inheritable_fds()]
+        argv = slot.argv
+        try:
+            slot.pid = os.posix_spawnp(argv[0], argv, slot.env, file_actions=file_actions)
+        except OSError as exc:
+            raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
+        slot.deadline = time.monotonic() + self.timeout
+        slot.data = data
 
-def _wait_exit(pid: int, timeout: float) -> Optional[int]:
-    """Block until child ``pid`` exits or ``timeout`` seconds pass; return its
-    exit code (minus the signal number for a child killed by a signal), or
-    None on a timeout. On a timeout, and on any exception during the wait,
-    the child is killed and reaped rather than left running.
+    def _discard(self, slot: _Slot) -> None:
+        """Kill and reap the slot's started child, whose result is unwanted."""
+        os.kill(slot.pid, signal.SIGKILL)
+        os.waitpid(slot.pid, 0)
+        slot.pid = slot.data = None
+
+    def _finish(self, slot: _Slot) -> ExecResult:
+        """Wait for the slot's started child and read its result."""
+        pid, slot.pid, slot.data = slot.pid, None, None
+        returncode = _wait_exit(pid, slot.deadline)  # reaps ``pid`` however it ends
+        if returncode is None:
+            status = ExecStatus.TIMEOUT
+        else:
+            status = ExecStatus.CRASH if returncode < 0 else ExecStatus.NORMAL
+
+        path = Path()
+        try:
+            with open(slot.dump_path, "r", encoding="ascii") as fh:
+                path = parse_edges(fh.read())
+        except FileNotFoundError:
+            if status is ExecStatus.NORMAL:
+                raise CoverageDumpError(f"no coverage dump at {slot.dump_path}") from None
+        except ValueError as exc:
+            raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
+        return ExecResult(path=path, exec_status=status)
+
+
+def _wait_exit(pid: int, deadline: float) -> Optional[int]:
+    """Block until child ``pid`` exits or ``time.monotonic()`` reaches
+    ``deadline``; return its exit code (minus the signal number for a child
+    killed by a signal), or None on a timeout. A deadline already passed
+    still reaps a child that has exited. On a timeout, and on any exception
+    during the wait, the child is killed and reaped rather than left
+    running.
 
     On Linux this polls a pidfd, which wakes the moment the child exits.
     Where ``os.pidfd_open`` does not exist (all but Linux) or the kernel
@@ -557,12 +648,12 @@ def _wait_exit(pid: int, timeout: float) -> Optional[int]:
             try:
                 poller = select.poll()
                 poller.register(pidfd, select.POLLIN)
-                if poller.poll(timeout * 1000):
+                # Never negative: poll(-1) would wait forever.
+                if poller.poll(max(deadline - time.monotonic(), 0.0) * 1000):
                     status = os.waitpid(pid, 0)[1]
             finally:
                 os.close(pidfd)
         else:
-            deadline = time.monotonic() + timeout
             delay = 0.0005
             while True:
                 reaped, st = os.waitpid(pid, os.WNOHANG)
@@ -581,51 +672,38 @@ def _wait_exit(pid: int, timeout: float) -> Optional[int]:
     return None if status is None else os.waitstatus_to_exitcode(status)
 
 
-def execute_external(target: ExternalTarget, data: bytes) -> ExecResult:
-    """Run one input through an external target.
+def execute_external(
+    target: ExternalTarget, data: bytes, then: Optional[bytes] = None
+) -> ExecResult:
+    """Run ``data`` through an external target and return its result.
 
-    The input is written in place over ``target.input_path``, whose path
+    If ``data`` is the very object (an identity check) that the previous
+    call was given as ``then``, its child is already running and is waited
+    for; any other started child is killed, reaped and discarded, and
+    ``data`` is spawned in slot 0. If ``then`` is given, it is spawned into
+    the other slot before the wait, so its run overlaps this one's; the
+    next call should pass that same object as ``data``. So at most two
+    target processes run at once.
+
+    Each input is written in place over its slot's input file, whose path
     and inode stay the same for the whole campaign. The target reports
     coverage by writing newline-separated decimal edge identifiers to the
-    file named in the TRUZZ_COV_FILE environment variable; a dump left by
-    an earlier run is deleted first. The target's stdout and stderr go to
-    ``/dev/null``, and every other inheritable descriptor but stdin is
-    closed in the child. A target still running after ``target.timeout``
-    seconds is killed.
+    file named in the TRUZZ_COV_FILE environment variable; a dump left in
+    the slot by an earlier run is deleted first. A target still running
+    ``target.timeout`` seconds after its own spawn is killed.
     """
-    fd = target._input_fd
-    if os.pwrite(fd, data, 0) != len(data):
-        raise ExternalTargetError(f"short write to {target.input_path}")
-    os.ftruncate(fd, len(data))
-    try:
-        os.unlink(target.dump_path)
-    except FileNotFoundError:
-        pass
-    devnull = target._devnull_fd
-    file_actions = [
-        (os.POSIX_SPAWN_DUP2, devnull, 1),
-        (os.POSIX_SPAWN_DUP2, devnull, 2),
-    ]
-    file_actions += [(os.POSIX_SPAWN_CLOSE, n) for n in target._inheritable_fds()]
-    argv = target.argv
-    try:
-        pid = os.posix_spawnp(argv[0], argv, target.env, file_actions=file_actions)
-    except OSError as exc:
-        raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
-    returncode = _wait_exit(pid, target.timeout)
-    if returncode is None:
-        status = ExecStatus.TIMEOUT
-    else:
-        status = ExecStatus.CRASH if returncode < 0 else ExecStatus.NORMAL
-
-    path = Path()
-    try:
-        with open(target.dump_path, "r", encoding="ascii") as fh:
-            path = parse_edges(fh.read())
-    except FileNotFoundError:
-        if status is ExecStatus.NORMAL:
-            raise CoverageDumpError(f"no coverage dump at {target.dump_path}") from None
-    except ValueError as exc:
-        raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
-
-    return ExecResult(path=path, exec_status=status)
+    slot = None
+    for started in target.slots:
+        if started.pid is None:
+            continue
+        if started.data is data and slot is None:
+            slot = started
+        else:
+            target._discard(started)
+    if slot is None:
+        slot = target.slots[0]
+        target._start(slot, data)
+    if then is not None:
+        other = target.slots[1] if slot is target.slots[0] else target.slots[0]
+        target._start(other, then)
+    return target._finish(slot)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import shutil
 import sys
 import tempfile
@@ -465,6 +466,26 @@ CRASHY_TARGET = textwrap.dedent(
 )
 
 
+# CRASHY_TARGET's coverage without its crash, from a target that appends its pid
+# to ``pids`` beside it and exits normally without a dump on any input but the seed
+# while a ``no-dump`` file is there.
+PID_TARGET = textwrap.dedent(
+    """
+    import os, sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, 'pids'), 'a') as fh:
+        fh.write(f'{os.getpid()}\\n')
+    data = open(sys.argv[1], 'rb').read()
+    if data != bytes(8) and os.path.exists(os.path.join(here, 'no-dump')):
+        sys.exit(0)
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('1\\n2\\n')
+        if data and data[0] % 2:
+            fh.write('5\\n')
+    """
+)
+
+
 class TestExternalCampaign:
     @pytest.mark.parametrize("mask_enabled", [False, True])
     def test_crashes_saved_not_retained(self, tmp_path, mask_enabled):
@@ -587,6 +608,107 @@ class TestExternalCampaign:
         for name, data in saved.items():
             assert (corpus / "crashes" / name).read_bytes() == data
 
+    @pytest.mark.parametrize("mask_enabled", [False, True])
+    def test_overlap_changes_no_output(self, tmp_path, monkeypatch, mask_enabled):
+        """Spawning child i+1 while child i runs changes nothing but speed:
+        a run whose executor ignores ``then`` saves the same corpus and
+        crashes and counts the same executions in every phase. With the
+        mask on, byte-analysis probes crash too."""
+        script = tmp_path / "target.py"
+        script.write_text(CRASHY_TARGET)
+        execute = truzz.engine.execute_external
+
+        def campaign(label, wrapper):
+            monkeypatch.setattr(truzz.engine, "execute_external", wrapper)
+            corpus = tmp_path / label
+            (corpus / "seeds_in").mkdir(parents=True)
+            (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
+            stats = Campaign(CampaignConfig(
+                corpus_dir=str(corpus),
+                command=[sys.executable, str(script), "@@"],
+                budget=Budget(max_execs=120),
+                scheduler=SchedulerConfig(energy=30),
+                mask_enabled=mask_enabled,
+                rng_seed=5,
+            )).run()
+            outputs = {k: v for k, v in snapshot(corpus).items() if k != "stats.csv"}
+            counts = (stats.executions, stats.crashes, stats.dry_run_execs,
+                      stats.probe_execs, stats.mutation_execs)
+            return outputs, counts
+
+        calls = []
+
+        def overlapping(target, data, then=None):
+            calls.append((data, then))
+            return execute(target, data, then)
+
+        def serial(target, data, then=None):
+            return execute(target, data)
+
+        overlapped = campaign("overlapped", overlapping)
+        thens = [then for _, then in calls]
+        assert sum(then is not None for then in thens) > 50
+        # Each child made ahead is the next input executed: none is spawned
+        # past the round's energy or the execution budget.
+        for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
+            assert then is None or then is data
+        assert overlapped == campaign("serial", serial)
+        assert overlapped[1][1] > 0  # crashes
+        assert any(name.startswith("crashes/") for name in overlapped[0])
+
+    @pytest.mark.parametrize("fault", ["interrupt-1", "interrupt-2", "interrupt-5", "no-dump"])
+    def test_no_child_outlives_the_campaign(self, tmp_path, monkeypatch, fault):
+        """A campaign ended while the next child runs, by an interrupt after
+        the k-th mutated exec or by a missing coverage dump, kills and reaps
+        that child and removes the work directory."""
+        from truzz.target import CoverageDumpError
+
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        script = tmp_path / "target.py"
+        script.write_text(PID_TARGET)
+        execute = truzz.engine.execute_external
+        interrupt_after = int(fault.split("-")[1]) + 1 if fault.startswith("interrupt") else 0
+        thens = []
+
+        def interrupting(target, data, then=None):
+            thens.append(then)
+            result = execute(target, data, then)
+            if len(thens) == interrupt_after:  # the dry run's one exec, then k mutated
+                raise KeyboardInterrupt
+            return result
+
+        monkeypatch.setattr(truzz.engine, "execute_external", interrupting)
+        corpus = tmp_path / "c"
+        (corpus / "seeds_in").mkdir(parents=True)
+        (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
+        campaign = Campaign(CampaignConfig(
+            corpus_dir=str(corpus),
+            command=[sys.executable, str(script), "@@"],
+            budget=Budget(max_execs=50),
+            scheduler=SchedulerConfig(energy=10),
+            mask_enabled=False,
+        ))
+        fds = open_fd_count()
+        if fault == "no-dump":
+            (tmp_path / "no-dump").touch()
+            with pytest.raises(CoverageDumpError):
+                campaign.run()
+        else:
+            assert campaign.run().executions == interrupt_after - 1
+        # The campaign ended while the child spawned as ``then`` ran.
+        assert thens[-1] is not None
+        pids = [int(line) for line in (tmp_path / "pids").read_text().split()]
+        assert len(pids) >= len(thens)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp.iterdir()) == []
+        assert open_fd_count() == fds
+
     def test_no_work_directory_left_behind(self, tmp_path, monkeypatch):
         from truzz.scheduler import CampaignError
 
@@ -596,9 +718,9 @@ class TestExternalCampaign:
         workdirs = []
         execute = truzz.engine.execute_external
 
-        def recording(target, data):
+        def recording(target, data, *then):
             workdirs.append(target.workdir)
-            return execute(target, data)
+            return execute(target, data, *then)
 
         monkeypatch.setattr(truzz.engine, "execute_external", recording)
         script = tmp_path / "target.py"

@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 import re
 import signal
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from truzz.coverage import MAP_SIZE
 from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.target import (
+    MAX_TIMEOUT,
     ByteRangeError,
     Check,
     CheckKind,
@@ -359,6 +361,26 @@ class TestExternalExecution:
             ExternalTarget(target_script, timeout)
         assert list(tmp_path.glob("truzz-exec-*")) == []
 
+    @pytest.mark.parametrize("timeout", [1e30, math.nextafter(MAX_TIMEOUT, math.inf)])
+    def test_timeout_beyond_poll_limit_refused(self, target_script, timeout, tmp_path,
+                                               monkeypatch):
+        """``poll`` waits at most 2**31 - 1 ms; a longer timeout is refused
+        when the target is made, not by an OverflowError at each exec."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match=re.escape(str(MAX_TIMEOUT))):
+            ExternalTarget(target_script, timeout)
+        assert list(tmp_path.glob("truzz-exec-*")) == []
+
+    @pytest.mark.parametrize("timeout", [MAX_TIMEOUT, math.nextafter(MAX_TIMEOUT, 0)])
+    def test_timeout_at_poll_limit_runs(self, target_script, timeout, tmp_path,
+                                        monkeypatch, wait_path):
+        assert MAX_TIMEOUT * 1000 == 2**31 - 1
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = run_external(target_script, b"hello", timeout=timeout)
+        assert result.exec_status is ExecStatus.NORMAL
+        assert result.path == {3, 7}
+        assert list(tmp_path.glob("truzz-exec-*")) == []
+
     def test_dump_read_as_coverage(self, target_script):
         result = run_external(target_script, b"hello")
         assert result.path == {3, 7}
@@ -377,14 +399,16 @@ class TestExternalExecution:
         with ExternalTarget(target_script, 5.0) as target:
             first = execute_external(target, b"!" + b"x" * 63)
             assert first.path == {3, 7, 11}
-            inode = os.stat(target.input_path).st_ino
+            # A lone call runs in slot 0.
+            input_path = target.slots[0].input_path
+            inode = os.stat(input_path).st_ino
             # Killed before writing a dump: the earlier dump must not be read.
             second = execute_external(target, b"EARLY")
             assert second.exec_status is ExecStatus.CRASH
             assert second.path == frozenset()
             # Rewritten in place: the same file, holding exactly the shorter input.
-            assert os.stat(target.input_path).st_ino == inode
-            with open(target.input_path, "rb") as fh:
+            assert os.stat(input_path).st_ino == inode
+            with open(input_path, "rb") as fh:
                 assert fh.read() == b"EARLY"
 
     def test_target_sees_only_stdio(self, tmp_path):
@@ -396,13 +420,19 @@ class TestExternalExecution:
         try:
             os.set_inheritable(extra, True)
             with ExternalTarget([sys.executable, str(script), "@@"], 5.0) as target:
-                result = execute_external(target, b"x")
-                executor_fds = {target._input_fd, target._devnull_fd}
+                # One child per slot, the second spawned while the first runs.
+                second = b"y"
+                results = [execute_external(target, b"x", then=second),
+                           execute_external(target, second)]
+                executor_fds = {slot.input_fd for slot in target.slots}
+                executor_fds.add(target._devnull_fd)
         finally:
             os.close(extra)
-        assert result.exec_status is ExecStatus.NORMAL
-        assert {1, 2} <= result.path <= {0, 1, 2}
-        assert not ({extra} | executor_fds) & result.path
+        assert len(executor_fds) == 3
+        for result in results:
+            assert result.exec_status is ExecStatus.NORMAL
+            assert {1, 2} <= result.path <= {0, 1, 2}
+            assert not ({extra} | executor_fds) & result.path
 
     @pytest.mark.parametrize("kind", ["missing", "not-executable"])
     def test_spawn_error_names_binary(self, tmp_path, kind):
@@ -450,6 +480,48 @@ class TestExternalExecution:
         pid = int(pid_file.read_text())
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+    def test_each_child_timed_from_its_own_spawn(self, wait_path):
+        """``then`` is spawned before the wait for ``data``; its timeout
+        counts from that spawn, not from the start of its own wait."""
+        command = ["/bin/sh", "-c",
+                   'if [ "$(cat "$1")" = slow ]; then sleep 0.6; echo 4 > "$TRUZZ_COV_FILE";'
+                   ' else exec sleep 30; fi', "sh", "@@"]
+        hang = b"hang"
+        with ExternalTarget(command, 1.0) as target:
+            start = time.monotonic()
+            slow = execute_external(target, b"slow", then=hang)
+            hung = execute_external(target, hang)
+            elapsed = time.monotonic() - start
+        assert slow.exec_status is ExecStatus.NORMAL and slow.path == {4}
+        assert hung.exec_status is ExecStatus.TIMEOUT
+        # About 1.0 s; a timeout counted from the second wait would take 1.6 s.
+        assert elapsed < 1.4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unclaimed_child_discarded(self, tmp_path, wait_path):
+        """A started child that the next call does not ask for is killed and
+        reaped, and the next input runs in its place."""
+        pid_file = tmp_path / "pid"
+        command = ["/bin/sh", "-c",
+                   'case "$(cat "$1")" in'
+                   ' hang) echo $$ > "$0"; exec sleep 30;;'
+                   ' slow) sleep 0.3; echo 4 > "$TRUZZ_COV_FILE";;'
+                   ' *) echo 5 > "$TRUZZ_COV_FILE";; esac', str(pid_file), "@@"]
+        with ExternalTarget(command, 5.0) as target:
+            first = execute_external(target, b"slow", then=b"hang")
+            # Slow enough for the hanging child to record its pid.
+            assert first.path == {4}
+            pid = int(pid_file.read_text())
+            os.kill(pid, 0)
+            other = execute_external(target, b"other")
+            assert other.exec_status is ExecStatus.NORMAL and other.path == {5}
+            # Discarded, not left to run in the other slot.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     def test_wait_survives_signal_storm(self, wait_path):
         command = ["/bin/sh", "-c", 'sleep 0.2; echo 4 > "$TRUZZ_COV_FILE"', "@@"]
