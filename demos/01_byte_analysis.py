@@ -15,7 +15,7 @@ from truzz.targets import bundled_seed, load_bundled
 def main():
     spec, seed = load_bundled("four_byte_magic")
     compiled = CompiledTarget(spec)
-    run = lambda data: compiled.execute(data).path
+    run = lambda data: compiled.run(data).path
 
     seed_path = run(seed)
     print(f"seed bytes:     {seed.hex()}  ({seed!r})")

@@ -23,7 +23,7 @@ def main():
         good_seed[:1] + b"\xf0\x00\x00",  # passes gate, takes the other branch
     ]
 
-    corpus = dry_run(seeds, lambda data: compiled.execute(data).path)
+    corpus = dry_run(seeds, lambda data: compiled.run(data).path)
     print("dry run results (rank = new edges at retention time):")
     for entry in corpus.entries:
         print(

@@ -12,6 +12,7 @@ from .engine import Budget, CampaignConfig, replay, run_campaign
 from .report import STATS_COLUMNS, StatsSchemaError, a12, collect_final_metric, compare_campaigns
 from .scheduler import CampaignError, Policy, SchedulerConfig
 from .target import CompiledTarget, ExternalTargetError, TargetSpecError, load_spec
+from .target import placeholder_index
 
 
 def _add_target_args(p: argparse.ArgumentParser) -> None:
@@ -88,6 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args: argparse.Namespace) -> list[str] | None:
+    """``--cmd`` as an argv holding one ``@@``, or None; exits if malformed."""
+    if args.cmd is None:
+        return None
+    try:
+        command = shlex.split(args.cmd)
+        placeholder_index(command)
+    except ValueError as exc:
+        sys.exit(f"truzz {args.command}: {exc}")
+    return command
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
         budget_kw = {}
@@ -96,7 +109,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = CampaignConfig(
             corpus_dir=args.corpus,
             target_spec=args.target,
-            command=shlex.split(args.cmd) if args.cmd else None,
+            command=_command(args),
             **budget_kw,
             scheduler=SchedulerConfig(energy=args.energy, policy=Policy(args.policy)),
             analysis=_analysis_config(args),
@@ -126,10 +139,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not seed:
         sys.exit(f"truzz analyze: seed {args.seed} is empty")
     compiled = CompiledTarget(spec)
-    seed_path = compiled.execute(seed).path
+    seed_path = compiled.run(seed).path
     if not seed_path:
         sys.exit(f"truzz analyze: seed {args.seed} covers no edges")
-    fm = analyze(seed, seed_path, lambda d: compiled.execute(d).path, cfg)
+    fm = analyze(seed, seed_path, lambda d: compiled.run(d).path, cfg)
     mask = mask_from_fitness(fm, cfg)
     print("fitness:     " + " ".join(f"{v:.4f}" for v in fm.values))
     print("probability: " + " ".join(f"{v:.4f}" for v in mask.probability))
@@ -141,7 +154,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     rep = replay(
         args.input,
         target_spec=args.target,
-        command=shlex.split(args.cmd) if args.cmd else None,
+        command=_command(args),
         corpus_dir=args.corpus,
         show_path=args.show_path,
     )

@@ -12,6 +12,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
 
@@ -234,9 +235,8 @@ class Campaign:
         self.compiled: Optional[CompiledTarget] = None
         if cfg.target_spec is not None:
             self.compiled = CompiledTarget(load_spec(cfg.target_spec))
-        # The executor, run(data) -> ExecResult, bound while run() runs.
-        # Only ``_exec`` calls it.
-        self._run: Optional[Callable[[bytes], ExecResult]] = None
+        # The executor, bound while run() runs; only ``_exec`` calls it.
+        self._run: Optional[Callable[[bytes, Optional[bytes]], ExecResult]] = None
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
@@ -245,10 +245,9 @@ class Campaign:
         """Execute ``data`` in any phase (dry run, probe, mutation): charge
         the budget and stats, write the interval row, and return the
         executor's result. A crash is saved and its path merged into the
-        corpus's coverage, so retention never keeps a crashing input.
-        ``then``, given only to the external executor, is the input the
-        next call will execute; it is spawned while ``data`` runs."""
-        result = self._run(data) if then is None else self._run(data, then)
+        corpus's coverage, so retention never keeps a crashing input. An
+        external target spawns ``then``, the next call's input, while ``data`` runs."""
+        result = self._run(data, then)
         st = self.stats
         st.executions += 1
         if result.valid is True:
@@ -327,39 +326,25 @@ class Campaign:
     def _fuzz_round(self, entry: SeedEntry) -> int:
         """Run one energy round on ``entry``; returns the new-edge total.
 
-        On an external target, child i+1 is made before child i is
-        executed and passed to it as ``then``, so its spawn overlaps child
-        i's run. The children depend only on the seed, the mask and the RNG
-        stream, and execution draws nothing from the RNG, so they and every
-        result are the same as one child at a time. A child is made ahead
-        only when it is inside the round's energy and an execution budget
-        leaves room for it. A synthetic run is too short to gain from it.
+        Child i+1 is made before child i runs and is passed to it as
+        ``then``. Execution draws nothing from the RNG, so every child and
+        result is that of one child at a time.
         """
         cfg = self.cfg
-        corpus = self.corpus
-        rng = self.rng
         mask = None
         if cfg.mask_enabled:
             if entry.analysis is None:
                 self._analyze_seed(entry)
             mask = entry.analysis.mask
-
+        n = cfg.scheduler.energy
+        if cfg.budget.max_execs is not None:
+            n = min(n, cfg.budget.max_execs - self.stats.executions)
+        seed_data, rng, corpus = entry.data, self.rng, self.corpus
+        children = (mutate(seed_data, mask, rng, draw_op_count(rng)) for _ in range(n))
         n_all = 0
-        seed_data = entry.data
-        energy = cfg.scheduler.energy
-        max_execs = cfg.budget.max_execs
-        ahead = self.compiled is None
-        then = None
-
-        for i in range(energy):
+        for child, then in pairwise(chain(children, [None])):
             if not self._budget_left():
                 break
-            child = mutate(seed_data, mask, rng, draw_op_count(rng)) if then is None else then
-            then = None
-            if ahead and i + 1 < energy and (
-                max_execs is None or self.stats.executions + 1 < max_execs
-            ):
-                then = mutate(seed_data, mask, rng, draw_op_count(rng))
             self.stats.mutation_execs += 1
             kept = corpus.retain_if_new(child, self._exec(child, then).path)
             if kept is not None:
@@ -449,7 +434,7 @@ def replay(
     if (target_spec is None) == (command is None):
         raise ValueError("exactly one of target_spec or command must be set")
     if target_spec is not None:
-        result = CompiledTarget(load_spec(target_spec)).execute(data)
+        result = CompiledTarget(load_spec(target_spec)).run(data)
     else:
         with ExternalTarget(command, exec_timeout) as external:
             result = execute_external(external, data)

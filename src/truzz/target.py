@@ -395,7 +395,8 @@ class CompiledTarget:
     path and validity depend only on the outcomes of the checks reached,
     so ``run`` caches one ExecResult per outcome tuple, built from that
     tuple by ``_result``, and returns that same object for every input
-    that reaches it. ``execute`` is another name for ``run``.
+    that reaches it. A synthetic run is instantaneous, so ``run`` ignores
+    ``then``. ``execute`` is another name for ``run``, kept for perfbench.
     """
 
     def __init__(self, spec: TargetSpec):
@@ -409,7 +410,7 @@ class CompiledTarget:
             if stage.check is not None
         )
 
-    def run(self, data: bytes) -> ExecResult:
+    def run(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
         n = self.spec.input_length
         if len(data) != n:
             data = fit_input(data, n)

@@ -188,6 +188,18 @@ class TestReplay:
         assert main(["replay", "--cmd", cmd, "--show-path", str(data)]) == 0
         assert "edges:       3 7 11" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd, message", [
+        ("cat", r"exactly one '@@' token, got \['cat'\]"),
+        ("", r"exactly one '@@' token, got \[\]"),
+        ("prog '@@", "No closing quotation"),
+    ])
+    def test_bad_cmd_is_one_line_error(self, tmp_path, cmd, message):
+        data = tmp_path / "in.bin"
+        data.write_bytes(b"x")
+        with pytest.raises(SystemExit, match=rf"^truzz replay: .*{message}") as exc:
+            main(["replay", "--cmd", cmd, str(data)])
+        assert "\n" not in str(exc.value)
+
     def test_missing_input_is_one_line_error(self, campaign_dir, tmp_path):
         spec_path, _, _ = campaign_dir
         missing = str(tmp_path / "nope")

@@ -55,7 +55,7 @@ def interrupt_at(campaign, k):
     run = campaign.compiled.run
     calls = itertools.count(1)
 
-    def interrupted(data):
+    def interrupted(data, then=None):
         if next(calls) == k:
             raise KeyboardInterrupt
         return run(data)
@@ -118,6 +118,46 @@ class TestSyntheticCampaign:
         run_campaign(config(spec_path, by_execs, budget=Budget(max_execs=5_000)))
         run_campaign(config(spec_path, by_secs, budget=Budget(max_seconds=0.05)))
         assert artifacts(by_execs) == artifacts(by_secs)
+
+    def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
+        """A synthetic round, like an external one, makes child i+1 before
+        it runs child i and passes it as ``then``. It makes no child that it
+        does not run: none past the round's energy or the execution budget."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        energy, max_execs = 16, 1_000
+        campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
+                                   scheduler=SchedulerConfig(energy=energy)))
+        run = campaign.compiled.run
+        calls = []
+        made = []
+
+        def recording(data, then=None):
+            calls.append((data, then))
+            return run(data)
+
+        def counting(*args):
+            made.append(mutate(*args))
+            return made[-1]
+
+        campaign.compiled.run = recording
+        monkeypatch.setattr(truzz.engine, "mutate", counting)
+        stats = campaign.run()
+
+        thens = [then for _, then in calls]
+        assert sum(then is not None for then in thens) > 50
+        for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
+            assert then is None or then is data
+        # Every child made is run once, in order, within the budget.
+        made_ids = {id(child) for child in made}
+        ran = [(i, data) for i, (data, _) in enumerate(calls, 1) if id(data) in made_ids]
+        assert [data for _, data in ran] == made
+        assert len(made) == stats.mutation_execs
+        assert ran[-1][0] <= max_execs
+        # A run of children linked by ``then`` is one round: at most ``energy``.
+        linked = 1
+        for then in thens:
+            assert linked <= energy
+            linked = linked + 1 if then is not None else 1
 
     def test_execution_accounting(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
