@@ -184,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (TargetSpecError, CampaignError, ExternalTargetError, AnalysisError,
-            StatsSchemaError, FileNotFoundError) as exc:
-        # A named failure, or a missing input file, is one line.
+            StatsSchemaError, OSError) as exc:
+        # A named failure, or a file that cannot be read, is one line.
         sys.exit(f"truzz {args.command}: {exc}")
 
 

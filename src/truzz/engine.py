@@ -33,6 +33,7 @@ from .target import (
     ExecResult,
     ExecStatus,
     ExternalTarget,
+    check_timeout,
     execute_external,
     load_spec,
     placeholder_index,
@@ -79,6 +80,7 @@ class CampaignConfig:
             raise ValueError("exactly one of target_spec or command must be set")
         if self.command is not None:
             placeholder_index(self.command)
+            check_timeout(self.exec_timeout)
         if self.stats_interval < 1:
             raise ValueError(f"stats_interval must be >= 1, got {self.stats_interval}")
 
@@ -175,11 +177,25 @@ def _read_meta_fitness(meta_path: FsPath, length: int) -> Optional[FitnessMap]:
     return FitnessMap(fitness, probe_count)
 
 
-def _load_seeds(corpus_dir: FsPath) -> tuple[list[bytes], dict[bytes, Optional[FitnessMap]]]:
-    """Read and check a campaign's seeds before anything is written. A
-    resumed corpus runs its queue before ``seeds_in/``, so each queue entry
-    keeps its id, and brings its saved fitness. A kept seed is never empty,
-    so an empty queue file is a torn write."""
+def _read_coverage(path: FsPath) -> Path:
+    """The edges an ``overall.cov`` file lists, none if there is no file;
+    CampaignError naming the file and the first bad line."""
+    if not path.is_file():
+        return Path()
+    try:
+        return parse_edges(path.read_text(encoding="ascii", errors="replace"))
+    except ValueError as exc:
+        raise CampaignError(f"{path} {exc}") from None
+
+
+def _load_seeds(
+    corpus_dir: FsPath,
+) -> tuple[list[bytes], dict[bytes, Optional[FitnessMap]], Path]:
+    """Read and check a campaign's seeds and earlier coverage before
+    anything is written. A resumed corpus runs its queue before
+    ``seeds_in/``, so each queue entry keeps its id, and brings its saved
+    fitness and ``overall.cov``. A kept seed is never empty, so an empty
+    queue file is a torn write."""
     seeds_dir = corpus_dir / "seeds_in"
     queue_dir = corpus_dir / "queue"
     if not seeds_dir.is_dir():
@@ -194,7 +210,8 @@ def _load_seeds(corpus_dir: FsPath) -> tuple[list[bytes], dict[bytes, Optional[F
                 raise CampaignError(f"seed {directory / name} is empty")
     saved = {data: _read_meta_fitness(corpus_dir / "meta" / f"{name}.meta", len(data))
              for name, data in queue}
-    return [data for _, data in queue + initial], saved
+    covered = _read_coverage(corpus_dir / "overall.cov")
+    return [data for _, data in queue + initial], saved, covered
 
 
 def _last_crash_number(crash_dir: FsPath) -> int:
@@ -226,7 +243,7 @@ class Campaign:
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
         self.rng = Rng(cfg.rng_seed)
-        self.stats = CampaignStats()
+        self.stats: Optional[CampaignStats] = None  # made by each run()
         self.corpus_dir = FsPath(cfg.corpus_dir)
         self.crash_dir = self.corpus_dir / "crashes"
         self._stats_writer: Optional[_StatsWriter] = None
@@ -299,9 +316,12 @@ class Campaign:
 
     # -- campaign -----------------------------------------------------------
 
-    def _dry_run(self, seeds: list[bytes], saved: dict[bytes, Optional[FitnessMap]]) -> None:
-        """Execute ``seeds`` into a new corpus, then reattach each kept
-        seed's saved fitness with its mask built under the running floor."""
+    def _dry_run(self, seeds: list[bytes], saved: dict[bytes, Optional[FitnessMap]],
+                 covered: Path) -> None:
+        """Execute ``seeds`` into a new corpus, then merge the edges an
+        earlier campaign ``covered`` and reattach each kept seed's saved
+        fitness with its mask built under the running floor. The merge comes
+        after the seeds run, so each queue seed is kept with its rank."""
         self.corpus = Corpus()
         try:
             dry_run(seeds, lambda d: self._exec(d).path, self.corpus)
@@ -312,6 +332,7 @@ class Campaign:
                 ) from None
             raise
         self.stats.dry_run_execs = self.stats.executions
+        self.corpus.merge(covered)
         for entry in self.corpus.entries:
             fm = saved.get(entry.data)
             if fm is not None:
@@ -352,7 +373,8 @@ class Campaign:
         return n_all
 
     def run(self) -> CampaignStats:
-        seeds, saved = _load_seeds(self.corpus_dir)
+        seeds, saved, covered = _load_seeds(self.corpus_dir)
+        self.stats = CampaignStats()
         self._wall_start = time.monotonic()
         self._crash_base = _last_crash_number(self.crash_dir)
         self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
@@ -366,7 +388,7 @@ class Campaign:
                 # The module global, looked up now, so a wrapper installed
                 # before the campaign runs sees every execution.
                 self._run = functools.partial(execute_external, external)
-            self._dry_run(seeds, saved)
+            self._dry_run(seeds, saved, covered)
             dry_run_done = True
             while self._budget_left():
                 entry = self.corpus.select_seed(self.cfg.scheduler.policy)
@@ -441,12 +463,7 @@ def replay(
 
     known = Path()
     if corpus_dir is not None:
-        cov = FsPath(corpus_dir) / "overall.cov"
-        if cov.is_file():
-            try:
-                known = parse_edges(cov.read_text(encoding="ascii", errors="replace"))
-            except ValueError as exc:
-                raise CampaignError(f"{cov} {exc}") from None
+        known = _read_coverage(FsPath(corpus_dir) / "overall.cov")
 
     return ReplayReport(
         path_size=len(result.path),

@@ -348,7 +348,11 @@ def parse_spec(text: str) -> TargetSpec:
 
 def load_spec(path: str | os.PathLike) -> TargetSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedSpecError(f"{os.fsdecode(path)} is not UTF-8 text: {exc}") from None
+    return parse_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +473,16 @@ def placeholder_index(command: Sequence[str]) -> int:
 MAX_TIMEOUT = (2**31 - 1) / 1000
 
 
+def check_timeout(timeout: float) -> None:
+    """ValueError unless ``timeout`` is a positive number of seconds no
+    greater than ``MAX_TIMEOUT``."""
+    if not 0 < timeout <= MAX_TIMEOUT:
+        raise ValueError(
+            f"timeout must be a positive number of seconds no greater than "
+            f"{MAX_TIMEOUT} (2**31 - 1 ms, the longest poll wait): {timeout}"
+        )
+
+
 @dataclass(slots=True)
 class _Slot:
     """One of an ExternalTarget's two run slots: its own input and coverage
@@ -503,11 +517,7 @@ class ExternalTarget:
 
     def __init__(self, command: Sequence[str], timeout: float):
         index = placeholder_index(command)
-        if not 0 < timeout <= MAX_TIMEOUT:
-            raise ValueError(
-                f"timeout must be a positive number of seconds no greater than "
-                f"{MAX_TIMEOUT} (2**31 - 1 ms, the longest poll wait): {timeout}"
-            )
+        check_timeout(timeout)
         self.timeout = timeout
         self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
         self._devnull_fd = -1

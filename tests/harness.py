@@ -1,0 +1,247 @@
+"""Scaffolding shared by the test suite, each piece defined once.
+
+pytest does not collect this module; test modules import it. It holds the
+reference implementations ("oracles") that the acceptance gate and the
+unit tests both check the package against, the corpus and campaign
+builders, and the external target scripts.
+"""
+
+import os
+import sys
+import textwrap
+
+from truzz.byte_analysis import path_fitness, probe_mutate
+from truzz.engine import CampaignConfig
+from truzz.mutation import Rng, draw_op_count, mutate
+from truzz.scheduler import dry_run
+from truzz.target import CompiledTarget, load_spec
+from truzz.targets import bundled_seed, write_bundled
+
+# -- oracles -----------------------------------------------------------------
+
+
+def paths(n_seed, n_mutant, n_shared):
+    """Synthesize disjointly-numbered paths with the requested cardinalities."""
+    seed = frozenset(range(n_seed))
+    mutant = frozenset(range(n_shared)) | frozenset(
+        range(10_000, 10_000 + n_mutant - n_shared)
+    )
+    assert len(mutant) == n_mutant and len(seed & mutant) == n_shared
+    return seed, mutant
+
+
+def reference_probe_count(seed, seed_path, run, cfg):
+    """Probes an independent recursive walk of the interval-halving
+    analysis makes on ``seed``."""
+    calls = 0
+
+    def walk(lo, hi):
+        nonlocal calls
+        calls += 1
+        f = path_fitness(seed_path, run(probe_mutate(seed, lo, hi)))
+        if f < cfg.threshold or hi - lo < cfg.min_interval:
+            return
+        mid = (lo + hi) // 2
+        walk(lo, mid)
+        walk(mid + 1, hi)
+
+    size = len(seed) - 1
+    walk(0, size // 2)
+    walk(size // 2 + 1, size)
+    return calls
+
+
+def greedy_ranks(table):
+    """The dry run's greedy set-difference oracle over ``table``'s inputs in
+    order: ``(id, data, rank)`` of each input with new edges, ranked by how
+    many, and every edge covered."""
+    covered, kept = set(), []
+    for data, edges in table.items():
+        new = edges - covered
+        if new:
+            kept.append((len(kept), data, len(new)))
+        covered |= edges
+    return kept, covered
+
+
+class TruzzPicks:
+    """The TRUZZ selection oracle over ``ranks``, indexed by seed id: the
+    highest rank, lowest id first; the next id in turn when every rank is
+    zero. Assign to ``ranks[i]`` to replace a rank."""
+
+    def __init__(self, ranks):
+        self.ranks = list(ranks)
+        self._cursor = 0
+
+    def pick(self):
+        if max(self.ranks):
+            return self.ranks.index(max(self.ranks))
+        i = self._cursor % len(self.ranks)
+        self._cursor += 1
+        return i
+
+
+def brute_a12(xs, ys):
+    """Quadratic reference implementation of the rank statistic."""
+    wins = sum(1 for x in xs for y in ys if x > y)
+    ties = sum(1 for x in xs for y in ys if x == y)
+    return (wins + 0.5 * ties) / (len(xs) * len(ys))
+
+
+def vanilla_fifo(spec_path, seeds, budget, energy, rng_seed):
+    """A hand-written vanilla greybox loop: FIFO seed order, no mask, one
+    child per execution. Returns its corpus."""
+    compiled = CompiledTarget(load_spec(spec_path))
+    rng = Rng(rng_seed)
+    execs = 0
+
+    def run(data):
+        nonlocal execs
+        execs += 1
+        return compiled.run(data).path
+
+    ref = dry_run(seeds, run)
+    cursor = 0
+    while execs < budget:
+        ordered = sorted(ref.entries, key=lambda e: e.id)
+        entry = ordered[cursor % len(ordered)]
+        cursor += 1
+        for _ in range(energy):
+            if execs >= budget:
+                break
+            child = mutate(entry.data, None, rng, draw_op_count(rng))
+            ref.retain_if_new(child, run(child))
+    return ref
+
+
+# -- runners -----------------------------------------------------------------
+
+
+def path_runner(table):
+    """Map input bytes -> fixed paths, mimicking a deterministic target."""
+    return lambda data: frozenset(table[data])
+
+
+def spec_runner(spec):
+    """Map input bytes -> the path a synthetic target built from ``spec``
+    covers on them."""
+    compiled = CompiledTarget(spec)
+    return lambda data: compiled.run(data).path
+
+
+# -- external target scripts -------------------------------------------------
+
+# Covers edges 3 and 7, and 11 on an input starting with '!'; killed before
+# its dump on 'EARLY...' and after it on 'CRASH...'.
+DUMP_TARGET = textwrap.dedent(
+    """
+    import os, sys
+    data = open(sys.argv[1], 'rb').read()
+    if data.startswith(b'EARLY'):
+        os.kill(os.getpid(), 9)
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('3\\n7\\n')
+        if data.startswith(b'!'):
+            fh.write('11\\n')
+    if data.startswith(b'CRASH'):
+        os.kill(os.getpid(), 9)
+    """
+)
+
+
+# Dumps its input, verbatim, as its coverage.
+ECHO_TARGET = textwrap.dedent(
+    """
+    import os, shutil, sys
+    shutil.copyfile(sys.argv[1], os.environ['TRUZZ_COV_FILE'])
+    """
+)
+
+
+# Dumps the descriptors it was started with.
+FD_TARGET = textwrap.dedent(
+    """
+    import os
+    # The lowest free descriptor; listdir's directory handle takes it.
+    own = os.open(os.devnull, os.O_RDONLY)
+    os.close(own)
+    fds = [name for name in os.listdir('/proc/self/fd') if int(name) != own]
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('\\n'.join(fds) + '\\n')
+    """
+)
+
+
+# Covers edges 1 and 2, and 5 on an odd first byte; crashes on a second
+# byte of 0xff.
+CRASHY_TARGET = textwrap.dedent(
+    """
+    import os, sys
+    data = open(sys.argv[1], 'rb').read()
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('1\\n2\\n')
+        if data and data[0] % 2:
+            fh.write('5\\n')
+    if len(data) > 1 and data[1] == 0xff:
+        os.kill(os.getpid(), 9)
+    """
+)
+
+
+# CRASHY_TARGET's coverage without its crash, from a target that appends its pid
+# to ``pids`` beside it and exits normally without a dump on any input but the seed
+# while a ``no-dump`` file is there.
+PID_TARGET = textwrap.dedent(
+    """
+    import os, sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, 'pids'), 'a') as fh:
+        fh.write(f'{os.getpid()}\\n')
+    data = open(sys.argv[1], 'rb').read()
+    if data != bytes(8) and os.path.exists(os.path.join(here, 'no-dump')):
+        sys.exit(0)
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('1\\n2\\n')
+        if data and data[0] % 2:
+            fh.write('5\\n')
+    """
+)
+
+
+# -- corpora and campaigns ---------------------------------------------------
+
+
+def write_seeds(corpus, seeds):
+    """Make ``corpus`` with ``seeds`` in its seeds_in/ as seed_00, seed_01,
+    ...; return it."""
+    seeds_in = corpus / "seeds_in"
+    seeds_in.mkdir(parents=True)
+    for i, data in enumerate(seeds):
+        (seeds_in / f"seed_{i:02d}").write_bytes(data)
+    return corpus
+
+
+def make_corpus(tmp_path, name, label="c", seeds=None):
+    """Write bundled target ``name``'s spec under ``tmp_path/target`` and a
+    corpus ``tmp_path/label`` seeded with ``seeds``, by default the bundled
+    seed; return the spec's path and the corpus."""
+    spec_path, _ = write_bundled(name, tmp_path / "target")
+    return spec_path, write_seeds(tmp_path / label, seeds or [bundled_seed(name)])
+
+
+def external_config(tmp_path, label="c", seeds=(bytes(8),), script=CRASHY_TARGET, **kw):
+    """A campaign on ``script``, written to ``tmp_path/target.py`` and run
+    by this interpreter, over a corpus ``tmp_path/label`` seeded with
+    ``seeds``."""
+    script_path = tmp_path / "target.py"
+    script_path.write_text(script)
+    return CampaignConfig(
+        corpus_dir=str(write_seeds(tmp_path / label, seeds)),
+        command=[sys.executable, str(script_path), "@@"],
+        **kw,
+    )
+
+
+def open_fd_count():
+    """Descriptors open in this process, the listing's own included."""
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))

@@ -10,21 +10,24 @@ import math
 import statistics
 from fractions import Fraction
 
-import pytest
+from harness import (
+    TruzzPicks,
+    brute_a12,
+    greedy_ranks,
+    make_corpus,
+    path_runner,
+    paths,
+    reference_probe_count,
+    spec_runner,
+    vanilla_fifo,
+)
 
-from truzz.byte_analysis import AnalysisConfig, analyze, path_fitness, probe_mutate
+from truzz.byte_analysis import AnalysisConfig, analyze, path_fitness
 from truzz.engine import Budget, Campaign, CampaignConfig, run_campaign
-from truzz.mutation import Rng, draw_op_count, mutate
+from truzz.mutation import Rng
 from truzz.report import a12
 from truzz.scheduler import Corpus, Policy, SchedulerConfig, dry_run
-from truzz.target import CompiledTarget, load_spec
-from truzz.targets import (
-    COVERAGE_TARGET,
-    VALID_RATIO_TARGETS,
-    bundled_seed,
-    load_bundled,
-    write_bundled,
-)
+from truzz.targets import COVERAGE_TARGET, VALID_RATIO_TARGETS, bundled_seed, load_bundled
 
 
 def _report(capsys, num, desc, ok):
@@ -34,10 +37,7 @@ def _report(capsys, num, desc, ok):
 
 
 def _campaign(tmp_path, label, target_name, *, policy, mask, rng_seed, budget):
-    spec_path, _ = write_bundled(target_name, tmp_path / "target")
-    corpus = tmp_path / label
-    (corpus / "seeds_in").mkdir(parents=True)
-    (corpus / "seeds_in" / "seed").write_bytes(bundled_seed(target_name))
+    spec_path, corpus = make_corpus(tmp_path, target_name, label)
     cfg = CampaignConfig(
         corpus_dir=str(corpus),
         target_spec=spec_path,
@@ -52,11 +52,7 @@ def _campaign(tmp_path, label, target_name, *, policy, mask, rng_seed, budget):
 
 def test_criterion_1_fitness_fixtures(capsys):
     def fixture(n_seed, n_mutant, n_shared):
-        seed = frozenset(range(n_seed))
-        mutant = frozenset(range(n_shared)) | frozenset(
-            range(50_000, 50_000 + n_mutant - n_shared)
-        )
-        return path_fitness(seed, mutant)
+        return path_fitness(*paths(n_seed, n_mutant, n_shared))
 
     exact = float(1 - Fraction(30 + 20, 240))  # 0.7916666...
     ok = (
@@ -70,8 +66,7 @@ def test_criterion_1_fitness_fixtures(capsys):
 
 def test_criterion_2_four_byte_magic_isolation(capsys):
     spec, seed = load_bundled("four_byte_magic")
-    compiled = CompiledTarget(spec)
-    run = lambda d: compiled.execute(d).path
+    run = spec_runner(spec)
     seed_path = run(seed)
     fm = analyze(seed, seed_path, run)
     flagged = {i for i, v in enumerate(fm.values) if v >= 0.5}
@@ -86,28 +81,11 @@ def test_criterion_2_four_byte_magic_isolation(capsys):
 
 def test_criterion_3_probe_cost_bound(capsys):
     spec, seed = load_bundled("long_tail")
-    compiled = CompiledTarget(spec)
-    run = lambda d: compiled.execute(d).path
+    run = spec_runner(spec)
     seed_path = run(seed)
     cfg = AnalysisConfig()
     fm = analyze(seed, seed_path, run, cfg)
-
-    # reference walk of the interval-halving analysis
-    calls = 0
-
-    def walk(lo, hi):
-        nonlocal calls
-        calls += 1
-        f = path_fitness(seed_path, run(probe_mutate(seed, lo, hi)))
-        if f < cfg.threshold or hi - lo < cfg.min_interval:
-            return
-        mid = (lo + hi) // 2
-        walk(lo, mid)
-        walk(mid + 1, hi)
-
-    size = len(seed) - 1
-    walk(0, size // 2)
-    walk(size // 2 + 1, size)
+    calls = reference_probe_count(seed, seed_path, run, cfg)
 
     bound = 2 * math.ceil(math.log2(len(seed))) + 2
     ok = fm.probe_count <= bound == 18 and fm.probe_count == calls
@@ -167,20 +145,17 @@ def test_criterion_6_scheduler_properties(capsys):
     # 10k-round randomized trace: each TRUZZ pick is the oracle's (highest
     # rank, lowest id; the next id in turn when every rank is zero), and
     # update_rank replaces the pick's rank
-    ranks = [rng.randrange(50) for _ in range(20)]
+    model = TruzzPicks(rng.randrange(50) for _ in range(20))
     corpus = Corpus()
-    for i, rank in enumerate(ranks):
+    for i, rank in enumerate(model.ranks):
         corpus.add_entry(bytes([i]), frozenset({i}), rank)
-    trace_ok, cursor = True, 0
+    trace_ok = True
     for _ in range(10_000):
         entry = corpus.select_seed(Policy.TRUZZ)
-        if max(ranks):
-            best = ranks.index(max(ranks))
-        else:
-            best, cursor = cursor % len(ranks), cursor + 1
-        ranks[best] = rng.randrange(50)
-        corpus.update_rank(entry, ranks[best])
-        trace_ok = trace_ok and entry.data == bytes([best]) and entry.rank_key == ranks[best]
+        best = model.pick()
+        model.ranks[best] = rng.randrange(50)
+        corpus.update_rank(entry, model.ranks[best])
+        trace_ok = trace_ok and entry.data == bytes([best]) and entry.rank_key == model.ranks[best]
 
     # dry-run ranks equal the greedy set-difference oracle; ids are 0..n-1
     oracle_ok = True
@@ -189,19 +164,11 @@ def test_criterion_6_scheduler_properties(capsys):
             bytes([i]): {rng.randrange(200) for _ in range(rng.randrange(1, 25))}
             for i in range(rng.randrange(1, 12))
         }
-        covered, expected = set(), {}
-        for data, edges in table.items():
-            new = edges - covered
-            if new:
-                expected[data] = len(new)
-            covered |= edges
+        expected, _ = greedy_ranks(table)
         if not expected:
             continue
-        run = lambda d: frozenset(table[d])
-        got = dry_run(list(table), run)
-        oracle_ok = oracle_ok and [(e.id, e.data, e.rank_key) for e in got.entries] == [
-            (i, data, n) for i, (data, n) in enumerate(expected.items())
-        ]
+        got = dry_run(list(table), path_runner(table))
+        oracle_ok = oracle_ok and [(e.id, e.data, e.rank_key) for e in got.entries] == expected
 
     ok = trace_ok and oracle_ok
     _report(capsys, 6, "scheduler rank-order trace and dry-run rank oracle", ok)
@@ -210,11 +177,6 @@ def test_criterion_6_scheduler_properties(capsys):
 def test_criterion_7_effect_size(capsys):
     rng = Rng(7)
 
-    def brute(xs, ys):
-        wins = sum(1 for x in xs for y in ys if x > y)
-        ties = sum(1 for x in xs for y in ys if x == y)
-        return (wins + 0.5 * ties) / (len(xs) * len(ys))
-
     identical_ok = a12([5.0] * 8, [5.0] * 8).score == 0.5
 
     brute_ok = True
@@ -222,7 +184,7 @@ def test_criterion_7_effect_size(capsys):
         xs = [rng.randrange(30) for _ in range(rng.randrange(1, 10))]
         ys = [rng.randrange(30) for _ in range(rng.randrange(1, 10))]
         brute_ok = brute_ok and math.isclose(
-            a12(xs, ys).score, brute(xs, ys), abs_tol=1e-12
+            a12(xs, ys).score, brute_a12(xs, ys), abs_tol=1e-12
         )
 
     baseline = 100 * 55415 / 1448513
@@ -241,10 +203,7 @@ def test_criterion_8_determinism_and_baseline_equivalence(capsys, tmp_path):
     # (a) identical campaigns -> byte-identical stats.csv
     stats_bytes = []
     for label in ("rep1", "rep2"):
-        spec_path, _ = write_bundled("magic64", tmp_path / "target")
-        corpus = tmp_path / label
-        (corpus / "seeds_in").mkdir(parents=True)
-        (corpus / "seeds_in" / "seed").write_bytes(bundled_seed("magic64"))
+        spec_path, corpus = make_corpus(tmp_path, "magic64", label)
         run_campaign(
             CampaignConfig(
                 corpus_dir=str(corpus),
@@ -259,10 +218,7 @@ def test_criterion_8_determinism_and_baseline_equivalence(capsys, tmp_path):
 
     # (b) FIFO + mask off replays a hand-rolled vanilla loop exactly
     budget, energy, seed_value = 20_000, 512, 4
-    spec_path, _ = write_bundled("header128", tmp_path / "t2")
-    corpus_dir = tmp_path / "baseline"
-    (corpus_dir / "seeds_in").mkdir(parents=True)
-    (corpus_dir / "seeds_in" / "seed").write_bytes(bundled_seed("header128"))
+    spec_path, corpus_dir = make_corpus(tmp_path, "header128", "baseline")
     campaign = Campaign(
         CampaignConfig(
             corpus_dir=str(corpus_dir),
@@ -276,26 +232,7 @@ def test_criterion_8_determinism_and_baseline_equivalence(capsys, tmp_path):
     )
     campaign.run()
 
-    compiled = CompiledTarget(load_spec(spec_path))
-    rng = Rng(seed_value)
-    execs = 0
-
-    def run(data):
-        nonlocal execs
-        execs += 1
-        return compiled.execute(data).path
-
-    ref = dry_run([bundled_seed("header128")], run)
-    cursor = 0
-    while execs < budget:
-        ordered = sorted(ref.entries, key=lambda e: e.id)
-        entry = ordered[cursor % len(ordered)]
-        cursor += 1
-        for _ in range(energy):
-            if execs >= budget:
-                break
-            child = mutate(entry.data, None, rng, draw_op_count(rng))
-            ref.retain_if_new(child, run(child))
+    ref = vanilla_fifo(spec_path, [bundled_seed("header128")], budget, energy, seed_value)
 
     equivalence_ok = (
         [(e.id, e.data) for e in sorted(campaign.corpus.entries, key=lambda e: e.id)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from harness import paths, reference_probe_count, spec_runner
 
 from truzz.byte_analysis import (
     AnalysisConfig,
@@ -12,18 +13,8 @@ from truzz.byte_analysis import (
     path_fitness,
     probe_mutate,
 )
-from truzz.target import CompiledTarget
+from truzz.target import parse_spec
 from truzz.targets import load_bundled
-
-
-def paths(n_seed, n_mutant, n_shared):
-    """Synthesize disjointly-numbered paths with the requested cardinalities."""
-    seed = frozenset(range(n_seed))
-    mutant = frozenset(range(n_shared)) | frozenset(
-        range(10_000, 10_000 + n_mutant - n_shared)
-    )
-    assert len(mutant) == n_mutant and len(seed & mutant) == n_shared
-    return seed, mutant
 
 
 class TestPathFitness:
@@ -87,13 +78,12 @@ class TestProbeMutate:
 
 def runner(name):
     spec, seed = load_bundled(name)
-    compiled = CompiledTarget(spec)
-    return seed, compiled, lambda d: compiled.execute(d).path
+    return seed, spec_runner(spec)
 
 
 class TestAnalyze:
     def test_four_byte_magic_isolates_validation_byte(self):
-        seed, compiled, run = runner("four_byte_magic")
+        seed, run = runner("four_byte_magic")
         seed_path = run(seed)
         assert len(seed_path) == 50
         fm = analyze(seed, seed_path, run)
@@ -101,7 +91,7 @@ class TestAnalyze:
         assert math.isclose(fm.values[3], 0.83, abs_tol=1e-9)
 
     def test_fitness_constant_within_final_interval(self):
-        seed, compiled, run = runner("magic64")
+        seed, run = runner("magic64")
         fm = analyze(seed, run(seed), run, AnalysisConfig(min_interval=4))
         # intervals assigned by one stop share one value; check the halves
         # the walk produced are internally constant
@@ -109,54 +99,30 @@ class TestAnalyze:
 
     def test_unshortenable_path_costs_two_probes(self):
         # no checks at all: every probe keeps the same path
-        from truzz.target import parse_spec
-
         spec = parse_spec(
             "input_length = 256\n[stage.only]\npass.base = 0\npass.edges = 9\n"
         )
-        compiled = CompiledTarget(spec)
-        run = lambda d: compiled.execute(d).path
+        run = spec_runner(spec)
         seed = bytes(256)
         fm = analyze(seed, run(seed), run)
         assert fm.values == [0.0] * 256
         assert fm.probe_count == 2
 
     def test_probe_count_log_bound_single_validation_byte(self):
-        seed, compiled, run = runner("long_tail")
+        seed, run = runner("long_tail")
         fm = analyze(seed, run(seed), run)
         n = len(seed)
         assert fm.probe_count <= 2 * math.ceil(math.log2(n)) + 2
         assert [i for i, v in enumerate(fm.values) if v >= 0.5] == [77]
 
     def test_probe_count_matches_reference_walk(self):
-        seed, compiled, run = runner("long_tail")
+        seed, run = runner("long_tail")
         seed_path = run(seed)
         cfg = AnalysisConfig()
-
-        # independent recursive walk of the halving algorithm
-        calls = 0
-
-        def walk(lo, hi):
-            nonlocal calls
-            mutant = probe_mutate(seed, lo, hi)
-            calls += 1
-            f = path_fitness(seed_path, run(mutant))
-            if f < cfg.threshold or hi - lo < cfg.min_interval:
-                return
-            mid = (lo + hi) // 2
-            walk(lo, mid)
-            walk(mid + 1, hi)
-
-        size = len(seed) - 1
-        walk(0, size // 2)
-        walk(size // 2 + 1, size)
-
         fm = analyze(seed, seed_path, run, cfg)
-        assert fm.probe_count == calls
+        assert fm.probe_count == reference_probe_count(seed, seed_path, run, cfg)
 
     def test_single_byte_seed_probed_directly(self):
-        from truzz.target import parse_spec
-
         spec = parse_spec(
             "input_length = 1\n"
             "[stage.gate]\n"
@@ -166,15 +132,14 @@ class TestAnalyze:
             "pass.base = 0\npass.edges = 20\n"
             "fail.base = 100\nfail.edges = 2\nfail.terminal = true\n"
         )
-        compiled = CompiledTarget(spec)
-        run = lambda d: compiled.execute(d).path
+        run = spec_runner(spec)
         fm = analyze(b"A", run(b"A"), run)
         assert fm.probe_count == 1
         assert fm.values[0] >= 0.5
 
     def test_every_byte_assigned_exactly_once(self):
         # sentinel fill proves full assignment coverage
-        seed, compiled, run = runner("header128")
+        seed, run = runner("header128")
         fm = analyze(seed, run(seed), run)
         assert len(fm.values) == len(seed)
         protected = {i for i, v in enumerate(fm.values) if v >= 0.5}
@@ -287,12 +252,9 @@ def separable_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(separable_specs())
 def test_separation_property(case):
-    from truzz.target import parse_spec
-
     text, seed, validation_bytes = case
     spec = parse_spec(text)
-    compiled = CompiledTarget(spec)
-    run = lambda d: compiled.execute(d).path
+    run = spec_runner(spec)
     cfg = AnalysisConfig()
     fm = analyze(seed, run(seed), run, cfg)
     flagged = {i for i, v in enumerate(fm.values) if v >= cfg.threshold}

@@ -1,26 +1,21 @@
 import shlex
+import shutil
 import sys
-from pathlib import Path
 
 import pytest
-from test_target import DUMP_TARGET
+from harness import DUMP_TARGET, make_corpus
 
 import truzz.cli
 from truzz.byte_analysis import AnalysisConfig
 from truzz.cli import _analysis_config, build_parser, main
 from truzz.engine import STATS_HEADER, CampaignConfig, CampaignStats
 from truzz.scheduler import Policy
-from truzz.targets import write_bundled
 
 
 @pytest.fixture()
 def campaign_dir(tmp_path):
-    spec_path, seed_path = write_bundled("magic64", tmp_path / "target")
-    corpus = tmp_path / "corpus"
-    seeds_in = corpus / "seeds_in"
-    seeds_in.mkdir(parents=True)
-    seeds_in.joinpath("seed").write_bytes(Path(seed_path).read_bytes())
-    return spec_path, seed_path, corpus
+    spec_path, corpus = make_corpus(tmp_path, "magic64", "corpus")
+    return spec_path, str(corpus / "seeds_in" / "seed_00"), corpus
 
 
 def run_fuzz(spec_path, corpus, *extra):
@@ -81,8 +76,7 @@ class TestFuzz:
 
     def test_missing_seed_directory_is_one_line_error(self, campaign_dir):
         spec_path, _, corpus = campaign_dir
-        (corpus / "seeds_in" / "seed").unlink()
-        (corpus / "seeds_in").rmdir()
+        shutil.rmtree(corpus / "seeds_in")
         with pytest.raises(SystemExit, match=r"^truzz fuzz: missing initial seed directory"):
             run_fuzz(spec_path, corpus)
 
@@ -230,11 +224,7 @@ class TestReport:
     def test_compare_and_a12(self, campaign_dir, tmp_path, capsys):
         spec_path, _, corpus = campaign_dir
         run_fuzz(spec_path, corpus, "--rng-seed", "1")
-        corpus2 = tmp_path / "corpus2"
-        (corpus2 / "seeds_in").mkdir(parents=True)
-        (corpus2 / "seeds_in" / "seed").write_bytes(
-            (corpus / "seeds_in" / "seed").read_bytes()
-        )
+        _, corpus2 = make_corpus(tmp_path, "magic64", "corpus2")
         run_fuzz(spec_path, corpus2, "--rng-seed", "2", "--policy", "fifo")
         capsys.readouterr()
 
@@ -279,3 +269,18 @@ class TestReport:
             main(["report", "a12", "--metric", "nope", str(tmp_path), str(tmp_path)])
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--target", "{dir}", "--corpus", "{corpus}"], "Is a directory"),
+    (["analyze", "--target", "{spec}", "{dir}"], "Is a directory"),
+    (["report", "compare", "{dir}", "{spec}"], "Is a directory"),
+    (["fuzz", "--target", "{seed}", "--corpus", "{corpus}"], "seed_00 is not UTF-8 text"),
+], ids=["fuzz-dir-spec", "analyze-dir-seed", "compare-dir-stats", "fuzz-binary-spec"])
+def test_unreadable_file_is_one_line_error(campaign_dir, tmp_path, argv, message):
+    spec_path, seed_path, corpus = campaign_dir
+    names = {"dir": str(tmp_path), "spec": spec_path, "seed": seed_path,
+             "corpus": str(corpus)}
+    with pytest.raises(SystemExit, match=rf"^truzz {argv[0]}: .*{message}") as exc:
+        main([arg.format(**names) for arg in argv])
+    assert "\n" not in str(exc.value)

@@ -1,13 +1,12 @@
+import dataclasses
 import itertools
 import os
 import shutil
-import sys
 import tempfile
-import textwrap
 from pathlib import Path
 
 import pytest
-from test_target import open_fd_count
+from harness import PID_TARGET, external_config, make_corpus, open_fd_count, vanilla_fifo
 
 import truzz.engine
 from truzz.byte_analysis import AnalysisConfig, mask_from_fitness
@@ -19,20 +18,10 @@ from truzz.engine import (
     replay,
     run_campaign,
 )
-from truzz.mutation import Rng, draw_op_count, mutate
-from truzz.scheduler import CampaignError, SchedulerConfig, dry_run
-from truzz.target import CompiledTarget, ExecStatus, load_spec
+from truzz.mutation import mutate
+from truzz.scheduler import CampaignError, SchedulerConfig
+from truzz.target import MAX_TIMEOUT, CompiledTarget, ExecStatus, load_spec
 from truzz.targets import bundled_seed, write_bundled
-
-
-def make_corpus(tmp_path, name, label="c", seeds=None):
-    spec_path, seed_path = write_bundled(name, tmp_path / "target")
-    corpus = tmp_path / label
-    seeds_in = corpus / "seeds_in"
-    seeds_in.mkdir(parents=True)
-    for i, data in enumerate(seeds or [bundled_seed(name)]):
-        (seeds_in / f"seed_{i:02d}").write_bytes(data)
-    return spec_path, corpus
 
 
 def config(spec_path, corpus, **kw):
@@ -92,15 +81,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="exactly one '@@' token"):
             CampaignConfig(corpus_dir=str(tmp_path), command=command)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), 1e30])
+    def test_command_timeout_checked_when_made(self, tmp_path, timeout):
+        """A command target's timeout is refused by the config, not when
+        ``run()`` makes the ExternalTarget."""
+        command = ["prog", "@@"]
+        with pytest.raises(ValueError, match="timeout must be a positive"):
+            CampaignConfig(corpus_dir=str(tmp_path), command=command, exec_timeout=timeout)
+        CampaignConfig(corpus_dir=str(tmp_path), command=command, exec_timeout=MAX_TIMEOUT)
+
 
 class TestSyntheticCampaign:
     def test_deterministic_stats_and_corpus(self, tmp_path):
-        spec_path, _ = write_bundled("magic64", tmp_path / "target")
         outputs = []
         for label in ("a", "b"):
-            corpus = tmp_path / label
-            (corpus / "seeds_in").mkdir(parents=True)
-            (corpus / "seeds_in" / "seed").write_bytes(bundled_seed("magic64"))
+            spec_path, corpus = make_corpus(tmp_path, "magic64", label)
             run_campaign(config(spec_path, corpus, rng_seed=123))
             stats_bytes = (corpus / "stats.csv").read_bytes()
             queue = {
@@ -324,36 +319,12 @@ class TestSyntheticCampaign:
         campaign = Campaign(cfg)
         campaign.run()
 
-        # independent reference loop
-        compiled = CompiledTarget(load_spec(spec_path))
-        rng = Rng(77)
-        seeds = [bundled_seed("header128")]
-        execs = 0
-
-        def run(data):
-            nonlocal execs
-            execs += 1
-            return compiled.execute(data).path
-
-        ref = dry_run(seeds, run)
-        cursor = 0
-        while execs < 6_000:
-            ordered = sorted(ref.entries, key=lambda e: e.id)
-            seed = ordered[cursor % len(ordered)]
-            cursor += 1
-            for _ in range(256):
-                if execs >= 6_000:
-                    break
-                child = mutate(seed.data, None, rng, draw_op_count(rng))
-                ref.retain_if_new(child, run(child))
-
+        ref = vanilla_fifo(spec_path, [bundled_seed("header128")], 6_000, 256, 77)
         assert [e.data for e in sorted(campaign.corpus.entries, key=lambda e: e.id)] \
             == [e.data for e in sorted(ref.entries, key=lambda e: e.id)]
         assert campaign.corpus.covered == ref.covered
 
     def test_missing_seed_directory_fails(self, tmp_path):
-        from truzz.scheduler import CampaignError
-
         spec_path, _ = write_bundled("magic64", tmp_path / "target")
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -361,8 +332,6 @@ class TestSyntheticCampaign:
             run_campaign(config(spec_path, empty, budget=Budget(max_execs=10)))
 
     def test_empty_seed_file_named_in_error(self, tmp_path):
-        from truzz.scheduler import CampaignError
-
         spec_path, corpus = make_corpus(
             tmp_path, "magic64", seeds=[bundled_seed("magic64"), b""]
         )
@@ -442,6 +411,41 @@ class TestSyntheticCampaign:
             assert sa.mask.probability == mask_from_fitness(sa.fitness, analysis).probability
             assert min(sa.mask.probability) == 0.3
 
+    def test_resume_keeps_every_covered_edge(self, tmp_path):
+        """Edges seen only by probes or crashes are in overall.cov, not in
+        any queue seed's path; a resume that ends in its dry run keeps them."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=5_000), rng_seed=3))
+        before = (corpus / "overall.cov").read_bytes()
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=1), rng_seed=3))
+        assert (corpus / "overall.cov").read_bytes() == before
+
+    @pytest.mark.parametrize("line", ["xx", "65536"])
+    def test_corrupt_coverage_named_on_resume(self, tmp_path, line):
+        """A bad overall.cov line is named, as replay names it, before the
+        earlier campaign's files are touched."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        (corpus / "overall.cov").write_text(f"3\n{line}\n")
+        before = snapshot(corpus)
+        with pytest.raises(CampaignError, match=r"overall\.cov line 2: "):
+            run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2_000)))
+        assert snapshot(corpus) == before
+
+    def test_each_run_counts_from_zero(self, tmp_path):
+        """A second ``run()`` of one Campaign is a resume with its own
+        stats: its dry run re-runs the first run's queue and its budget is
+        spent anew."""
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=3_000)))
+        first = campaign.run()
+        kept = len(list((corpus / "queue").iterdir()))
+        second = campaign.run()
+        assert second is not first and second is campaign.stats
+        assert second.dry_run_execs == kept + 1  # the queue, then seeds_in/
+        assert 3_000 <= second.executions <= 3_000 + 256
+        assert second.mutation_execs > 0
+
     @pytest.mark.parametrize("damage", ["not ascii", "not a float"])
     def test_unreadable_meta_means_the_seed_is_analysed_again(self, tmp_path, damage):
         """A .meta file caches a deterministic analysis, so resume treats
@@ -492,56 +496,12 @@ class TestSyntheticCampaign:
         assert len(seen) > 2 and seen == sorted(seen) and seen[-1] < stats.executions
 
 
-CRASHY_TARGET = textwrap.dedent(
-    """
-    import os, sys
-    data = open(sys.argv[1], 'rb').read()
-    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
-        fh.write('1\\n2\\n')
-        if data and data[0] % 2:
-            fh.write('5\\n')
-    if len(data) > 1 and data[1] == 0xff:
-        os.kill(os.getpid(), 9)
-    """
-)
-
-
-# CRASHY_TARGET's coverage without its crash, from a target that appends its pid
-# to ``pids`` beside it and exits normally without a dump on any input but the seed
-# while a ``no-dump`` file is there.
-PID_TARGET = textwrap.dedent(
-    """
-    import os, sys
-    here = os.path.dirname(os.path.abspath(__file__))
-    with open(os.path.join(here, 'pids'), 'a') as fh:
-        fh.write(f'{os.getpid()}\\n')
-    data = open(sys.argv[1], 'rb').read()
-    if data != bytes(8) and os.path.exists(os.path.join(here, 'no-dump')):
-        sys.exit(0)
-    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
-        fh.write('1\\n2\\n')
-        if data and data[0] % 2:
-            fh.write('5\\n')
-    """
-)
-
-
 class TestExternalCampaign:
     @pytest.mark.parametrize("mask_enabled", [False, True])
     def test_crashes_saved_not_retained(self, tmp_path, mask_enabled):
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
-        (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
-        cfg = CampaignConfig(
-            corpus_dir=str(corpus),
-            command=[sys.executable, str(script), "@@"],
-            budget=Budget(max_execs=120),
-            scheduler=SchedulerConfig(energy=30),
-            mask_enabled=mask_enabled,
-            rng_seed=5,
-            stats_interval=50,
+        cfg = external_config(
+            tmp_path, budget=Budget(max_execs=120), scheduler=SchedulerConfig(energy=30),
+            mask_enabled=mask_enabled, rng_seed=5, stats_interval=50,
         )
         campaign = Campaign(cfg)
         stats = campaign.run()
@@ -551,7 +511,7 @@ class TestExternalCampaign:
         # Every crash, whether from a mutated child or a byte-analysis
         # probe, is saved under its crash count.
         assert stats.crashes > 0
-        crash_files = sorted((corpus / "crashes").iterdir())
+        crash_files = sorted((tmp_path / "c" / "crashes").iterdir())
         assert [f.name for f in crash_files] == [
             f"crash_{i:06d}" for i in range(1, stats.crashes + 1)
         ]
@@ -561,20 +521,14 @@ class TestExternalCampaign:
         assert not any(d[1] == 0xFF for d in retained if len(d) > 1)
 
     def test_crashing_initial_seed_saved_not_retained(self, tmp_path):
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
         crashing = b"\x01\xff" + b"\x00" * 6  # new edge 5, then a crash
-        (corpus / "seeds_in" / "a").write_bytes(b"\x00" * 8)
-        (corpus / "seeds_in" / "b").write_bytes(crashing)
-        cfg = CampaignConfig(
-            corpus_dir=str(corpus),
-            command=[sys.executable, str(script), "@@"],
+        cfg = external_config(
+            tmp_path, seeds=[b"\x00" * 8, crashing],
             budget=Budget(max_execs=2),  # the dry run only
             mask_enabled=False,
         )
         Campaign(cfg).run()
+        corpus = tmp_path / "c"
         assert (corpus / "crashes" / "crash_000001").read_bytes() == crashing
         assert [f.name for f in (corpus / "queue").iterdir()] == ["id_000000"]
         assert (corpus / "queue" / "id_000000").read_bytes() == b"\x00" * 8
@@ -586,67 +540,43 @@ class TestExternalCampaign:
         the final row must not repeat the interval row's counts."""
         from truzz.report import read_stats
 
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
         # Covers every edge, and is too short to crash the target.
-        (corpus / "seeds_in" / "seed").write_bytes(b"\x01")
-        stats = Campaign(CampaignConfig(
-            corpus_dir=str(corpus),
-            command=[sys.executable, str(script), "@@"],
-            budget=Budget(max_execs=20),
-            mask_enabled=False,
-            stats_interval=10,
+        stats = Campaign(external_config(
+            tmp_path, seeds=[b"\x01"], budget=Budget(max_execs=20),
+            mask_enabled=False, stats_interval=10,
         )).run()
-        rows = read_stats(corpus / "stats.csv")
+        rows = read_stats(tmp_path / "c" / "stats.csv")
         assert [r.executions for r in rows] == [10, 20]
         assert rows[-1].elapsed_s == float(f"{stats.elapsed:.6f}")
 
     def test_only_crashing_initial_seeds_fail(self, tmp_path):
-        from truzz.scheduler import CampaignError
-
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
-        (corpus / "seeds_in" / "seed").write_bytes(b"\x00\xff" + b"\x00" * 6)
-        cfg = CampaignConfig(
-            corpus_dir=str(corpus),
-            command=[sys.executable, str(script), "@@"],
-            budget=Budget(max_execs=5),
+        cfg = external_config(
+            tmp_path, seeds=[b"\x00\xff" + b"\x00" * 6], budget=Budget(max_execs=5),
             mask_enabled=False,
         )
         with pytest.raises(CampaignError, match=r"every initial seed crashed.*crashes"):
             Campaign(cfg).run()
-        assert (corpus / "crashes" / "crash_000001").is_file()
+        assert (tmp_path / "c" / "crashes" / "crash_000001").is_file()
 
     def test_crashes_numbered_after_earlier_runs(self, tmp_path):
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
-        (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
+        cfg = external_config(
+            tmp_path, budget=Budget(max_execs=80), scheduler=SchedulerConfig(energy=20),
+            mask_enabled=False,
+        )
+        crash_dir = tmp_path / "c" / "crashes"
 
         def run(rng_seed):
-            return Campaign(CampaignConfig(
-                corpus_dir=str(corpus),
-                command=[sys.executable, str(script), "@@"],
-                budget=Budget(max_execs=80),
-                scheduler=SchedulerConfig(energy=20),
-                mask_enabled=False,
-                rng_seed=rng_seed,
-            )).run().crashes
+            return Campaign(dataclasses.replace(cfg, rng_seed=rng_seed)).run().crashes
 
         first = run(5)
         assert first > 0
-        saved = {f.name: f.read_bytes() for f in (corpus / "crashes").iterdir()}
+        saved = {f.name: f.read_bytes() for f in crash_dir.iterdir()}
         second = run(6)
         assert second > 0
-        names = sorted(f.name for f in (corpus / "crashes").iterdir())
+        names = sorted(f.name for f in crash_dir.iterdir())
         assert names == [f"crash_{i:06d}" for i in range(1, first + second + 1)]
         for name, data in saved.items():
-            assert (corpus / "crashes" / name).read_bytes() == data
+            assert (crash_dir / name).read_bytes() == data
 
     @pytest.mark.parametrize("mask_enabled", [False, True])
     def test_overlap_changes_no_output(self, tmp_path, monkeypatch, mask_enabled):
@@ -654,24 +584,15 @@ class TestExternalCampaign:
         a run whose executor ignores ``then`` saves the same corpus and
         crashes and counts the same executions in every phase. With the
         mask on, byte-analysis probes crash too."""
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
         execute = truzz.engine.execute_external
 
         def campaign(label, wrapper):
             monkeypatch.setattr(truzz.engine, "execute_external", wrapper)
-            corpus = tmp_path / label
-            (corpus / "seeds_in").mkdir(parents=True)
-            (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
-            stats = Campaign(CampaignConfig(
-                corpus_dir=str(corpus),
-                command=[sys.executable, str(script), "@@"],
-                budget=Budget(max_execs=120),
-                scheduler=SchedulerConfig(energy=30),
-                mask_enabled=mask_enabled,
-                rng_seed=5,
+            stats = Campaign(external_config(
+                tmp_path, label, budget=Budget(max_execs=120),
+                scheduler=SchedulerConfig(energy=30), mask_enabled=mask_enabled, rng_seed=5,
             )).run()
-            outputs = {k: v for k, v in snapshot(corpus).items() if k != "stats.csv"}
+            outputs = {k: v for k, v in snapshot(tmp_path / label).items() if k != "stats.csv"}
             counts = (stats.executions, stats.crashes, stats.dry_run_execs,
                       stats.probe_execs, stats.mutation_execs)
             return outputs, counts
@@ -706,8 +627,6 @@ class TestExternalCampaign:
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        script = tmp_path / "target.py"
-        script.write_text(PID_TARGET)
         execute = truzz.engine.execute_external
         interrupt_after = int(fault.split("-")[1]) + 1 if fault.startswith("interrupt") else 0
         thens = []
@@ -720,15 +639,9 @@ class TestExternalCampaign:
             return result
 
         monkeypatch.setattr(truzz.engine, "execute_external", interrupting)
-        corpus = tmp_path / "c"
-        (corpus / "seeds_in").mkdir(parents=True)
-        (corpus / "seeds_in" / "seed").write_bytes(b"\x00" * 8)
-        campaign = Campaign(CampaignConfig(
-            corpus_dir=str(corpus),
-            command=[sys.executable, str(script), "@@"],
-            budget=Budget(max_execs=50),
-            scheduler=SchedulerConfig(energy=10),
-            mask_enabled=False,
+        campaign = Campaign(external_config(
+            tmp_path, script=PID_TARGET, budget=Budget(max_execs=50),
+            scheduler=SchedulerConfig(energy=10), mask_enabled=False,
         ))
         fds = open_fd_count()
         if fault == "no-dump":
@@ -750,8 +663,6 @@ class TestExternalCampaign:
         assert open_fd_count() == fds
 
     def test_no_work_directory_left_behind(self, tmp_path, monkeypatch):
-        from truzz.scheduler import CampaignError
-
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
@@ -763,22 +674,16 @@ class TestExternalCampaign:
             return execute(target, data, *then)
 
         monkeypatch.setattr(truzz.engine, "execute_external", recording)
-        script = tmp_path / "target.py"
-        script.write_text(CRASHY_TARGET)
 
         def campaign(label, seed):
-            corpus = tmp_path / label
-            (corpus / "seeds_in").mkdir(parents=True)
-            (corpus / "seeds_in" / "seed").write_bytes(seed)
-            return Campaign(CampaignConfig(
-                corpus_dir=str(corpus),
-                command=[sys.executable, str(script), "@@"],
-                budget=Budget(max_execs=20),
+            return Campaign(external_config(
+                tmp_path, label, seeds=[seed], budget=Budget(max_execs=20),
                 scheduler=SchedulerConfig(energy=10),
             ))
 
         fds = open_fd_count()
-        stats = campaign("finishes", b"\x00" * 8).run()
+        finishes = campaign("finishes", b"\x00" * 8)
+        stats = finishes.run()
         assert stats.executions == 20
         # One work directory serves the whole campaign.
         assert len(set(workdirs)) == 1
@@ -795,7 +700,7 @@ class TestExternalCampaign:
 
         rep = replay(
             str(tmp_path / "finishes" / "queue" / "id_000000"),
-            command=[sys.executable, str(script), "@@"],
+            command=finishes.cfg.command,
         )
         assert rep.path_size == 2
         assert len(set(workdirs)) == 3

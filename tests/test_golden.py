@@ -16,7 +16,9 @@ records the new digests here and says so in CHANGES.md.
 The resumed magic64 case runs a second campaign on the first one's corpus
 under another RNG seed, so it pins the resume path: the queue re-run, the
 saved analyses reattached from ``meta/`` and the corpus persisted again.
-Its digest was recorded before the resume path was rewritten.
+Its digest was recorded before the resume path was rewritten, and again
+when a resume began to keep the edges ``overall.cov`` lists: its
+``stats.csv``, ``queue/`` and ``meta/`` changed, its ``overall.cov`` did not.
 
 Synthetic campaigns charge virtual time, so their whole ``stats.csv`` is
 pinned. The external campaign's ``elapsed_s`` is wall-clock, so its
@@ -24,15 +26,13 @@ pinned. The external campaign's ``elapsed_s`` is wall-clock, so its
 """
 
 import hashlib
-import sys
 from pathlib import Path
 
 import pytest
-from test_engine import CRASHY_TARGET
+from harness import external_config, make_corpus
 
 from truzz.engine import Budget, Campaign, CampaignConfig
 from truzz.scheduler import Policy, SchedulerConfig
-from truzz.targets import bundled_seed, write_bundled
 
 SYNTHETIC_PARTS = ("stats.csv", "queue", "meta", "overall.cov")
 EXTERNAL_PARTS = ("queue", "meta", "crashes", "overall.cov")
@@ -51,7 +51,7 @@ GOLDEN = {
     "chain128-truzz": "30f813f66f3de96f41da4d051bb7c956ade978923b024ee060d270bdbb763088",
     "header128-fifo": "f2546f6a0d5e8bdda9fb66405091397312dd3c7fc41458aa00e0cfa9ebb1f67d",
     "external-crashy": "30413e8e148b16fac9489c5dde40a6d2d7334862c5dd287b6c80841a86d2dac7",
-    "magic64-truzz-resume": "477c280a180d5be760f077e847f6f7010324b2843dc70b85c6d4607a4eee7fa3",
+    "magic64-truzz-resume": "c3d56d6b93750fc2d5021cf83f98a9c3d97e912cee7da282fb96970510a89b3d",
 }
 
 
@@ -67,17 +67,9 @@ def digest(corpus: Path, parts) -> str:
     return h.hexdigest()
 
 
-def _corpus(tmp_path: Path, seed: bytes) -> Path:
-    corpus = tmp_path / "corpus"
-    (corpus / "seeds_in").mkdir(parents=True)
-    (corpus / "seeds_in" / "seed").write_bytes(seed)
-    return corpus
-
-
 def run_synthetic(name: str, tmp_path: Path) -> str:
     target, policy, mask, budget, rng_seeds = SYNTHETIC[name]
-    spec_path, _ = write_bundled(target, tmp_path / "target")
-    corpus = _corpus(tmp_path, bundled_seed(target))
+    spec_path, corpus = make_corpus(tmp_path, target, "corpus")
     for rng_seed in rng_seeds:
         Campaign(CampaignConfig(
             corpus_dir=str(corpus),
@@ -92,19 +84,13 @@ def run_synthetic(name: str, tmp_path: Path) -> str:
 
 
 def run_external(tmp_path: Path) -> str:
-    script = tmp_path / "target.py"
-    script.write_text(CRASHY_TARGET)
-    corpus = _corpus(tmp_path, b"\x00" * 8)
-    stats = Campaign(CampaignConfig(
-        corpus_dir=str(corpus),
-        command=[sys.executable, str(script), "@@"],
-        budget=Budget(max_execs=150),
-        scheduler=SchedulerConfig(energy=30),
-        rng_seed=5,
-        stats_interval=50,
-    )).run()
+    cfg = external_config(
+        tmp_path, "corpus", budget=Budget(max_execs=150),
+        scheduler=SchedulerConfig(energy=30), rng_seed=5, stats_interval=50,
+    )
+    stats = Campaign(cfg).run()
     assert stats.crashes > 0
-    return digest(corpus, EXTERNAL_PARTS)
+    return digest(Path(cfg.corpus_dir), EXTERNAL_PARTS)
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from harness import brute_a12
 
 from truzz.report import (
     Magnitude,
@@ -24,13 +25,6 @@ STATS_B = """elapsed_s,executions,seeds,edges_covered,valid,invalid,crashes
 0.200000,20000,8,190,7450,12550,0
 0.300000,30000,9,205,10920,19080,0
 """
-
-
-def brute_a12(xs, ys):
-    """Quadratic reference implementation of the rank statistic."""
-    wins = sum(1 for x in xs for y in ys if x > y)
-    ties = sum(1 for x in xs for y in ys if x == y)
-    return (wins + 0.5 * ties) / (len(xs) * len(ys))
 
 
 class TestA12:

@@ -1,13 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from harness import TruzzPicks, greedy_ranks, path_runner
 
 from truzz.scheduler import CampaignError, Corpus, Policy, SchedulerConfig, SeedEntry, dry_run
-
-
-def path_runner(table):
-    """Map input bytes -> fixed paths, mimicking a deterministic target."""
-    return lambda data: frozenset(table[data])
 
 
 class TestDryRun:
@@ -176,22 +172,14 @@ class TestConfig:
 def test_dry_run_matches_greedy_set_oracle(edge_sets):
     table = {bytes([i]): s for i, s in enumerate(edge_sets)}
     seeds = list(table)
-
-    covered, expected = set(), {}
-    for data in seeds:
-        new = table[data] - covered
-        if new:
-            expected[data] = len(new)
-        covered |= table[data]
+    expected, covered = greedy_ranks(table)
 
     if not expected:
         with pytest.raises(CampaignError):
             dry_run(seeds, path_runner(table))
         return
     corpus = dry_run(seeds, path_runner(table))
-    assert [(e.id, e.data, e.rank_key) for e in corpus.entries] == [
-        (i, data, n) for i, (data, n) in enumerate(expected.items())
-    ]
+    assert [(e.id, e.data, e.rank_key) for e in corpus.entries] == expected
     assert corpus.covered == covered
 
 
@@ -206,17 +194,11 @@ def test_sorted_invariant_under_random_updates(initial_ranks, updates):
     corpus = Corpus()
     for i, rank in enumerate(initial_ranks):
         corpus.add_entry(bytes([i]), frozenset({i}), rank)
-    ranks = list(initial_ranks)
-    cursor = 0
+    model = TruzzPicks(initial_ranks)
     for which, new_rank in updates:
-        i = which % len(ranks)
+        i = which % len(model.ranks)
         entry = corpus.entries[i]
         corpus.update_rank(entry, new_rank)
-        ranks[i] = new_rank
+        model.ranks[i] = new_rank
         assert entry.rank_key == new_rank
-        if max(ranks):
-            expected = ranks.index(max(ranks))
-        else:
-            expected = cursor % len(ranks)
-            cursor += 1
-        assert corpus.select_seed(Policy.TRUZZ).data == bytes([expected])
+        assert corpus.select_seed(Policy.TRUZZ).data == bytes([model.pick()])

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from harness import DUMP_TARGET, ECHO_TARGET, FD_TARGET, open_fd_count
 
 from truzz.coverage import MAP_SIZE
 from truzz.mutation import Rng, draw_op_count, mutate
@@ -275,48 +276,6 @@ def test_compiled_byte_check_agrees_with_passes(check_with_input):
     check, data = check_with_input
     start, stop, lo_b, hi_b = _compile_check(check)
     assert (lo_b <= data[start:stop] <= hi_b) == oracle_passes(check, data)
-
-
-DUMP_TARGET = textwrap.dedent(
-    """
-    import os, sys
-    data = open(sys.argv[1], 'rb').read()
-    if data.startswith(b'EARLY'):
-        os.kill(os.getpid(), 9)
-    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
-        fh.write('3\\n7\\n')
-        if data.startswith(b'!'):
-            fh.write('11\\n')
-    if data.startswith(b'CRASH'):
-        os.kill(os.getpid(), 9)
-    """
-)
-
-
-ECHO_TARGET = textwrap.dedent(
-    """
-    import os, shutil, sys
-    shutil.copyfile(sys.argv[1], os.environ['TRUZZ_COV_FILE'])
-    """
-)
-
-
-FD_TARGET = textwrap.dedent(
-    """
-    import os
-    # The lowest free descriptor; listdir's directory handle takes it.
-    own = os.open(os.devnull, os.O_RDONLY)
-    os.close(own)
-    fds = [name for name in os.listdir('/proc/self/fd') if int(name) != own]
-    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
-        fh.write('\\n'.join(fds) + '\\n')
-    """
-)
-
-
-def open_fd_count():
-    """Descriptors open in this process, the listing's own included."""
-    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
 
 
 def run_external(command, data, timeout=5.0):
