@@ -263,7 +263,7 @@ class Campaign:
         the budget and stats, write the interval row, and return the
         executor's result. A crash is saved and its path merged into the
         corpus's coverage, so retention never keeps a crashing input. An
-        external target spawns ``then``, the next call's input, while ``data`` runs."""
+        external target starts ``then``, the next call's input, while ``data`` runs."""
         result = self._run(data, then)
         st = self.stats
         st.executions += 1

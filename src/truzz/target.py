@@ -12,14 +12,19 @@ ground truth that real campaigns obtain by marking error handlers by hand.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import math
 import os
 import select
 import shutil
 import signal
+import stat
+import struct
 import tempfile
 import time
 from dataclasses import dataclass
+from importlib import resources
 from typing import Optional, Sequence
 
 from .coverage import MAP_SIZE, Path, parse_edges
@@ -60,6 +65,10 @@ class SpawnError(ExternalTargetError):
 
 class CoverageDumpError(ExternalTargetError):
     """Coverage dump file missing or unparsable after a normal exit."""
+
+
+class ForkServerError(ExternalTargetError):
+    """A target's fork server died or could not be reached."""
 
 
 class CheckKind(enum.Enum):
@@ -483,19 +492,98 @@ def check_timeout(timeout: float) -> None:
         )
 
 
+# The shim's ends of a fork server's control and status pipes, the variable
+# that enters the server, and its hello (see forkserver.c).
+_CONTROL_FD, _STATUS_FD = 198, 199
+_FORK_SERVER_ENV = b"TRUZZ_FORK_SERVER"
+_HELLO = 0x46525A54
+_KILL = struct.pack("=I", 0)
+_COMPILERS = ("cc", "gcc", "clang")
+
+
+def _private(path: str, kind) -> bool:
+    """Whether ``path``, not followed if it is a symlink, is a ``kind`` (a
+    ``stat.S_IS*`` test) owned by this user and writable by no one else."""
+    st = os.lstat(path)
+    return kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _fork_server_shim() -> Optional[bytes]:
+    """Path of the compiled fork-server shim, or None where there is none.
+
+    The shim is ``forkserver.c``, shipped in the package. It is compiled
+    once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz`` by
+    default) under a name holding the sha256 of its source. A preloaded
+    library runs as code, so the cache is used only while that directory
+    and the file are owned by this user and writable by no one else. A
+    cache hit runs no subprocess.
+    """
+    try:  # as random.py does: hashlib loads OpenSSL, about 2.5 ms of set-up
+        from _sha256 import sha256
+    except ImportError:  # CPython 3.12 and later name it _sha2
+        from hashlib import sha256
+
+    source = resources.files(__package__).joinpath("forkserver.c").read_bytes()
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(root, "truzz")
+    path = os.path.join(cache, f"forkserver-{sha256(source).hexdigest()}.so")
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        if not _private(cache, stat.S_ISDIR):
+            return None
+        if os.path.lexists(path):
+            return os.fsencode(path) if _private(path, stat.S_ISREG) else None
+        return _build_shim(source, path)
+    except OSError:
+        return None
+
+
+def _build_shim(source: bytes, path: str) -> Optional[bytes]:
+    """Compile ``source`` into the shared library ``path`` with the first of
+    ``cc``, ``gcc`` and ``clang`` found: to a temporary file beside it, then
+    moved into place. None if there is no compiler or it fails."""
+    import subprocess  # here, not with the module: a cache hit needs none
+
+    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if compiler is None:
+        return None
+    fd, tmp = tempfile.mkstemp(prefix=".forkserver-", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        command = [compiler, "-shared", "-fPIC", "-O2", "-o", tmp, "-x", "c", "-"]
+        try:
+            built = subprocess.run(command, input=source, capture_output=True, timeout=120)
+        except subprocess.SubprocessError:
+            return None
+        if built.returncode != 0:
+            return None
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, path)
+        return os.fsencode(path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 @dataclass(slots=True)
 class _Slot:
     """One of an ExternalTarget's two run slots: its own input and coverage
-    files, argv and environment, and the child started in it, if any."""
+    files, argv and environment, its fork server if it has one, and the run
+    started in it, if any."""
 
     input_path: str
     dump_path: str
     argv: list[str]
     env: dict[bytes, bytes]
     input_fd: int = -1
-    pid: Optional[int] = None     # the started child, until it is reaped
-    data: Optional[bytes] = None  # the input that child runs
-    deadline: float = 0.0         # time.monotonic() at which it is killed
+    control_fd: int = -1          # requests to the slot's fork server
+    status_fd: int = -1           # its hello and replies
+    server_pid: int = 0           # from its hello
+    data: Optional[bytes] = None  # the input the started run runs, until it is awaited
+    pid: Optional[int] = None     # a spawned child, until it is reaped
+    deadline: float = 0.0         # time.monotonic() at which that child is killed
 
 
 class ExternalTarget:
@@ -505,20 +593,27 @@ class ExternalTarget:
     one ``@@`` token and ``timeout`` for a positive number of seconds no
     greater than ``MAX_TIMEOUT``, and makes a private ``truzz-exec-*`` work
     directory under the system temporary directory. In it, it prepares two
-    slots, so one child can be spawned while another runs. Slot ``i`` has
-    its own input file ``input<i>``, whose path replaces ``@@`` in its
-    argv, and its own coverage file ``coverage<i>``, named by
-    TRUZZ_COV_FILE in its copy of the environment, read once. The two input
-    files and ``/dev/null`` are opened once. ``execute_external`` runs
-    inputs through it. ``close`` (or leaving a ``with`` block) kills and
-    reaps any started child, closes the descriptors and removes the
-    directory.
+    slots, so one run can start while another runs. Slot ``i`` has its own
+    input file ``input<i>``, whose path replaces ``@@`` in its argv, and
+    its own coverage file ``coverage<i>``, named by TRUZZ_COV_FILE in its
+    copy of the environment, read once. The two input files and
+    ``/dev/null`` are opened once, and the fork-server shim is looked up.
+
+    A slot's first run starts a fork server in it (see
+    ``docs/external-targets.md``): the target, executed once with the shim
+    preloaded, forks a child for every input. A target the shim cannot
+    enter, or a host with no shim, spawns a process per input instead.
+    ``execute_external`` runs inputs through the target.
+    ``close`` (or leaving a ``with`` block) kills any running child, stops
+    the servers, closes the descriptors and removes the directory.
     """
 
     def __init__(self, command: Sequence[str], timeout: float):
         index = placeholder_index(command)
         check_timeout(timeout)
         self.timeout = timeout
+        self._timeout_ms = struct.pack("=I", math.ceil(timeout * 1000))
+        self._shim = _fork_server_shim()
         self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
         self._devnull_fd = -1
         self.workdir: Optional[str] = tempfile.mkdtemp(prefix="truzz-exec-")
@@ -547,6 +642,7 @@ class ExternalTarget:
         for slot in self.slots:
             if slot.pid is not None:
                 self._discard(slot)
+            self._stop_server(slot)
             if slot.input_fd >= 0:
                 os.close(slot.input_fd)
                 slot.input_fd = -1
@@ -578,12 +674,24 @@ class ExternalTarget:
                 pass
         return fds
 
+    def _spawn(self, argv: list[str], env: dict[bytes, bytes], *file_actions) -> int:
+        """Spawn ``argv`` in ``env`` with stdout and stderr on ``/dev/null``
+        and every other inheritable descriptor but stdin closed, then
+        ``file_actions`` applied; return its pid."""
+        devnull = self._devnull_fd
+        actions = [(os.POSIX_SPAWN_CLOSE, n) for n in self._inheritable_fds()]
+        actions += [(os.POSIX_SPAWN_DUP2, devnull, 1), (os.POSIX_SPAWN_DUP2, devnull, 2),
+                    *file_actions]
+        try:
+            return os.posix_spawnp(argv[0], argv, env, file_actions=actions)
+        except OSError as exc:
+            raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
+
     def _start(self, slot: _Slot, data: bytes) -> None:
         """Write ``data`` in place over the slot's input file, delete the
-        slot's old coverage dump, and spawn the target on it. The child's
-        stdout and stderr go to ``/dev/null`` and every other inheritable
-        descriptor but stdin is closed in it. Its deadline is its spawn
-        time plus the timeout."""
+        slot's old coverage dump, and start the target on it: a request to
+        the slot's fork server, or a spawn where there is none. Either way
+        the run's deadline is its own fork or spawn plus the timeout."""
         fd = slot.input_fd
         if os.pwrite(fd, data, 0) != len(data):
             raise ExternalTargetError(f"short write to {slot.input_path}")
@@ -592,30 +700,33 @@ class ExternalTarget:
             os.unlink(slot.dump_path)
         except FileNotFoundError:
             pass
-        devnull = self._devnull_fd
-        file_actions = [
-            (os.POSIX_SPAWN_DUP2, devnull, 1),
-            (os.POSIX_SPAWN_DUP2, devnull, 2),
-        ]
-        file_actions += [(os.POSIX_SPAWN_CLOSE, n) for n in self._inheritable_fds()]
-        argv = slot.argv
-        try:
-            slot.pid = os.posix_spawnp(argv[0], argv, slot.env, file_actions=file_actions)
-        except OSError as exc:
-            raise SpawnError(f"failed to spawn {argv[0]!r}: {exc}") from exc
-        slot.deadline = time.monotonic() + self.timeout
+        if slot.control_fd < 0 and self._shim is not None:
+            self._open_server(slot)
+        if slot.control_fd >= 0:
+            self._request(slot, self._timeout_ms)
+        else:
+            slot.pid = self._spawn(slot.argv, slot.env)
+            slot.deadline = time.monotonic() + self.timeout
         slot.data = data
 
     def _discard(self, slot: _Slot) -> None:
         """Kill and reap the slot's started child, whose result is unwanted."""
-        os.kill(slot.pid, signal.SIGKILL)
-        os.waitpid(slot.pid, 0)
-        slot.pid = slot.data = None
+        if slot.control_fd >= 0:
+            self._request(slot, _KILL)
+            self._reply(slot)
+        else:
+            os.kill(slot.pid, signal.SIGKILL)
+            os.waitpid(slot.pid, 0)
+            slot.pid = slot.data = None
 
     def _finish(self, slot: _Slot) -> ExecResult:
-        """Wait for the slot's started child and read its result."""
-        pid, slot.pid, slot.data = slot.pid, None, None
-        returncode = _wait_exit(pid, slot.deadline)  # reaps ``pid`` however it ends
+        """Wait for the slot's started run to end and read its result."""
+        if slot.control_fd >= 0:
+            _, wait_status, timed_out = self._reply(slot)
+            returncode = None if timed_out else os.waitstatus_to_exitcode(wait_status)
+        else:
+            pid, slot.pid, slot.data = slot.pid, None, None
+            returncode = _wait_exit(pid, slot.deadline)  # reaps ``pid`` however it ends
         if returncode is None:
             status = ExecStatus.TIMEOUT
         else:
@@ -631,6 +742,110 @@ class ExternalTarget:
         except ValueError as exc:
             raise CoverageDumpError(f"corrupt coverage dump: {exc}") from exc
         return ExecResult(path=path, exec_status=status)
+
+    # -- fork servers --------------------------------------------------------
+
+    def _open_server(self, slot: _Slot) -> None:
+        """Start a fork server in the slot, from its argv and environment.
+        If the target says no hello within the timeout (it closes the
+        status pipe, or runs on without the shim, as a static binary does),
+        the handshake process is killed and reaped, its coverage dump
+        deleted, and every slot without a server spawns a process per run
+        from then on."""
+        pid = self._spawn_server(slot, self._shim)
+        hello = False
+        try:
+            hello = self._await_hello(slot, time.monotonic() + self.timeout)
+        finally:
+            # A handshake process that said hello has left its server
+            # behind and exits by itself.
+            if not hello:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if not hello:
+                self._shim = None
+                self._stop_server(slot)
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(slot.dump_path)
+
+    def _spawn_server(self, slot: _Slot, shim: bytes) -> int:
+        """Spawn the slot's target with the shim preloaded after any library
+        its environment preloads, and the shim's ends of a new control and
+        status pipe on their fixed descriptors; keep the other ends in the
+        slot. Return the spawned pid."""
+        preload = slot.env.get(b"LD_PRELOAD", b"")
+        env = {**slot.env, _FORK_SERVER_ENV: preload,
+               b"LD_PRELOAD": b" ".join(filter(None, (preload, shim)))}
+        control, slot.control_fd = os.pipe()
+        try:
+            slot.status_fd, status = os.pipe()
+            try:
+                return self._spawn(slot.argv, env,
+                                   (os.POSIX_SPAWN_DUP2, control, _CONTROL_FD),
+                                   (os.POSIX_SPAWN_DUP2, status, _STATUS_FD))
+            finally:
+                os.close(status)
+        finally:
+            os.close(control)
+
+    def _await_hello(self, slot: _Slot, deadline: float) -> bool:
+        """Whether the slot's server says hello by ``deadline``; if it does,
+        record the server's pid."""
+        poller = select.poll()
+        poller.register(slot.status_fd, select.POLLIN)
+        # Never negative: poll(-1) would wait forever.
+        if not poller.poll(max(deadline - time.monotonic(), 0.0) * 1000):
+            return False
+        hello = os.read(slot.status_fd, 8)
+        if len(hello) != 8:
+            return False
+        magic, pid = struct.unpack("=Ii", hello)
+        if magic != _HELLO:
+            return False
+        slot.server_pid = pid
+        return True
+
+    def _request(self, slot: _Slot, message: bytes) -> None:
+        """Send the slot's server a run request (a timeout in ms) or, as
+        ``_KILL``, a kill request."""
+        try:
+            os.write(slot.control_fd, message)
+        except OSError as exc:
+            raise ForkServerError(
+                f"fork server {slot.server_pid} of {slot.argv[0]!r} is gone: {exc}"
+            ) from exc
+
+    def _reply(self, slot: _Slot) -> tuple[int, int, int]:
+        """Wait for the server's reply to the slot's started run: the
+        child's pid, its wait status, and 1 if it timed out, else 0."""
+        reply = os.read(slot.status_fd, 12)
+        if len(reply) != 12:
+            raise ForkServerError(f"fork server {slot.server_pid} of {slot.argv[0]!r} died")
+        slot.data = None
+        return struct.unpack("=iii", reply)
+
+    def _stop_server(self, slot: _Slot) -> None:
+        """Close the slot's control pipe, so that its server, if it has one,
+        kills and reaps any child and exits, and wait for that exit: the end
+        of the status pipe, whose last writer the server is. A server that
+        has died already is tolerated. The server is not this process's
+        child unless this process reaps orphans (PID 1 or a subreaper); it
+        is reaped here in that case."""
+        if slot.control_fd >= 0:
+            os.close(slot.control_fd)
+            slot.control_fd = -1
+        if slot.status_fd >= 0:
+            try:
+                while slot.server_pid and os.read(slot.status_fd, 64):
+                    pass
+            finally:
+                os.close(slot.status_fd)
+                slot.status_fd = -1
+        if slot.server_pid:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(slot.server_pid, 0)
+            slot.server_pid = 0
+        slot.data = None
 
 
 def _wait_exit(pid: int, deadline: float) -> Optional[int]:
@@ -691,21 +906,21 @@ def execute_external(
     If ``data`` is the very object (an identity check) that the previous
     call was given as ``then``, its child is already running and is waited
     for; any other started child is killed, reaped and discarded, and
-    ``data`` is spawned in slot 0. If ``then`` is given, it is spawned into
+    ``data`` is started in slot 0. If ``then`` is given, it is started in
     the other slot before the wait, so its run overlaps this one's; the
     next call should pass that same object as ``data``. So at most two
-    target processes run at once.
+    target children run at once.
 
     Each input is written in place over its slot's input file, whose path
     and inode stay the same for the whole campaign. The target reports
     coverage by writing newline-separated decimal edge identifiers to the
     file named in the TRUZZ_COV_FILE environment variable; a dump left in
-    the slot by an earlier run is deleted first. A target still running
-    ``target.timeout`` seconds after its own spawn is killed.
+    the slot by an earlier run is deleted first. A child still running
+    ``target.timeout`` seconds after its own fork (or spawn) is killed.
     """
     slot = None
     for started in target.slots:
-        if started.pid is None:
+        if started.data is None:
             continue
         if started.data is data and slot is None:
             slot = started

@@ -81,6 +81,22 @@ class TruzzPicks:
         return i
 
 
+def valid_ratio_misreads():
+    """Which of the paper's valid-input ratio figures its own counts fail to
+    reproduce to within 0.01: 55415 of 1448513 baseline inputs (3.82%),
+    526923 of 1448103 with byte protection (36.38%), and the gap between
+    them (32.56 percentage points). Empty when the arithmetic holds."""
+    baseline = 100 * 55415 / 1448513
+    protected = 100 * 526923 / 1448103
+    figures = {
+        "baseline": (baseline, 3.82),
+        "protected": (protected, 36.38),
+        "gap": (protected - baseline, 32.56),
+    }
+    return [name for name, (computed, reported) in figures.items()
+            if not abs(computed - reported) < 0.01]
+
+
 def brute_a12(xs, ys):
     """Quadratic reference implementation of the rank statistic."""
     wins = sum(1 for x in xs for y in ys if x > y)
@@ -172,6 +188,40 @@ FD_TARGET = textwrap.dedent(
 )
 
 
+# Covers edge 0, edge 1 if it sees the variable that enters a fork server,
+# and edge 2 if it sees LD_PRELOAD.
+ENV_TARGET = textwrap.dedent(
+    """
+    import os
+    with open(os.environ['TRUZZ_COV_FILE'], 'w') as fh:
+        fh.write('0\\n')
+        if 'TRUZZ_FORK_SERVER' in os.environ:
+            fh.write('1\\n')
+        if 'LD_PRELOAD' in os.environ:
+            fh.write('2\\n')
+    """
+)
+
+
+# A C target, for building statically, run as ``prog MARKER @@``: the run
+# that creates the file MARKER dumps edge 9; every later run kills itself
+# before its dump.
+ONCE_TARGET_C = r"""
+#include <fcntl.h>
+#include <signal.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <unistd.h>
+
+int main(int argc, char **argv) {
+    if (argc < 2 || open(argv[1], O_WRONLY | O_CREAT | O_EXCL, 0600) < 0) raise(SIGKILL);
+    FILE *fh = fopen(getenv("TRUZZ_COV_FILE"), "w");
+    fputs("9\n", fh);
+    return fclose(fh) != 0;
+}
+"""
+
+
 # Covers edges 1 and 2, and 5 on an odd first byte; crashes on a second
 # byte of 0xff.
 CRASHY_TARGET = textwrap.dedent(
@@ -240,6 +290,20 @@ def external_config(tmp_path, label="c", seeds=(bytes(8),), script=CRASHY_TARGET
         command=[sys.executable, str(script_path), "@@"],
         **kw,
     )
+
+
+def exited(pid):
+    """Whether process ``pid`` has exited: it is gone, or a zombie whose
+    parent (init, for a detached fork server) has yet to reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def open_fd_count():

@@ -6,9 +6,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from harness import PID_TARGET, external_config, make_corpus, open_fd_count, vanilla_fifo
+from harness import (
+    PID_TARGET,
+    exited,
+    external_config,
+    make_corpus,
+    open_fd_count,
+    vanilla_fifo,
+)
 
 import truzz.engine
+import truzz.target
 from truzz.byte_analysis import AnalysisConfig, mask_from_fitness
 from truzz.engine import (
     STATS_HEADER,
@@ -621,7 +629,7 @@ class TestExternalCampaign:
     def test_no_child_outlives_the_campaign(self, tmp_path, monkeypatch, fault):
         """A campaign ended while the next child runs, by an interrupt after
         the k-th mutated exec or by a missing coverage dump, kills and reaps
-        that child and removes the work directory."""
+        that child, stops both fork servers and removes the work directory."""
         from truzz.target import CoverageDumpError
 
         tmp = tmp_path / "tmp"
@@ -630,10 +638,14 @@ class TestExternalCampaign:
         execute = truzz.engine.execute_external
         interrupt_after = int(fault.split("-")[1]) + 1 if fault.startswith("interrupt") else 0
         thens = []
+        servers = set()
 
         def interrupting(target, data, then=None):
             thens.append(then)
-            result = execute(target, data, then)
+            try:
+                result = execute(target, data, then)
+            finally:
+                servers.update(slot.server_pid for slot in target.slots if slot.server_pid)
             if len(thens) == interrupt_after:  # the dry run's one exec, then k mutated
                 raise KeyboardInterrupt
             return result
@@ -657,10 +669,50 @@ class TestExternalCampaign:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+        if truzz.target._fork_server_shim() is not None:
+            assert len(servers) == 2
+        assert all(exited(pid) for pid in servers)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp.iterdir()) == []
         assert open_fd_count() == fds
+
+    @pytest.mark.parametrize("mask_enabled", [False, True])
+    def test_launch_changes_no_output(self, tmp_path, monkeypatch, mask_enabled):
+        """Running each child under a fork server changes nothing but speed:
+        a campaign that spawns a process per run saves the same queue,
+        meta, crashes and overall.cov, and counts the same executions in
+        every phase."""
+        if truzz.target._fork_server_shim() is None:
+            pytest.skip("no fork-server shim on this host")
+        execute = truzz.engine.execute_external
+        servers = set()
+
+        def recording(target, data, then=None):
+            servers.update(slot.server_pid for slot in target.slots if slot.server_pid)
+            return execute(target, data, then)
+
+        monkeypatch.setattr(truzz.engine, "execute_external", recording)
+
+        def campaign(label):
+            stats = Campaign(external_config(
+                tmp_path, label, budget=Budget(max_execs=120),
+                scheduler=SchedulerConfig(energy=30), mask_enabled=mask_enabled, rng_seed=5,
+            )).run()
+            outputs = {k: v for k, v in snapshot(tmp_path / label).items() if k != "stats.csv"}
+            counts = (stats.executions, stats.crashes, stats.dry_run_execs,
+                      stats.probe_execs, stats.mutation_execs)
+            return outputs, counts
+
+        forked = campaign("forked")
+        assert len(servers) == 2
+        servers.clear()
+        monkeypatch.setattr(truzz.target, "_fork_server_shim", lambda: None)
+        spawned = campaign("spawned")
+        assert not servers
+        assert forked == spawned
+        assert forked[1][1] > 0  # crashes
+        assert any(name.startswith("crashes/") for name in forked[0])
 
     def test_no_work_directory_left_behind(self, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"

@@ -1,8 +1,12 @@
 import errno
 import math
 import os
+import pathlib
 import re
+import select
 import signal
+import stat
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -11,8 +15,17 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from harness import DUMP_TARGET, ECHO_TARGET, FD_TARGET, open_fd_count
+from harness import (
+    DUMP_TARGET,
+    ECHO_TARGET,
+    ENV_TARGET,
+    FD_TARGET,
+    ONCE_TARGET_C,
+    exited,
+    open_fd_count,
+)
 
+import truzz.target
 from truzz.coverage import MAP_SIZE
 from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.target import (
@@ -24,6 +37,7 @@ from truzz.target import (
     CoverageDumpError,
     ExecStatus,
     ExternalTarget,
+    ForkServerError,
     MalformedSpecError,
     PredicateKind,
     RegionOverlapError,
@@ -291,11 +305,17 @@ class TestExternalExecution:
         script.write_text(DUMP_TARGET)
         return [sys.executable, str(script), "@@"]
 
-    @pytest.fixture(params=["pidfd", "waitpid-poll", "pidfd-refused"])
+    @pytest.fixture(params=["fork-server", "pidfd", "waitpid-poll", "pidfd-refused"])
     def wait_path(self, request, monkeypatch):
-        """Each wait test runs on the pidfd wait, on the fallback where
-        ``os.pidfd_open`` does not exist, and on the fallback where the
-        kernel refuses it (ENOSYS before Linux 5.3)."""
+        """Each wait test runs under fork servers, and with a process
+        spawned per run on each of that launch's waits: the pidfd wait, the
+        fallback where ``os.pidfd_open`` does not exist, and the fallback
+        where the kernel refuses it (ENOSYS before Linux 5.3)."""
+        if request.param == "fork-server":
+            if truzz.target._fork_server_shim() is None:
+                pytest.skip("no fork-server shim on this host")
+            return request.param
+        monkeypatch.setattr(truzz.target, "_fork_server_shim", lambda: None)
         if request.param == "pidfd" and not hasattr(os, "pidfd_open"):
             pytest.skip("no os.pidfd_open on this platform")
         if request.param == "waitpid-poll":
@@ -509,3 +529,210 @@ class TestExternalExecution:
     def test_bad_dump_line_rejected(self, echo_script, line):
         with pytest.raises(CoverageDumpError, match="corrupt coverage dump"):
             run_external(echo_script, b"3\n" + line + b"\n")
+
+
+def wait_for_pid(pid_file):
+    """The pid a target wrote to ``pid_file``, once it is there."""
+    deadline = time.monotonic() + 5
+    while not pid_file.exists() or not pid_file.read_text().endswith("\n"):
+        assert time.monotonic() < deadline, f"no pid in {pid_file}"
+        time.sleep(0.01)
+    return int(pid_file.read_text())
+
+
+class TestForkServer:
+    @pytest.fixture(autouse=True)
+    def shim(self):
+        shim = truzz.target._fork_server_shim()
+        if shim is None:
+            pytest.skip("no fork-server shim on this host")
+        return shim
+
+    @pytest.fixture()
+    def hang_command(self, tmp_path):
+        """A target that records its pid and hangs on input ``hang``, and
+        dumps edge 5 on any other."""
+        return ["/bin/sh", "-c",
+                'if [ "$(cat "$1")" = hang ]; then echo $$ > "$0"; exec sleep 30; fi;'
+                ' echo 5 > "$TRUZZ_COV_FILE"', str(tmp_path / "pid"), "@@"]
+
+    def test_each_slot_runs_under_its_own_server(self, tmp_path):
+        script = tmp_path / "target.py"
+        script.write_text(DUMP_TARGET)
+        with ExternalTarget([sys.executable, str(script), "@@"], 5.0) as target:
+            first = execute_external(target, b"!x", then=b"CRASH")
+            second = execute_external(target, b"CRASH")
+            servers = [slot.server_pid for slot in target.slots]
+        assert first.path == {3, 7, 11} and first.exec_status is ExecStatus.NORMAL
+        assert second.path == {3, 7} and second.exec_status is ExecStatus.CRASH
+        assert all(servers) and len(set(servers)) == 2
+        assert all(exited(pid) for pid in servers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("preload", [False, True])
+    def test_target_sees_no_marker_and_its_own_preload(self, tmp_path, monkeypatch, shim,
+                                                        preload):
+        """The shim restores the LD_PRELOAD the target was given, if any,
+        and unsets the variable that entered the server."""
+        if preload:
+            monkeypatch.setenv("LD_PRELOAD", os.fsdecode(shim))
+        else:
+            monkeypatch.delenv("LD_PRELOAD", raising=False)
+        script = tmp_path / "env.py"
+        script.write_text(ENV_TARGET)
+        with ExternalTarget([sys.executable, str(script), "@@"], 5.0) as target:
+            result = execute_external(target, b"x")
+            assert target.slots[0].server_pid
+        assert result.path == ({0, 2} if preload else {0})
+
+    def test_server_killed_between_runs_is_named(self, hang_command):
+        before = open_fd_count()
+        with ExternalTarget(hang_command, 5.0) as target:
+            assert execute_external(target, b"x").path == {5}
+            server = target.slots[0].server_pid
+            os.kill(server, signal.SIGKILL)
+            deadline = time.monotonic() + 5
+            while not exited(server):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with pytest.raises(ForkServerError, match=re.escape(repr(hang_command[0]))):
+                execute_external(target, b"x")
+        assert open_fd_count() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_kills_child_and_server(self, tmp_path, hang_command):
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with ExternalTarget(hang_command, 5.0) as target:
+                signal.setitimer(signal.ITIMER_REAL, 0.3)
+                with pytest.raises(Interrupt):
+                    execute_external(target, b"hang")
+                server = target.slots[0].server_pid
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ProcessLookupError):
+            os.kill(wait_for_pid(tmp_path / "pid"), 0)
+        assert server and exited(server)
+
+    def test_closed_control_pipe_ends_server_and_child(self, tmp_path, hang_command):
+        """A server whose control pipe closes, as it does when truzz dies
+        without ``close``, kills and reaps its child and exits."""
+        with ExternalTarget(hang_command, 30.0) as target:
+            assert execute_external(target, b"x", then=b"hang").path == {5}
+            child = wait_for_pid(tmp_path / "pid")
+            slot = target.slots[1]
+            os.close(slot.control_fd)
+            slot.control_fd = -1
+            # The server is the last writer of its status pipe.
+            poller = select.poll()
+            poller.register(slot.status_fd, select.POLLIN)
+            assert poller.poll(5000)
+            assert os.read(slot.status_fd, 64) == b""
+            with pytest.raises(ProcessLookupError):
+                os.kill(child, 0)
+            assert exited(slot.server_pid)
+
+    def test_server_reaped_where_this_process_reaps_orphans(self):
+        """A process that reaps orphans (PID 1, or a subreaper as here)
+        becomes each server's parent, and ``close`` reaps the servers."""
+        code = textwrap.dedent(
+            """
+            import ctypes, os
+            from truzz.target import ExternalTarget, execute_external
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+            prctl.restype = ctypes.c_int
+            PR_SET_CHILD_SUBREAPER = 36
+            if prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+                raise OSError(ctypes.get_errno(), "prctl")
+            command = ['/bin/sh', '-c', 'echo 4 > "$TRUZZ_COV_FILE"', '@@']
+            with ExternalTarget(command, 5.0) as target:
+                assert execute_external(target, b'x', then=b'y').path == {4}
+                assert execute_external(target, b'y').path == {4}
+                assert all(slot.server_pid for slot in target.slots)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print('reaped')
+            """
+        )
+        src = os.path.dirname(os.path.dirname(truzz.target.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["reaped"]
+
+    def test_static_target_falls_back_to_spawn(self, tmp_path):
+        """A target the shim cannot enter runs through posix_spawn. Its
+        handshake run, which dumped edge 9, is reaped and its dump deleted,
+        so a later run that dies before its dump reports an empty path."""
+        source = tmp_path / "once.c"
+        source.write_text(ONCE_TARGET_C)
+        binary = tmp_path / "once"
+        try:
+            built = subprocess.run(["cc", "-static", "-o", str(binary), str(source)],
+                                   capture_output=True, timeout=120).returncode == 0
+        except OSError:
+            built = False
+        if not built:
+            pytest.skip("cc -static does not work on this host")
+        marker = tmp_path / "ran"
+        with ExternalTarget([str(binary), str(marker), "@@"], 5.0) as target:
+            result = execute_external(target, b"x", then=b"y")
+            assert [slot.server_pid for slot in target.slots] == [0, 0]
+            assert marker.exists()
+            assert execute_external(target, b"y").exec_status is ExecStatus.CRASH
+        assert result.exec_status is ExecStatus.CRASH and result.path == frozenset()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestShimCache:
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        """A fresh, empty cache root; the shim's directory in it."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "truzz"
+
+    def test_built_once_then_found_without_a_subprocess(self, cache, monkeypatch):
+        shim = truzz.target._fork_server_shim()
+        if shim is None:
+            pytest.skip("no C compiler on this host")
+        assert [p.name for p in cache.iterdir()] == [os.path.basename(os.fsdecode(shim))]
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit ran a subprocess")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert truzz.target._fork_server_shim() == shim
+
+    @pytest.mark.parametrize("compilers", [(), ("false",)])
+    def test_no_working_compiler_spawns(self, cache, monkeypatch, compilers):
+        monkeypatch.setattr(truzz.target, "_COMPILERS", compilers)
+        assert truzz.target._fork_server_shim() is None
+        # A failed build leaves no temporary file behind.
+        assert list(cache.iterdir()) == []
+        with ExternalTarget(["/bin/sh", "-c", 'echo 4 > "$TRUZZ_COV_FILE"', "@@"],
+                            5.0) as target:
+            assert execute_external(target, b"x").path == {4}
+            assert [slot.server_pid for slot in target.slots] == [0, 0]
+
+    @pytest.mark.parametrize("where", ["directory", "file"])
+    def test_writable_cache_refused(self, cache, where):
+        shim = truzz.target._fork_server_shim()
+        if shim is None:
+            pytest.skip("no C compiler on this host")
+        path = cache if where == "directory" else pathlib.Path(os.fsdecode(shim))
+        path.chmod(stat.S_IMODE(path.stat().st_mode) | 0o020)
+        assert truzz.target._fork_server_shim() is None
