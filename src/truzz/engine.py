@@ -398,14 +398,16 @@ class Campaign:
             pass
         finally:
             self._run = None
-            if external is not None:
-                external.close()
-            # A dry run that failed or was interrupted has not yet reattached
-            # the saved fitness, so it persists nothing.
-            if dry_run_done:
-                self._emit_row()
-                _persist_corpus(self.corpus_dir, self.corpus)
-            self._stats_writer.close()
+            try:
+                if external is not None:
+                    external.close()
+            finally:
+                # A dry run that failed or was interrupted has not yet
+                # reattached the saved fitness, so it persists nothing.
+                if dry_run_done:
+                    self._emit_row()
+                    _persist_corpus(self.corpus_dir, self.corpus)
+                self._stats_writer.close()
         return self.stats
 
 

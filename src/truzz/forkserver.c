@@ -2,8 +2,8 @@
 
    truzz starts a target with this library appended to LD_PRELOAD and
    TRUZZ_FORK_SERVER set to the LD_PRELOAD the target would otherwise have
-   had. The constructor below restores LD_PRELOAD, unsets the marker and
-   detaches a server, so the server is never truzz's child. The server says
+   had. The constructor below restores LD_PRELOAD and unsets the marker;
+   the process truzz spawned is then the server, truzz's own child. It says
    hello on STATUS_FD, then serves run requests read from CONTROL_FD: each
    is a timeout in ms, for which it forks a child that returns into the
    target's main. A request of 0 while a child runs kills the child. Each
@@ -47,17 +47,15 @@ __attribute__((constructor)) static void fork_server(void) {
 
     /* Without pidfds there is no server: say nothing, and truzz spawns. */
     int probe = pidfd_open(getpid());
-    pid_t server = probe < 0 ? -1 : fork();
-    if (server != 0) {
-        if (server > 0) _exit(0);
+    if (probe < 0) {
         close(CONTROL_FD);
         close(STATUS_FD);
         return;
     }
     close(probe);
-    server = getpid();
-    int32_t hello[2] = {HELLO, server};
-    put(hello, 2);
+    pid_t server = getpid();
+    int32_t hello = HELLO;
+    put(&hello, 1);
 
     for (;;) {
         uint32_t ms;

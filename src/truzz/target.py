@@ -496,7 +496,7 @@ def check_timeout(timeout: float) -> None:
 # that enters the server, and its hello (see forkserver.c).
 _CONTROL_FD, _STATUS_FD = 198, 199
 _FORK_SERVER_ENV = b"TRUZZ_FORK_SERVER"
-_HELLO = 0x46525A54
+_HELLO = struct.pack("=I", 0x46525A54)
 _KILL = struct.pack("=I", 0)
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -543,7 +543,8 @@ def _fork_server_shim() -> Optional[bytes]:
 def _build_shim(source: bytes, path: str) -> Optional[bytes]:
     """Compile ``source`` into the shared library ``path`` with the first of
     ``cc``, ``gcc`` and ``clang`` found: to a temporary file beside it, then
-    moved into place. None if there is no compiler or it fails."""
+    moved into place, and every other ``forkserver-*.so`` beside it deleted.
+    None if there is no compiler or it fails."""
     import subprocess  # here, not with the module: a cache hit needs none
 
     compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
@@ -561,6 +562,14 @@ def _build_shim(source: bytes, path: str) -> Optional[bytes]:
             return None
         os.chmod(tmp, 0o755)
         os.replace(tmp, path)
+        directory, name = os.path.split(path)
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if (entry.name != name and entry.name.startswith("forkserver-")
+                        and entry.name.endswith(".so")
+                        and entry.is_file(follow_symlinks=False)):
+                    with contextlib.suppress(OSError):
+                        os.unlink(entry.path)
         return os.fsencode(path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -580,7 +589,7 @@ class _Slot:
     input_fd: int = -1
     control_fd: int = -1          # requests to the slot's fork server
     status_fd: int = -1           # its hello and replies
-    server_pid: int = 0           # from its hello
+    server_pid: int = 0           # the server, this process's child
     data: Optional[bytes] = None  # the input the started run runs, until it is awaited
     pid: Optional[int] = None     # a spawned child, until it is reaped
     deadline: float = 0.0         # time.monotonic() at which that child is killed
@@ -600,12 +609,13 @@ class ExternalTarget:
     ``/dev/null`` are opened once, and the fork-server shim is looked up.
 
     A slot's first run starts a fork server in it (see
-    ``docs/external-targets.md``): the target, executed once with the shim
-    preloaded, forks a child for every input. A target the shim cannot
-    enter, or a host with no shim, spawns a process per input instead.
-    ``execute_external`` runs inputs through the target.
+    ``docs/external-targets.md``): the target, spawned once with the shim
+    preloaded, is the server, and forks a child for every input. A target
+    the shim cannot enter, or a host with no shim, spawns a process per
+    input instead. ``execute_external`` runs inputs through the target.
     ``close`` (or leaving a ``with`` block) kills any running child, stops
-    the servers, closes the descriptors and removes the directory.
+    and reaps the servers, closes the descriptors and removes the
+    directory, if it is still there.
     """
 
     def __init__(self, command: Sequence[str], timeout: float):
@@ -649,9 +659,10 @@ class ExternalTarget:
         if self._devnull_fd >= 0:
             os.close(self._devnull_fd)
             self._devnull_fd = -1
-        if self.workdir is not None:
-            shutil.rmtree(self.workdir)
-            self.workdir = None
+        workdir, self.workdir = self.workdir, None
+        if workdir is not None:
+            with contextlib.suppress(FileNotFoundError):  # removed already
+                shutil.rmtree(workdir)
 
     def __enter__(self) -> "ExternalTarget":
         return self
@@ -749,20 +760,15 @@ class ExternalTarget:
         """Start a fork server in the slot, from its argv and environment.
         If the target says no hello within the timeout (it closes the
         status pipe, or runs on without the shim, as a static binary does),
-        the handshake process is killed and reaped, its coverage dump
-        deleted, and every slot without a server spawns a process per run
-        from then on."""
-        pid = self._spawn_server(slot, self._shim)
+        it is killed and reaped, its coverage dump deleted, and every slot
+        without a server spawns a process per run from then on."""
+        slot.server_pid = self._spawn_server(slot, self._shim)
         hello = False
         try:
             hello = self._await_hello(slot, time.monotonic() + self.timeout)
         finally:
-            # A handshake process that said hello has left its server
-            # behind and exits by itself.
             if not hello:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            if not hello:
+                os.kill(slot.server_pid, signal.SIGKILL)
                 self._shim = None
                 self._stop_server(slot)
                 with contextlib.suppress(FileNotFoundError):
@@ -789,21 +795,13 @@ class ExternalTarget:
             os.close(control)
 
     def _await_hello(self, slot: _Slot, deadline: float) -> bool:
-        """Whether the slot's server says hello by ``deadline``; if it does,
-        record the server's pid."""
+        """Whether the slot's server says hello by ``deadline``."""
         poller = select.poll()
         poller.register(slot.status_fd, select.POLLIN)
         # Never negative: poll(-1) would wait forever.
         if not poller.poll(max(deadline - time.monotonic(), 0.0) * 1000):
             return False
-        hello = os.read(slot.status_fd, 8)
-        if len(hello) != 8:
-            return False
-        magic, pid = struct.unpack("=Ii", hello)
-        if magic != _HELLO:
-            return False
-        slot.server_pid = pid
-        return True
+        return os.read(slot.status_fd, len(_HELLO)) == _HELLO
 
     def _request(self, slot: _Slot, message: bytes) -> None:
         """Send the slot's server a run request (a timeout in ms) or, as
@@ -825,22 +823,13 @@ class ExternalTarget:
         return struct.unpack("=iii", reply)
 
     def _stop_server(self, slot: _Slot) -> None:
-        """Close the slot's control pipe, so that its server, if it has one,
-        kills and reaps any child and exits, and wait for that exit: the end
-        of the status pipe, whose last writer the server is. A server that
-        has died already is tolerated. The server is not this process's
-        child unless this process reaps orphans (PID 1 or a subreaper); it
-        is reaped here in that case."""
-        if slot.control_fd >= 0:
-            os.close(slot.control_fd)
-            slot.control_fd = -1
-        if slot.status_fd >= 0:
-            try:
-                while slot.server_pid and os.read(slot.status_fd, 64):
-                    pass
-            finally:
-                os.close(slot.status_fd)
-                slot.status_fd = -1
+        """Close the slot's pipes, so that its server, if it has one, kills
+        and reaps any child and exits, and reap the server. A server that
+        has died already is tolerated."""
+        for fd in (slot.control_fd, slot.status_fd):
+            if fd >= 0:
+                os.close(fd)
+        slot.control_fd = slot.status_fd = -1
         if slot.server_pid:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(slot.server_pid, 0)

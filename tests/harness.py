@@ -294,7 +294,8 @@ def external_config(tmp_path, label="c", seeds=(bytes(8),), script=CRASHY_TARGET
 
 def exited(pid):
     """Whether process ``pid`` has exited: it is gone, or a zombie whose
-    parent (init, for a detached fork server) has yet to reap it."""
+    parent has yet to reap it, as a fork server that died is until its
+    ``ExternalTarget`` is closed."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 from harness import (
     PID_TARGET,
-    exited,
     external_config,
     make_corpus,
     open_fd_count,
@@ -671,7 +670,9 @@ class TestExternalCampaign:
                 os.kill(pid, 0)
         if truzz.target._fork_server_shim() is not None:
             assert len(servers) == 2
-        assert all(exited(pid) for pid in servers)
+        for pid in servers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp.iterdir()) == []
@@ -758,6 +759,43 @@ class TestExternalCampaign:
         assert len(set(workdirs)) == 3
         assert list(tmp.iterdir()) == []
         assert open_fd_count() == fds
+
+    @pytest.mark.parametrize("fault", ["workdir-removed", "close-fails"])
+    def test_failed_close_keeps_the_corpus(self, tmp_path, monkeypatch, fault):
+        """A campaign whose work directory is removed mid-run fails with the
+        run's own error, and one whose ``close`` fails with that failure;
+        either way the corpus and the final stats row are saved."""
+        from truzz.target import CoverageDumpError, ExternalTarget
+
+        execute = truzz.engine.execute_external
+        calls = []
+
+        def removing(target, data, then=None):
+            calls.append(data)
+            if len(calls) == 20:
+                shutil.rmtree(target.workdir)
+            return execute(target, data, then)
+
+        close = ExternalTarget.close
+
+        def failing(target):
+            close(target)
+            raise OSError("close failed")
+
+        if fault == "workdir-removed":
+            monkeypatch.setattr(truzz.engine, "execute_external", removing)
+            expected = CoverageDumpError
+        else:
+            monkeypatch.setattr(ExternalTarget, "close", failing)
+            expected = OSError
+        campaign = Campaign(external_config(tmp_path, budget=Budget(max_execs=40)))
+        with pytest.raises(expected):
+            campaign.run()
+        corpus = tmp_path / "c"
+        assert list((corpus / "queue").iterdir())
+        rows = (corpus / "stats.csv").read_text().splitlines()
+        assert rows[0] == STATS_HEADER
+        assert int(rows[-1].split(",")[1]) == campaign.stats.executions > 0
 
 
 class TestReplay:

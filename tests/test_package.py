@@ -1,7 +1,9 @@
 """The package runs on the standard library alone, as README and
-pyproject.toml promise, and ships the fork-server shim's source."""
+pyproject.toml promise, ships the fork-server shim's source, and that
+source compiles cleanly."""
 
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -55,3 +57,17 @@ def test_shim_source_ships_as_package_data():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert "forkserver.c" in pyproject["tool"]["setuptools"]["package-data"]["truzz"]
+
+
+def test_shim_compiles_without_warnings(tmp_path):
+    """A compiler that rejected the shim would leave every target spawned,
+    with no error; so it must build warning-free."""
+    from truzz.target import _COMPILERS
+
+    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if compiler is None:
+        pytest.skip("no C compiler on this host")
+    command = [compiler, "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+               "-o", str(tmp_path / "forkserver.so"), str(ROOT / "src/truzz/forkserver.c")]
+    built = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr[-2000:]

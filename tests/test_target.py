@@ -499,8 +499,13 @@ class TestExternalExecution:
             # Discarded, not left to run in the other slot.
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
+            if wait_path == "fork-server":  # the live servers are this process's children
+                assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+            else:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_wait_survives_signal_storm(self, wait_path):
         command = ["/bin/sh", "-c", 'sleep 0.2; echo 4 > "$TRUZZ_COV_FILE"', "@@"]
@@ -566,7 +571,9 @@ class TestForkServer:
         assert first.path == {3, 7, 11} and first.exec_status is ExecStatus.NORMAL
         assert second.path == {3, 7} and second.exec_status is ExecStatus.CRASH
         assert all(servers) and len(set(servers)) == 2
-        assert all(exited(pid) for pid in servers)
+        for pid in servers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -621,7 +628,9 @@ class TestForkServer:
             signal.signal(signal.SIGALRM, previous)
         with pytest.raises(ProcessLookupError):
             os.kill(wait_for_pid(tmp_path / "pid"), 0)
-        assert server and exited(server)
+        assert server
+        with pytest.raises(ProcessLookupError):
+            os.kill(server, 0)
 
     def test_closed_control_pipe_ends_server_and_child(self, tmp_path, hang_command):
         """A server whose control pipe closes, as it does when truzz dies
@@ -642,8 +651,9 @@ class TestForkServer:
             assert exited(slot.server_pid)
 
     def test_server_reaped_where_this_process_reaps_orphans(self):
-        """A process that reaps orphans (PID 1, or a subreaper as here)
-        becomes each server's parent, and ``close`` reaps the servers."""
+        """A process that reaps orphans (PID 1, or a subreaper as here) is
+        left nothing to reap: ``close`` reaps the servers, its children, and
+        each server reaps its own children before it exits."""
         code = textwrap.dedent(
             """
             import ctypes, os
@@ -727,6 +737,23 @@ class TestShimCache:
                             5.0) as target:
             assert execute_external(target, b"x").path == {4}
             assert [slot.server_pid for slot in target.slots] == [0, 0]
+
+    def test_build_deletes_other_shims(self, cache):
+        """A build deletes the other versions' shims, but no temporary file
+        of a build in progress; a cache hit deletes nothing."""
+        cache.mkdir(parents=True, mode=0o700)
+        stale = cache / f"forkserver-{'0' * 64}.so"
+        building = cache / ".forkserver-x1y2z3"
+        stale.write_bytes(b"old")
+        building.write_bytes(b"")
+        shim = truzz.target._fork_server_shim()
+        if shim is None:
+            pytest.skip("no C compiler on this host")
+        name = os.path.basename(os.fsdecode(shim))
+        assert sorted(p.name for p in cache.iterdir()) == [building.name, name]
+        stale.write_bytes(b"old")
+        assert truzz.target._fork_server_shim() == shim
+        assert stale.exists()
 
     @pytest.mark.parametrize("where", ["directory", "file"])
     def test_writable_cache_refused(self, cache, where):
