@@ -8,6 +8,7 @@ one binary.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 import time
@@ -58,8 +59,9 @@ class Budget:
             raise ValueError("budget requires max_execs and/or max_seconds")
         if self.max_execs is not None and self.max_execs <= 0:
             raise ValueError(f"max_execs must be positive, got {self.max_execs}")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError(f"max_seconds must be positive, got {self.max_seconds}")
+        # Written so that NaN fails too: a NaN budget would never run out.
+        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
+            raise ValueError(f"max_seconds must be a positive finite number: {self.max_seconds}")
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import math
 import os
 import select
 import shutil
@@ -493,11 +492,11 @@ def check_timeout(timeout: float) -> None:
 
 
 # The shim's ends of a fork server's control and status pipes, the variable
-# that enters the server, and its hello (see forkserver.c).
+# that enters the server, its hello and its two requests (see forkserver.c).
 _CONTROL_FD, _STATUS_FD = 198, 199
 _FORK_SERVER_ENV = b"TRUZZ_FORK_SERVER"
 _HELLO = struct.pack("=I", 0x46525A54)
-_KILL = struct.pack("=I", 0)
+_RUN, _KILL = struct.pack("=I", 1), struct.pack("=I", 0)
 _COMPILERS = ("cc", "gcc", "clang")
 
 
@@ -592,7 +591,7 @@ class _Slot:
     server_pid: int = 0           # the server, this process's child
     data: Optional[bytes] = None  # the input the started run runs, until it is awaited
     pid: Optional[int] = None     # a spawned child, until it is reaped
-    deadline: float = 0.0         # time.monotonic() at which that child is killed
+    deadline: float = 0.0         # time.monotonic() at which the started run is killed
 
 
 class ExternalTarget:
@@ -612,7 +611,9 @@ class ExternalTarget:
     ``docs/external-targets.md``): the target, spawned once with the shim
     preloaded, is the server, and forks a child for every input. A target
     the shim cannot enter, or a host with no shim, spawns a process per
-    input instead. ``execute_external`` runs inputs through the target.
+    input instead. Under either launch this object keeps each run's
+    deadline and kills a run still going at it; a server keeps no clock.
+    ``execute_external`` runs inputs through the target.
     ``close`` (or leaving a ``with`` block) kills any running child, stops
     and reaps the servers, closes the descriptors and removes the
     directory, if it is still there.
@@ -622,7 +623,6 @@ class ExternalTarget:
         index = placeholder_index(command)
         check_timeout(timeout)
         self.timeout = timeout
-        self._timeout_ms = struct.pack("=I", math.ceil(timeout * 1000))
         self._shim = _fork_server_shim()
         self._fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
         self._devnull_fd = -1
@@ -700,9 +700,9 @@ class ExternalTarget:
 
     def _start(self, slot: _Slot, data: bytes) -> None:
         """Write ``data`` in place over the slot's input file, delete the
-        slot's old coverage dump, and start the target on it: a request to
-        the slot's fork server, or a spawn where there is none. Either way
-        the run's deadline is its own fork or spawn plus the timeout."""
+        slot's old coverage dump, and start the target on it: a run request
+        to the slot's fork server, or a spawn where there is none. Either
+        way the run's deadline is the timeout from now."""
         fd = slot.input_fd
         if os.pwrite(fd, data, 0) != len(data):
             raise ExternalTargetError(f"short write to {slot.input_path}")
@@ -714,10 +714,10 @@ class ExternalTarget:
         if slot.control_fd < 0 and self._shim is not None:
             self._open_server(slot)
         if slot.control_fd >= 0:
-            self._request(slot, self._timeout_ms)
+            self._request(slot, _RUN)
         else:
             slot.pid = self._spawn(slot.argv, slot.env)
-            slot.deadline = time.monotonic() + self.timeout
+        slot.deadline = time.monotonic() + self.timeout
         slot.data = data
 
     def _discard(self, slot: _Slot) -> None:
@@ -731,10 +731,15 @@ class ExternalTarget:
             slot.pid = slot.data = None
 
     def _finish(self, slot: _Slot) -> ExecResult:
-        """Wait for the slot's started run to end and read its result."""
+        """Wait for the slot's started run to end and read its result. A
+        run that has sent no reply by its deadline is discarded: killed,
+        reaped, and reported as a timeout."""
         if slot.control_fd >= 0:
-            _, wait_status, timed_out = self._reply(slot)
-            returncode = None if timed_out else os.waitstatus_to_exitcode(wait_status)
+            if _readable(slot.status_fd, slot.deadline):
+                returncode = os.waitstatus_to_exitcode(self._reply(slot))
+            else:
+                self._discard(slot)
+                returncode = None
         else:
             pid, slot.pid, slot.data = slot.pid, None, None
             returncode = _wait_exit(pid, slot.deadline)  # reaps ``pid`` however it ends
@@ -765,7 +770,8 @@ class ExternalTarget:
         slot.server_pid = self._spawn_server(slot, self._shim)
         hello = False
         try:
-            hello = self._await_hello(slot, time.monotonic() + self.timeout)
+            hello = (_readable(slot.status_fd, time.monotonic() + self.timeout)
+                     and os.read(slot.status_fd, len(_HELLO)) == _HELLO)
         finally:
             if not hello:
                 os.kill(slot.server_pid, signal.SIGKILL)
@@ -794,18 +800,8 @@ class ExternalTarget:
         finally:
             os.close(control)
 
-    def _await_hello(self, slot: _Slot, deadline: float) -> bool:
-        """Whether the slot's server says hello by ``deadline``."""
-        poller = select.poll()
-        poller.register(slot.status_fd, select.POLLIN)
-        # Never negative: poll(-1) would wait forever.
-        if not poller.poll(max(deadline - time.monotonic(), 0.0) * 1000):
-            return False
-        return os.read(slot.status_fd, len(_HELLO)) == _HELLO
-
     def _request(self, slot: _Slot, message: bytes) -> None:
-        """Send the slot's server a run request (a timeout in ms) or, as
-        ``_KILL``, a kill request."""
+        """Send the slot's server ``_RUN`` or ``_KILL``."""
         try:
             os.write(slot.control_fd, message)
         except OSError as exc:
@@ -813,14 +809,14 @@ class ExternalTarget:
                 f"fork server {slot.server_pid} of {slot.argv[0]!r} is gone: {exc}"
             ) from exc
 
-    def _reply(self, slot: _Slot) -> tuple[int, int, int]:
-        """Wait for the server's reply to the slot's started run: the
-        child's pid, its wait status, and 1 if it timed out, else 0."""
-        reply = os.read(slot.status_fd, 12)
-        if len(reply) != 12:
+    def _reply(self, slot: _Slot) -> int:
+        """Read the server's reply to the slot's started run: the child's
+        wait status."""
+        reply = os.read(slot.status_fd, 4)
+        if len(reply) != 4:
             raise ForkServerError(f"fork server {slot.server_pid} of {slot.argv[0]!r} died")
         slot.data = None
-        return struct.unpack("=iii", reply)
+        return struct.unpack("=i", reply)[0]
 
     def _stop_server(self, slot: _Slot) -> None:
         """Close the slot's pipes, so that its server, if it has one, kills
@@ -835,6 +831,17 @@ class ExternalTarget:
                 os.waitpid(slot.server_pid, 0)
             slot.server_pid = 0
         slot.data = None
+
+
+def _readable(fd: int, deadline: float) -> bool:
+    """Whether ``fd`` is readable, or at end of file, before
+    ``time.monotonic()`` reaches ``deadline``. A deadline already passed
+    still sees what is ready now. A signal whose handler returns does not
+    end the wait: ``poll`` resumes with the time that remains (PEP 475)."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    # Never negative: poll(-1) would wait forever.
+    return bool(poller.poll(max(deadline - time.monotonic(), 0.0) * 1000))
 
 
 def _wait_exit(pid: int, deadline: float) -> Optional[int]:
@@ -861,10 +868,7 @@ def _wait_exit(pid: int, deadline: float) -> Optional[int]:
             pidfd = -1
         if pidfd >= 0:
             try:
-                poller = select.poll()
-                poller.register(pidfd, select.POLLIN)
-                # Never negative: poll(-1) would wait forever.
-                if poller.poll(max(deadline - time.monotonic(), 0.0) * 1000):
+                if _readable(pidfd, deadline):
                     status = os.waitpid(pid, 0)[1]
             finally:
                 os.close(pidfd)
@@ -904,8 +908,11 @@ def execute_external(
     and inode stay the same for the whole campaign. The target reports
     coverage by writing newline-separated decimal edge identifiers to the
     file named in the TRUZZ_COV_FILE environment variable; a dump left in
-    the slot by an earlier run is deleted first. A child still running
-    ``target.timeout`` seconds after its own fork (or spawn) is killed.
+    the slot by an earlier run is deleted first. Each run's deadline is
+    ``target.timeout`` seconds after it was started. A run still going
+    when its wait reaches the deadline is killed, reaped and reported as
+    a timeout; one that has ended by then is not, however late it is
+    claimed.
     """
     slot = None
     for started in target.slots:

@@ -74,6 +74,20 @@ class TestFuzz:
             run_fuzz(str(spec), tmp_path / "corpus")
         assert "\n" not in str(exc.value)
 
+    def test_nan_time_budget_is_one_line_error(self, campaign_dir):
+        """Without ``--budget-execs`` a NaN time budget would fuzz forever."""
+        spec_path, _, corpus = campaign_dir
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in corpus.rglob("*")}
+
+        before = tree()
+        with pytest.raises(SystemExit, match=r"^truzz fuzz: max_seconds must be") as exc:
+            main(["fuzz", "--target", spec_path, "--corpus", str(corpus),
+                  "--budget-secs", "nan"])
+        assert "\n" not in str(exc.value)
+        assert tree() == before
+
     def test_missing_seed_directory_is_one_line_error(self, campaign_dir):
         spec_path, _, corpus = campaign_dir
         shutil.rmtree(corpus / "seeds_in")

@@ -75,6 +75,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Budget(max_execs=0)
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+    def test_budget_seconds_must_be_positive_and_finite(self, seconds):
+        """A NaN budget would pass a ``<= 0`` test and never run out."""
+        with pytest.raises(ValueError, match="max_seconds must be a positive finite"):
+            Budget(max_seconds=seconds)
+
     def test_config_requires_exactly_one_target(self, tmp_path):
         with pytest.raises(ValueError):
             CampaignConfig(corpus_dir=str(tmp_path))

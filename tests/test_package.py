@@ -1,9 +1,11 @@
 """The package runs on the standard library alone, as README and
-pyproject.toml promise, ships the fork-server shim's source, and that
-source compiles cleanly."""
+pyproject.toml promise, ships the fork-server shim's source, that source
+compiles cleanly, and it speaks the protocol truzz.target speaks."""
 
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -71,3 +73,19 @@ def test_shim_compiles_without_warnings(tmp_path):
                "-o", str(tmp_path / "forkserver.so"), str(ROOT / "src/truzz/forkserver.c")]
     built = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr[-2000:]
+
+
+def test_shim_and_target_agree_on_the_protocol():
+    """The C and Python halves of the fork-server protocol state its
+    descriptors, hello and kill request once each; they must agree."""
+    from truzz import target
+
+    source = resources.files("truzz").joinpath("forkserver.c").read_text(encoding="ascii")
+    defines = {name: int(value, 0)
+               for name, value in re.findall(r"^#define (\w+) (\w+)", source, re.M)}
+    assert defines["CONTROL_FD"] == target._CONTROL_FD
+    assert defines["STATUS_FD"] == target._STATUS_FD
+    assert struct.pack("=I", defines["HELLO"]) == target._HELLO
+    assert struct.pack("=I", defines["KILL"]) == target._KILL
+    assert target._RUN != target._KILL
+    assert f'"{os.fsdecode(target._FORK_SERVER_ENV)}"' in source

@@ -479,6 +479,22 @@ class TestExternalExecution:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_run_ended_before_its_deadline_claimed_late(self, wait_path):
+        """A run that ended before its deadline is no timeout, however long
+        after the deadline it is claimed: a run times out only if it is
+        still going when its wait reaches the deadline."""
+        command = ["/bin/sh", "-c",
+                   'if [ "$(cat "$1")" = slow ]; then sleep 0.5; echo 4 > "$TRUZZ_COV_FILE";'
+                   ' else echo 5 > "$TRUZZ_COV_FILE"; fi', "sh", "@@"]
+        fast = b"fast"
+        with ExternalTarget(command, 1.0) as target:
+            start = time.monotonic()
+            slow = execute_external(target, b"slow", then=fast)
+            time.sleep(max(1.2 - (time.monotonic() - start), 0.0))  # past fast's deadline
+            late = execute_external(target, fast)
+        assert slow.exec_status is ExecStatus.NORMAL and slow.path == {4}
+        assert late.exec_status is ExecStatus.NORMAL and late.path == {5}
+
     def test_unclaimed_child_discarded(self, tmp_path, wait_path):
         """A started child that the next call does not ask for is killed and
         reaped, and the next input runs in its place."""
@@ -608,6 +624,24 @@ class TestForkServer:
         assert open_fd_count() == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_server_killed_mid_run_is_named_at_once(self, tmp_path, hang_command):
+        """A server that dies while its child runs is a ForkServerError as
+        soon as the run is claimed, not at the run's deadline, and its
+        child dies with it."""
+        hang = b"hang"
+        with ExternalTarget(hang_command, 30.0) as target:
+            assert execute_external(target, b"x", then=hang).path == {5}
+            child = wait_for_pid(tmp_path / "pid")
+            os.kill(target.slots[1].server_pid, signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(ForkServerError, match=re.escape(repr(hang_command[0]))):
+                execute_external(target, hang)
+            assert time.monotonic() - start < 5
+        deadline = time.monotonic() + 5
+        while not exited(child):  # orphaned, it may be left a zombie for a while
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
 
     def test_interrupt_kills_child_and_server(self, tmp_path, hang_command):
         class Interrupt(Exception):
