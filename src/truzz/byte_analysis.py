@@ -51,12 +51,15 @@ class FitnessMap:
 
 @dataclass
 class MutationMask:
-    """Per-byte probability of permitting a mutation."""
+    """Per-byte probability of permitting a mutation, each in [0, 1]."""
 
     probability: list[float]
     argmax: int = field(init=False)
 
     def __post_init__(self):
+        for i, p in enumerate(self.probability):
+            if not 0.0 <= p <= 1.0:  # written so that NaN fails too
+                raise ValueError(f"mask probability of byte {i} must be in [0, 1], got {p}")
         self.argmax = max(
             range(len(self.probability)), key=self.probability.__getitem__
         )

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .byte_analysis import AnalysisConfig, FitnessMap, analyze, mask_from_fitness
 from .coverage import Path, parse_edges
-from .mutation import Rng, draw_op_count, mutate
+from .mutation import Rng, draw_op_count, mutate, mutate_round
 from .scheduler import (
     CampaignError,
     Corpus,
@@ -349,9 +349,13 @@ class Campaign:
     def _fuzz_round(self, entry: SeedEntry) -> int:
         """Run one energy round on ``entry``; returns the new-edge total.
 
-        Child i+1 is made before child i runs and is passed to it as
-        ``then``. Execution draws nothing from the RNG, so every child and
-        result is that of one child at a time.
+        The children come from the mutation kernel, which makes them when
+        the first is taken, or, where there is no kernel, from ``mutate``
+        one at a time. Child i+1 is taken before child i runs and is passed
+        to it as ``then``. Execution draws nothing from the RNG, so every
+        child and result is that of one child at a time. A round cut short
+        by the budget or an interrupt is the campaign's last, so children
+        made and never run change nothing.
         """
         cfg = self.cfg
         mask = None
@@ -363,7 +367,9 @@ class Campaign:
         if cfg.budget.max_execs is not None:
             n = min(n, cfg.budget.max_execs - self.stats.executions)
         seed_data, rng, corpus = entry.data, self.rng, self.corpus
-        children = (mutate(seed_data, mask, rng, draw_op_count(rng)) for _ in range(n))
+        children = mutate_round(seed_data, mask, rng, n)
+        if children is None:
+            children = (mutate(seed_data, mask, rng, draw_op_count(rng)) for _ in range(n))
         n_all = 0
         for child, then in pairwise(chain(children, [None])):
             if not self._budget_left():

@@ -12,13 +12,23 @@ as ``random.Random`` decodes it. ``randrange(n)`` takes
 ``mutate`` inlines that loop on the C ``getrandbits``, so it consumes the
 same words, in the same order, as ``select_byte`` and ``randrange`` calls
 would.
+
+``mutate_round`` makes a whole round's children with the C kernel
+``mutate.c``, which decodes the same words in the same order, so its
+children and the ``Rng``'s state afterwards are those of ``mutate`` called
+once per child. ``mutate`` is the kernel's specification, and the fuzz
+loop's fallback where the kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import random
-from typing import Optional
+from array import array
+from typing import Iterator, Optional
 
+from . import native
 from .byte_analysis import MutationMask
 
 INTERESTING_BYTES = (0x00, 0xFF, 0x7F, 0x80, 0x01)
@@ -30,6 +40,11 @@ OP_COUNT_MAX_EXP = 6  # ops per input drawn as 2**k, k in [0, OP_COUNT_MAX_EXP]
 # Bits per draw in mutate's inlined randrange(n): n.bit_length().
 _ARITH_BITS = ARITH_MAX.bit_length()
 _INTERESTING_BITS = len(INTERESTING_BYTES).bit_length()
+
+# The most output one kernel call writes, in bytes: a round of 1024 children
+# takes one call for a seed of up to 64 bytes, and several for a longer one,
+# so the buffer adds at most 64 KiB to the peak RSS.
+_CALL_BYTES = 1 << 16
 
 
 class Rng(random.Random):
@@ -61,6 +76,17 @@ def draw_op_count(rng: random.Random) -> int:
     return 1 << rng.randrange(OP_COUNT_MAX_EXP + 1)
 
 
+def _check(seed: bytes, mask: Optional[MutationMask]) -> None:
+    """ValueError, before any word is drawn, for an input ``mutate`` cannot
+    mutate or a mask that is not one probability per byte of it."""
+    if not seed:
+        raise ValueError("cannot mutate an empty input")
+    if mask is not None and len(mask.probability) != len(seed):
+        raise ValueError(
+            f"mask has {len(mask.probability)} probabilities for a {len(seed)}-byte input"
+        )
+
+
 def mutate(
     seed: bytes,
     mask: Optional[MutationMask],
@@ -74,10 +100,9 @@ def mutate(
     """
     if ops_per_input < 1:
         raise ValueError(f"ops_per_input must be >= 1, got {ops_per_input}")
+    _check(seed, mask)
     data = bytearray(seed)
     length = len(data)
-    if length < 1:
-        raise ValueError("cannot mutate an empty input")
     bits = rng.getrandbits
     rand = rng.random
     length_bits = length.bit_length()
@@ -120,3 +145,67 @@ def mutate(
                 pass
             data[idx] = INTERESTING_BYTES[pick]
     return bytes(data)
+
+
+@functools.cache
+def _kernel():
+    """``make(state, seed, probs, argmax, n)``, which runs the kernel into a
+    new buffer of ``n`` children and returns it, or None where ``mutate.c``
+    cannot be built or loaded. Loaded, and built if need be, on first use."""
+    path = native.library("mutate")
+    if path is None or array("I").itemsize != 4:  # the state's words are uint32_t
+        return None
+    import ctypes  # here, not with the module: importing truzz loads no ctypes
+
+    try:
+        fn = ctypes.CDLL(os.fsdecode(path)).truzz_mutate_round
+    except (OSError, AttributeError):
+        return None
+    address, size = ctypes.c_void_p, ctypes.c_size_t
+    fn.argtypes = (address, ctypes.c_char_p, size, address, size, size, address)
+    fn.restype = None
+
+    def make(state: int, seed: bytes, probs: Optional[int], argmax: int, n: int):
+        out = ctypes.create_string_buffer(n * len(seed))
+        fn(state, seed, len(seed), probs, argmax, n, out)
+        return out
+
+    return make
+
+
+def mutate_round(
+    seed: bytes, mask: Optional[MutationMask], rng: random.Random, n: int
+) -> Optional[Iterator[bytes]]:
+    """The children of ``n`` calls of ``mutate(seed, mask, rng,
+    draw_op_count(rng))``, made by the kernel; None, drawing nothing, where
+    there is no kernel.
+
+    The inputs are checked at once. The kernel runs when a child is taken
+    and none is left from its last call, writing at most ``_CALL_BYTES``
+    per call, and leaves ``rng`` where those calls of ``mutate`` would.
+    """
+    _check(seed, mask)
+    if n < 1:  # nothing to make, so nothing to load
+        return iter(())
+    make = _kernel()
+    if make is None or len(seed) >= 1 << 32:
+        return None
+    return _kernel_children(make, seed, mask, rng, n)
+
+
+def _kernel_children(make, seed: bytes, mask: Optional[MutationMask],
+                     rng: random.Random, n: int) -> Iterator[bytes]:
+    length = len(seed)
+    probs = None if mask is None else array("d", mask.probability)
+    probs_address = None if probs is None else probs.buffer_info()[0]
+    argmax = 0 if mask is None else mask.argmax
+    per_call = max(1, _CALL_BYTES // length)
+    for done in range(0, n, per_call):
+        k = min(per_call, n - done)
+        version, internal, gauss = rng.getstate()
+        state = array("I", internal)  # the 624 words, then the index
+        out = make(state.buffer_info()[0], seed, probs_address, argmax, k)
+        rng.setstate((version, tuple(state), gauss))
+        view = memoryview(out)
+        for start in range(0, k * length, length):
+            yield view[start:start + length].tobytes()

@@ -18,14 +18,13 @@ import os
 import select
 import shutil
 import signal
-import stat
 import struct
 import tempfile
 import time
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional, Sequence
 
+from . import native
 from .coverage import MAP_SIZE, Path, parse_edges
 
 COVERAGE_FILE_ENV = "TRUZZ_COV_FILE"
@@ -497,82 +496,12 @@ _CONTROL_FD, _STATUS_FD = 198, 199
 _FORK_SERVER_ENV = b"TRUZZ_FORK_SERVER"
 _HELLO = struct.pack("=I", 0x46525A54)
 _RUN, _KILL = struct.pack("=I", 1), struct.pack("=I", 0)
-_COMPILERS = ("cc", "gcc", "clang")
-
-
-def _private(path: str, kind) -> bool:
-    """Whether ``path``, not followed if it is a symlink, is a ``kind`` (a
-    ``stat.S_IS*`` test) owned by this user and writable by no one else."""
-    st = os.lstat(path)
-    return kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
 def _fork_server_shim() -> Optional[bytes]:
-    """Path of the compiled fork-server shim, or None where there is none.
-
-    The shim is ``forkserver.c``, shipped in the package. It is compiled
-    once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz`` by
-    default) under a name holding the sha256 of its source. A preloaded
-    library runs as code, so the cache is used only while that directory
-    and the file are owned by this user and writable by no one else. A
-    cache hit runs no subprocess.
-    """
-    try:  # as random.py does: hashlib loads OpenSSL, about 2.5 ms of set-up
-        from _sha256 import sha256
-    except ImportError:  # CPython 3.12 and later name it _sha2
-        from hashlib import sha256
-
-    source = resources.files(__package__).joinpath("forkserver.c").read_bytes()
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    cache = os.path.join(root, "truzz")
-    path = os.path.join(cache, f"forkserver-{sha256(source).hexdigest()}.so")
-    try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        if not _private(cache, stat.S_ISDIR):
-            return None
-        if os.path.lexists(path):
-            return os.fsencode(path) if _private(path, stat.S_ISREG) else None
-        return _build_shim(source, path)
-    except OSError:
-        return None
-
-
-def _build_shim(source: bytes, path: str) -> Optional[bytes]:
-    """Compile ``source`` into the shared library ``path`` with the first of
-    ``cc``, ``gcc`` and ``clang`` found: to a temporary file beside it, then
-    moved into place, and every other ``forkserver-*.so`` beside it deleted.
-    None if there is no compiler or it fails."""
-    import subprocess  # here, not with the module: a cache hit needs none
-
-    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
-    if compiler is None:
-        return None
-    fd, tmp = tempfile.mkstemp(prefix=".forkserver-", dir=os.path.dirname(path))
-    os.close(fd)
-    try:
-        command = [compiler, "-shared", "-fPIC", "-O2", "-o", tmp, "-x", "c", "-"]
-        try:
-            built = subprocess.run(command, input=source, capture_output=True, timeout=120)
-        except subprocess.SubprocessError:
-            return None
-        if built.returncode != 0:
-            return None
-        os.chmod(tmp, 0o755)
-        os.replace(tmp, path)
-        directory, name = os.path.split(path)
-        with os.scandir(directory) as entries:
-            for entry in entries:
-                if (entry.name != name and entry.name.startswith("forkserver-")
-                        and entry.name.endswith(".so")
-                        and entry.is_file(follow_symlinks=False)):
-                    with contextlib.suppress(OSError):
-                        os.unlink(entry.path)
-        return os.fsencode(path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+    """Path of the compiled fork-server shim, ``forkserver.c``, or None where
+    there is none (see ``truzz.native``)."""
+    return native.library("forkserver")
 
 
 @dataclass(slots=True)

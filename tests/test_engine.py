@@ -25,7 +25,7 @@ from truzz.engine import (
     replay,
     run_campaign,
 )
-from truzz.mutation import mutate
+from truzz.mutation import mutate, mutate_round
 from truzz.scheduler import CampaignError, SchedulerConfig
 from truzz.target import MAX_TIMEOUT, CompiledTarget, ExecStatus, load_spec
 from truzz.targets import bundled_seed, write_bundled
@@ -128,9 +128,10 @@ class TestSyntheticCampaign:
         assert artifacts(by_execs) == artifacts(by_secs)
 
     def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
-        """A synthetic round, like an external one, makes child i+1 before
-        it runs child i and passes it as ``then``. It makes no child that it
-        does not run: none past the round's energy or the execution budget."""
+        """A synthetic round, like an external one, takes child i+1 before
+        it runs child i and passes it as ``then``. It takes no child, from
+        the kernel or from ``mutate``, that it does not run: none past the
+        round's energy or the execution budget."""
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         energy, max_execs = 16, 1_000
         campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
@@ -143,12 +144,17 @@ class TestSyntheticCampaign:
             calls.append((data, then))
             return run(data)
 
-        def counting(*args):
-            made.append(mutate(*args))
-            return made[-1]
+        def record(child):
+            made.append(child)
+            return child
+
+        def counting_round(*args):
+            children = mutate_round(*args)
+            return None if children is None else map(record, children)
 
         campaign.compiled.run = recording
-        monkeypatch.setattr(truzz.engine, "mutate", counting)
+        monkeypatch.setattr(truzz.engine, "mutate", lambda *args: record(mutate(*args)))
+        monkeypatch.setattr(truzz.engine, "mutate_round", counting_round)
         stats = campaign.run()
 
         thens = [then for _, then in calls]

@@ -9,9 +9,12 @@ The external digest was recorded again when crashes found by byte-analysis
 probes began to be saved: its ``crashes/`` gained ``crash_000001``, while
 its ``queue/``, ``meta/`` and ``overall.cov`` stayed the same.
 
-The ROADMAP direction "counter-keyed, batched mutation" changes the
-mutation stream and is expected to change these digests once. That change
-records the new digests here and says so in CHANGES.md.
+Each digest is checked twice: with the round's children made by the C
+mutation kernel where it can be built, and with the loader made to find
+no library, so that ``mutate`` makes each child in Python. The kernel
+decodes the same MT19937 words as ``mutate``, so the digests are the same.
+A change to the mutation stream records new digests here and says so in
+CHANGES.md.
 
 The resumed magic64 case runs a second campaign on the first one's corpus
 under another RNG seed, so it pins the resume path: the queue re-run, the
@@ -26,11 +29,16 @@ pinned. The external campaign's ``elapsed_s`` is wall-clock, so its
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from harness import external_config, make_corpus
 
+import truzz.engine
+import truzz.mutation
 from truzz.engine import Budget, Campaign, CampaignConfig
 from truzz.scheduler import Policy, SchedulerConfig
 
@@ -100,3 +108,49 @@ def test_synthetic_campaign_matches_golden(name, tmp_path):
 
 def test_external_crashing_campaign_matches_golden(tmp_path):
     assert run_external(tmp_path) == GOLDEN["external-crashy"]
+
+
+@pytest.fixture()
+def no_kernel(monkeypatch):
+    """The kernel's loader finds no library, as on a host with no compiler."""
+    monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_synthetic_campaign_matches_golden_without_kernel(name, tmp_path, no_kernel):
+    assert run_synthetic(name, tmp_path) == GOLDEN[name]
+
+
+def test_external_crashing_campaign_matches_golden_without_kernel(tmp_path, no_kernel):
+    assert run_external(tmp_path) == GOLDEN["external-crashy"]
+
+
+def test_kernel_makes_every_child(tmp_path, monkeypatch):
+    """Where the kernel loads, the fuzz loop calls ``mutate`` for no child."""
+    if truzz.mutation._kernel() is None:
+        pytest.skip("no C compiler on this host")
+
+    def refuse(*args):
+        raise AssertionError("a child was made by mutate")
+
+    monkeypatch.setattr(truzz.engine, "mutate", refuse)
+    assert run_synthetic("magic64-truzz", tmp_path) == GOLDEN["magic64-truzz"]
+
+
+def test_campaign_without_a_compiler_matches_golden(tmp_path):
+    """With no compiler on PATH and an empty cache, ``truzz fuzz`` builds
+    nothing and runs the campaign to the golden corpus in Python."""
+    target, policy, mask, budget, (rng_seed,) = SYNTHETIC["magic64-truzz"]
+    spec_path, corpus = make_corpus(tmp_path, target, "corpus")
+    env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "truzz.cli", "fuzz", "--target", spec_path,
+         "--corpus", str(corpus), "--budget-execs", str(budget),
+         "--policy", policy.value, "--mask", "on" if mask else "off",
+         "--rng-seed", str(rng_seed), "--stats-interval", "1000"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list((tmp_path / "cache").rglob("*.so")) == []
+    assert digest(corpus, SYNTHETIC_PARTS) == GOLDEN["magic64-truzz"]

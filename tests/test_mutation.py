@@ -3,10 +3,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import truzz.mutation
 from truzz.byte_analysis import MutationMask
 from truzz.mutation import (
     ARITH_MAX,
@@ -15,6 +16,7 @@ from truzz.mutation import (
     Rng,
     draw_op_count,
     mutate,
+    mutate_round,
 )
 
 N_DRAWS = 100_000
@@ -92,6 +94,16 @@ class TestSelectByte:
         assert runs[0] == runs[1]
 
 
+class TestMask:
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="byte 1 must be in"):
+            MutationMask([1.0, p])
+
+    def test_bounds_accepted(self):
+        assert MutationMask([0.0, 1.0, 0]).argmax == 1
+
+
 class TestDrawOpCount:
     def test_powers_of_two_up_to_64(self):
         rng = Rng(0)
@@ -140,12 +152,23 @@ class TestMutate:
         out = mutate(b"xy", mask, Rng(0), 4)
         assert len(out) == 2
 
+    @pytest.mark.parametrize("make", [mutate, mutate_round])
+    @pytest.mark.parametrize("n_probs", [1, 2, 4])
+    def test_mask_of_another_length_rejected_before_any_draw(self, make, n_probs):
+        rng = Rng(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"{n_probs} probabilities for a 3-byte"):
+            make(b"xyz", MutationMask([1.0] * n_probs), rng, 4)
+        assert rng.getstate() == state
+
     def test_empty_input_rejected(self):
         # A draw below 0 has no value to return; it must not loop forever.
         with pytest.raises(ValueError):
             mutate(b"", None, Rng(0), 1)
         with pytest.raises(ValueError):
             mutate(b"", MutationMask(probability=[]), Rng(0), 1)
+        with pytest.raises(ValueError):
+            mutate_round(b"", None, Rng(0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +222,13 @@ def draw(rng, kind, n):
     if kind == 3:
         return rng.getrandbits(n % 65)
     return rng.choice(range(n))
+
+
+def fallback_mask(length):
+    """A mask whose rejection sampling always ends in the argmax fallback."""
+    probs = [0.0] * length
+    probs[length // 2] = 1e-9  # the argmax, never accepted in practice
+    return MutationMask(probability=probs)
 
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -255,9 +285,7 @@ class TestStreamIdentity:
 
     @pytest.mark.parametrize("length", [1, 3, 8, 64, 128])
     def test_argmax_fallback_equals_oracle(self, length):
-        probs = [0.0] * length
-        probs[length // 2] = 1e-9  # the argmax, never accepted in practice
-        mask = MutationMask(probability=probs)
+        mask = fallback_mask(length)
         ours, reference = Rng(length), Rng(length)
         for _ in range(3):
             child = mutate(bytes(length), mask, ours, 4)
@@ -265,3 +293,77 @@ class TestStreamIdentity:
             changed = [i for i in range(length) if child[i]]
             assert set(changed) <= {length // 2}
         assert ours.getstate() == reference.getstate()
+
+
+# ---------------------------------------------------------------------------
+# The C kernel: a round's children and the Rng's state afterwards must be
+# those of the Python loop it replaces.
+# ---------------------------------------------------------------------------
+
+
+def python_round(seed, mask, rng, n):
+    return [mutate(seed, mask, rng, draw_op_count(rng)) for _ in range(n)]
+
+
+# PROBS's values, simplest (all ones) first: a long all-zero mask would run
+# the Python loop's rejection sampling for minutes.
+MIXED = st.sampled_from([1.0, 0.99, 0.3, 0.05, 0.0])
+
+
+@st.composite
+def rounds(draw_):
+    """A seed of 1 to 600 bytes, a mask (none, all ones, mixed or the
+    argmax fallback) and a round of 1 to 1024 children. A fallback round
+    runs RETRY_FACTOR * length rejections per operator, so it is short."""
+    seed = draw_(st.binary(min_size=1, max_size=600))
+    kind = draw_(st.sampled_from(["none", "ones", "mixed", "fallback"]))
+    mask = {
+        "none": lambda: None,
+        "ones": lambda: MutationMask([1.0] * len(seed)),
+        "mixed": lambda: MutationMask(draw_(st.lists(MIXED, min_size=len(seed),
+                                                     max_size=len(seed)))),
+        "fallback": lambda: fallback_mask(len(seed)),
+    }[kind]()
+    n = draw_(st.integers(1, 2 if kind == "fallback" else 1024))
+    return seed, mask, n
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if truzz.mutation._kernel() is None:
+        pytest.skip("no C compiler on this host")
+
+
+@pytest.mark.usefixtures("kernel")
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(rounds(), SEEDS)
+    @example((bytes(600), None, 1024), 0)  # a round over several kernel calls
+    @example((bytes(range(255)), MutationMask([0.05] * 100 + [1.0] * 155), 1024), 1)
+    @example((bytes(128), fallback_mask(128), 2), 2)
+    @example((b"\x00", None, 1), 3)
+    def test_round_equals_python_loop(self, round_, seed):
+        data, mask, n = round_
+        ours, reference = Rng(seed), Rng(seed)
+        for _ in range(2):  # the second round starts where the first left the stream
+            assert list(mutate_round(data, mask, ours, n)) == python_round(data, mask, reference, n)
+            assert ours.getstate() == reference.getstate()
+
+    def test_round_over_several_calls(self, monkeypatch):
+        monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 100)
+        mask = MutationMask([1.0, 0.3, 0.05] * 11)
+        ours, reference = Rng(9), Rng(9)
+        assert list(mutate_round(bytes(33), mask, ours, 50)) == python_round(
+            bytes(33), mask, reference, 50)
+        assert ours.getstate() == reference.getstate()
+
+
+def test_empty_round_loads_no_kernel(monkeypatch):
+    def refuse():
+        raise AssertionError("the kernel was loaded")
+
+    monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
+    rng = Rng(0)
+    state = rng.getstate()
+    assert list(mutate_round(b"xyz", None, rng, 0)) == []
+    assert rng.getstate() == state

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, as README and
-pyproject.toml promise, ships the fork-server shim's source, that source
-compiles cleanly, and it speaks the protocol truzz.target speaks."""
+pyproject.toml promise, ships the C sources of the fork-server shim and
+the mutation kernel, they compile cleanly, and each agrees with the Python
+it pairs with."""
 
 import os
 import re
@@ -16,6 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 TEST_ONLY = ("numpy", "scipy", "hypothesis", "pytest")
+
+# Every C source the package ships.
+SOURCES = sorted(p.name for p in (ROOT / "src/truzz").glob("*.c"))
 
 
 def run_python(code):
@@ -39,7 +43,8 @@ def test_runtime_imports_no_test_dependency():
 
 
 def test_import_starts_no_process():
-    """The shim is built, if ever, when an external target is made."""
+    """The shim is built, if ever, when an external target is made, and the
+    mutation kernel on a campaign's first round; importing loads no ctypes."""
     code = (
         "import sys\n"
         "events = ('os.exec', 'os.fork', 'os.forkpty', 'os.posix_spawn', 'os.spawn',\n"
@@ -47,32 +52,34 @@ def test_import_starts_no_process():
         "seen = []\n"
         "sys.addaudithook(lambda event, args: event in events and seen.append(event))\n"
         "import truzz, truzz.cli, truzz.engine, truzz.report, truzz.target, truzz.targets\n"
-        "print(*seen)\n"
+        "print(*seen, 'ctypes' in sys.modules)\n"
     )
-    assert run_python(code).split() == []
+    assert run_python(code).split() == ["False"]
 
 
 def test_shim_source_ships_as_package_data():
-    source = resources.files("truzz").joinpath("forkserver.c")
-    assert source.is_file()
-    assert b"__attribute__((constructor))" in source.read_bytes()
+    sources = resources.files("truzz")
+    assert b"__attribute__((constructor))" in sources.joinpath("forkserver.c").read_bytes()
+    assert b"truzz_mutate_round" in sources.joinpath("mutate.c").read_bytes()
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    assert "forkserver.c" in pyproject["tool"]["setuptools"]["package-data"]["truzz"]
+    assert set(pyproject["tool"]["setuptools"]["package-data"]["truzz"]) == set(SOURCES)
 
 
 def test_shim_compiles_without_warnings(tmp_path):
-    """A compiler that rejected the shim would leave every target spawned,
-    with no error; so it must build warning-free."""
-    from truzz.target import _COMPILERS
+    """A compiler that rejected a shipped source would leave every target
+    spawned, or every child made in Python, with no error; so each must
+    build warning-free."""
+    from truzz.native import COMPILERS
 
-    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         pytest.skip("no C compiler on this host")
-    command = [compiler, "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
-               "-o", str(tmp_path / "forkserver.so"), str(ROOT / "src/truzz/forkserver.c")]
-    built = subprocess.run(command, capture_output=True, text=True, timeout=120)
-    assert built.returncode == 0, built.stderr[-2000:]
+    for source in SOURCES:
+        command = [compiler, "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+                   "-o", str(tmp_path / f"{source}.so"), str(ROOT / "src/truzz" / source)]
+        built = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert built.returncode == 0, (source, built.stderr[-2000:])
 
 
 def test_shim_and_target_agree_on_the_protocol():
@@ -89,3 +96,17 @@ def test_shim_and_target_agree_on_the_protocol():
     assert struct.pack("=I", defines["KILL"]) == target._KILL
     assert target._RUN != target._KILL
     assert f'"{os.fsdecode(target._FORK_SERVER_ENV)}"' in source
+
+
+def test_kernel_and_mutate_agree_on_the_constants():
+    """mutate.c restates mutate's operator constants; they must agree."""
+    from truzz import mutation
+
+    source = resources.files("truzz").joinpath("mutate.c").read_text(encoding="ascii")
+    defines = {name: int(value, 0)
+               for name, value in re.findall(r"^#define (\w+) (\w+)", source, re.M)}
+    assert defines["ARITH_MAX"] == mutation.ARITH_MAX
+    assert defines["RETRY_FACTOR"] == mutation.RETRY_FACTOR
+    assert defines["OP_COUNT_MAX_EXP"] == mutation.OP_COUNT_MAX_EXP
+    interesting = re.search(r"interesting\[\] = \{([^}]*)\}", source)[1]
+    assert tuple(int(v, 0) for v in interesting.split(",")) == mutation.INTERESTING_BYTES

@@ -25,6 +25,7 @@ from harness import (
     open_fd_count,
 )
 
+import truzz.native
 import truzz.target
 from truzz.coverage import MAP_SIZE
 from truzz.mutation import Rng, draw_op_count, mutate
@@ -763,7 +764,7 @@ class TestShimCache:
 
     @pytest.mark.parametrize("compilers", [(), ("false",)])
     def test_no_working_compiler_spawns(self, cache, monkeypatch, compilers):
-        monkeypatch.setattr(truzz.target, "_COMPILERS", compilers)
+        monkeypatch.setattr(truzz.native, "COMPILERS", compilers)
         assert truzz.target._fork_server_shim() is None
         # A failed build leaves no temporary file behind.
         assert list(cache.iterdir()) == []
@@ -788,6 +789,29 @@ class TestShimCache:
         stale.write_bytes(b"old")
         assert truzz.target._fork_server_shim() == shim
         assert stale.exists()
+
+    def test_each_library_build_leaves_the_other(self, cache, monkeypatch):
+        """The shim and the mutation kernel share the cache: a build deletes
+        only stale files of its own library, and once both are built,
+        finding either runs no subprocess."""
+        cache.mkdir(parents=True, mode=0o700)
+        for stem in ("forkserver", "mutate"):
+            (cache / f"{stem}-{'0' * 64}.so").write_bytes(b"old")
+        shim = truzz.native.library("forkserver")
+        if shim is None:
+            pytest.skip("no C compiler on this host")
+        names = {os.path.basename(os.fsdecode(shim)), f"mutate-{'0' * 64}.so"}
+        assert {p.name for p in cache.iterdir()} == names
+        kernel = truzz.native.library("mutate")
+        names = {os.path.basename(os.fsdecode(path)) for path in (shim, kernel)}
+        assert {p.name for p in cache.iterdir()} == names
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit ran a subprocess")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert truzz.native.library("forkserver") == shim
+        assert truzz.native.library("mutate") == kernel
 
     @pytest.mark.parametrize("where", ["directory", "file"])
     def test_writable_cache_refused(self, cache, where):
