@@ -15,11 +15,17 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from pathlib import Path as FsPath
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .byte_analysis import AnalysisConfig, FitnessMap, analyze, mask_from_fitness
+from .byte_analysis import (
+    AnalysisConfig,
+    FitnessMap,
+    MutationMask,
+    analyze,
+    mask_from_fitness,
+)
 from .coverage import Path, parse_edges
-from .mutation import Rng, draw_op_count, mutate, mutate_round
+from .mutation import Rng, draw_op_count, mutate, mutate_chunks, mutate_round
 from .scheduler import (
     CampaignError,
     Corpus,
@@ -47,6 +53,14 @@ _CRASH_NAME = re.compile(r"crash_([0-9]{6,})")
 # Virtual seconds charged per synthetic execution; keeps stats.csv
 # deterministic (wall clock would differ between identical runs).
 VIRTUAL_SECONDS_PER_EXEC = 1e-5
+
+# The CampaignStats counters of the phases whose executions are counted one
+# by one; the dry run's count is set when it ends.
+_PROBE, _MUTATION = "probe_execs", "mutation_execs"
+
+
+def _virtual_seconds(executions: int) -> float:
+    return executions * VIRTUAL_SECONDS_PER_EXEC
 
 
 @dataclass
@@ -238,9 +252,24 @@ def _persist_corpus(corpus_dir: FsPath, corpus: Corpus) -> None:
     )
 
 
+class _Chunk(NamedTuple):
+    """``size`` consecutive children of a round. ``firsts`` holds the index
+    of each child that is the first in its round to reach its outcome;
+    ``child(i)`` and ``result(i)`` give child i and its ExecResult, and
+    ``valid[j] - valid[i]`` is how many of children i to j - 1 are valid
+    (None where every child is in ``firsts``, so none is charged in bulk)."""
+
+    size: int
+    firsts: set[int]
+    valid: Optional[Sequence[int]]
+    child: Callable[[int], bytes]
+    result: Callable[[int], ExecResult]
+
+
 class Campaign:
     """One fuzzing campaign over a synthetic or external target. Every
-    execution goes through ``_exec`` and yields the executor's ExecResult."""
+    execution is charged by ``_charge``, and every one but a mutated child
+    on the round path is run by ``_run``."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -254,21 +283,30 @@ class Campaign:
         self.compiled: Optional[CompiledTarget] = None
         if cfg.target_spec is not None:
             self.compiled = CompiledTarget(load_spec(cfg.target_spec))
-        # The executor, bound while run() runs; only ``_exec`` calls it.
+        # The executor and the round evaluator, bound while run() runs; only
+        # ``_exec`` and the evaluator call the executor.
         self._run: Optional[Callable[[bytes, Optional[bytes]], ExecResult]] = None
+        self._evaluate: Optional[Callable[[bytes, Optional[MutationMask], int],
+                                          Iterator[_Chunk]]] = None
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
 
-    def _exec(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
-        """Execute ``data`` in any phase (dry run, probe, mutation): charge
-        the budget and stats, write the interval row, and return the
-        executor's result. A crash is saved and its path merged into the
-        corpus's coverage, so retention never keeps a crashing input. An
-        external target starts ``then``, the next call's input, while ``data`` runs."""
-        result = self._run(data, then)
+    def _exec(self, data: bytes, then: Optional[bytes] = None, phase: str = "") -> ExecResult:
+        """Run ``data`` in any phase (dry run, probe, mutation) and charge
+        it. An external target starts ``then``, the next call's input,
+        while ``data`` runs."""
+        return self._charge(data, self._run(data, then), phase)
+
+    def _charge(self, data: bytes, result: ExecResult, phase: str) -> ExecResult:
+        """Charge one execution of ``data``, which gave ``result``, to the
+        budget, the stats and the counter named ``phase`` if any, and write
+        the interval row. A crash is saved and its path merged into the
+        corpus's coverage, so retention never keeps a crashing input."""
         st = self.stats
         st.executions += 1
+        if phase:
+            setattr(st, phase, getattr(st, phase) + 1)
         if result.valid is True:
             st.valid_count += 1
         elif result.valid is False:
@@ -281,6 +319,18 @@ class Campaign:
             self._emit_row()
         return result
 
+    def _charge_bulk(self, valid: Sequence[int], start: int, stop: int) -> None:
+        """Charge mutated children ``start`` to ``stop - 1`` of a chunk in
+        one step; ``valid`` is the chunk's running count of valid ones."""
+        n = stop - start
+        if n > 0:
+            st = self.stats
+            n_valid = valid[stop] - valid[start]
+            st.executions += n
+            st.mutation_execs += n
+            st.valid_count += n_valid
+            st.invalid_count += n - n_valid
+
     def _emit_row(self) -> None:
         self.stats.seeds = len(self.corpus)
         self.stats.edges_covered = self.corpus.edges_covered
@@ -290,7 +340,7 @@ class Campaign:
         """The campaign's one clock, read by the time budget and stats.csv:
         virtual seconds for a synthetic target, wall seconds otherwise."""
         if self.compiled is not None:
-            return self.stats.executions * VIRTUAL_SECONDS_PER_EXEC
+            return _virtual_seconds(self.stats.executions)
         return time.monotonic() - self._wall_start
 
     def _budget_left(self) -> bool:
@@ -301,20 +351,35 @@ class Campaign:
             return False
         return True
 
+    def _execs_left(self) -> float:
+        """How many more executions ``_budget_left`` allows, as far as can be
+        told before they run: on the wall clock only ``max_execs`` says."""
+        b = self.cfg.budget
+        executions = self.stats.executions
+        left = math.inf if b.max_execs is None else b.max_execs - executions
+        if b.max_seconds is not None and self.compiled is not None:
+            # The first count whose virtual time reaches the budget.
+            stop = math.ceil(b.max_seconds / VIRTUAL_SECONDS_PER_EXEC)
+            while stop > 0 and _virtual_seconds(stop - 1) >= b.max_seconds:
+                stop -= 1
+            while _virtual_seconds(stop) < b.max_seconds:
+                stop += 1
+            left = min(left, stop - executions)
+        return left
+
     # -- byte analysis ------------------------------------------------------
 
     def _analyze_seed(self, entry: SeedEntry) -> None:
         """One-time fitness/mask computation; probes charge the budget."""
 
         def probe(mutant: bytes) -> Path:
-            path = self._exec(mutant).path
+            path = self._exec(mutant, phase=_PROBE).path
             self.corpus.merge(path)
             return path
 
         fm = analyze(entry.data, entry.path, probe, self.cfg.analysis)
         mask = mask_from_fitness(fm, self.cfg.analysis)
         entry.analysis = SeedAnalysis(fm, mask)
-        self.stats.probe_execs += fm.probe_count
 
     # -- campaign -----------------------------------------------------------
 
@@ -349,13 +414,16 @@ class Campaign:
     def _fuzz_round(self, entry: SeedEntry) -> int:
         """Run one energy round on ``entry``; returns the new-edge total.
 
-        The children come from the mutation kernel, which makes them when
-        the first is taken, or, where there is no kernel, from ``mutate``
-        one at a time. Child i+1 is taken before child i runs and is passed
-        to it as ``then``. Execution draws nothing from the RNG, so every
-        child and result is that of one child at a time. A round cut short
-        by the budget or an interrupt is the campaign's last, so children
-        made and never run change nothing.
+        The round evaluator yields the round's children in chunks, and the
+        round visits only their events: the first child in the round to
+        reach each outcome, which is offered to the corpus; each child on a
+        ``stats_interval`` boundary, whose row is written before its
+        retention; and the budget's stop. The children between events are
+        charged in bulk. This is exact: a later child with an outcome
+        already offered this round has the same path, so it adds no edge.
+        The round makes no child past the energy or what ``_execs_left``
+        allows, and a round cut short by the budget or an interrupt is the
+        campaign's last, so children made and never run change nothing.
         """
         cfg = self.cfg
         mask = None
@@ -363,22 +431,70 @@ class Campaign:
             if entry.analysis is None:
                 self._analyze_seed(entry)
             mask = entry.analysis.mask
-        n = cfg.scheduler.energy
-        if cfg.budget.max_execs is not None:
-            n = min(n, cfg.budget.max_execs - self.stats.executions)
-        seed_data, rng, corpus = entry.data, self.rng, self.corpus
-        children = mutate_round(seed_data, mask, rng, n)
-        if children is None:
-            children = (mutate(seed_data, mask, rng, draw_op_count(rng)) for _ in range(n))
+        n = min(cfg.scheduler.energy, self._execs_left())
+        st, corpus, interval = self.stats, self.corpus, cfg.stats_interval
         n_all = 0
-        for child, then in pairwise(chain(children, [None])):
-            if not self._budget_left():
-                break
-            self.stats.mutation_execs += 1
-            kept = corpus.retain_if_new(child, self._exec(child, then).path)
-            if kept is not None:
-                n_all += kept.rank_key
+        for chunk in self._evaluate(entry.data, mask, n):
+            done = 0
+            boundaries = range(interval - 1 - st.executions % interval, chunk.size, interval)
+            for i in sorted(chunk.firsts.union(boundaries)):
+                self._charge_bulk(chunk.valid, done, i)
+                if not self._budget_left():
+                    return n_all
+                child = chunk.child(i)
+                result = self._charge(child, chunk.result(i), _MUTATION)
+                if i in chunk.firsts:
+                    kept = corpus.retain_if_new(child, result.path)
+                    if kept is not None:
+                        n_all += kept.rank_key
+                done = i + 1
+            self._charge_bulk(chunk.valid, done, chunk.size)
         return n_all
+
+    def _child_by_child(self, seed: bytes, mask: Optional[MutationMask],
+                        n: int) -> Iterator[_Chunk]:
+        """The per-child round: one chunk in which every child is an event,
+        made when the round takes it and run when the round asks for its
+        result. The children come from the mutation kernel or, where there
+        is none, from ``mutate`` one at a time. Taking child i makes child
+        i+1, which is passed to child i's run as ``then``; execution draws
+        nothing from the RNG, so every child and result is that of one
+        child at a time."""
+        rng, run = self.rng, self._run
+        children = mutate_round(seed, mask, rng, n)
+        if children is None:
+            children = (mutate(seed, mask, rng, draw_op_count(rng)) for _ in range(n))
+        pairs = pairwise(chain(children, [None]))
+        taken = [None, None]  # the child taken last, and its ``then``
+
+        def child(_: int) -> bytes:
+            taken[:] = next(pairs)
+            return taken[0]
+
+        yield _Chunk(n, set(range(n)), None, child, lambda _: run(*taken))
+
+    def _scored_round(self, seed: bytes, mask: Optional[MutationMask],
+                      n: int) -> Iterator[_Chunk]:
+        """The synthetic round: each kernel call's children are scored in
+        one C call, and their codes (see ``CompiledTarget.scorer``) say
+        which child is the first in the round to reach its outcome. Where
+        there is no kernel, or the spec's checks do not fit in a code, the
+        round is run child by child. An empty round loads nothing."""
+        score = self.compiled.scorer() if n > 0 else None
+        chunks = None if score is None else mutate_chunks(seed, mask, self.rng, n)
+        if chunks is None:
+            yield from self._child_by_child(seed, mask, n)
+            return
+        length, result_of = len(seed), self.compiled.result_of
+        offered: set[int] = set()
+        for buffer, k in chunks:
+            codes, valid = score(buffer, length, k)
+            new = set(codes).difference(offered)
+            offered |= new
+            view = memoryview(buffer)
+            yield _Chunk(k, {codes.index(code) for code in new}, valid,
+                         lambda i, view=view: view[i * length:(i + 1) * length].tobytes(),
+                         lambda i, codes=codes: result_of(codes[i]))
 
     def run(self) -> CampaignStats:
         seeds, saved, covered = _load_seeds(self.corpus_dir)
@@ -391,11 +507,13 @@ class Campaign:
         try:
             if self.compiled is not None:
                 self._run = self.compiled.run
+                self._evaluate = self._scored_round
             else:
                 external = ExternalTarget(self.cfg.command, self.cfg.exec_timeout)
                 # The module global, looked up now, so a wrapper installed
                 # before the campaign runs sees every execution.
                 self._run = functools.partial(execute_external, external)
+                self._evaluate = self._child_by_child
             self._dry_run(seeds, saved, covered)
             dry_run_done = True
             while self._budget_left():
@@ -405,7 +523,7 @@ class Campaign:
         except KeyboardInterrupt:
             pass
         finally:
-            self._run = None
+            self._run = self._evaluate = None
             try:
                 if external is not None:
                     external.close()

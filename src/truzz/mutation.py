@@ -16,14 +16,15 @@ would.
 ``mutate_round`` makes a whole round's children with the C kernel
 ``mutate.c``, which decodes the same words in the same order, so its
 children and the ``Rng``'s state afterwards are those of ``mutate`` called
-once per child. ``mutate`` is the kernel's specification, and the fuzz
-loop's fallback where the kernel cannot be built or loaded.
+once per child. ``mutate_chunks`` hands them over as the kernel writes
+them, a buffer per kernel call, for a caller that reads them in C.
+``mutate`` is the kernel's specification, and the fuzz loop's fallback
+where the kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import random
 from array import array
 from typing import Iterator, Optional
@@ -152,15 +153,11 @@ def _kernel():
     """``make(state, seed, probs, argmax, n)``, which runs the kernel into a
     new buffer of ``n`` children and returns it, or None where ``mutate.c``
     cannot be built or loaded. Loaded, and built if need be, on first use."""
-    path = native.library("mutate")
-    if path is None or array("I").itemsize != 4:  # the state's words are uint32_t
+    fn = native.function("mutate", "truzz_mutate_round")
+    if fn is None or array("I").itemsize != 4:  # the state's words are uint32_t
         return None
-    import ctypes  # here, not with the module: importing truzz loads no ctypes
+    import ctypes
 
-    try:
-        fn = ctypes.CDLL(os.fsdecode(path)).truzz_mutate_round
-    except (OSError, AttributeError):
-        return None
     address, size = ctypes.c_void_p, ctypes.c_size_t
     fn.argtypes = (address, ctypes.c_char_p, size, address, size, size, address)
     fn.restype = None
@@ -173,16 +170,17 @@ def _kernel():
     return make
 
 
-def mutate_round(
+def mutate_chunks(
     seed: bytes, mask: Optional[MutationMask], rng: random.Random, n: int
-) -> Optional[Iterator[bytes]]:
-    """The children of ``n`` calls of ``mutate(seed, mask, rng,
-    draw_op_count(rng))``, made by the kernel; None, drawing nothing, where
-    there is no kernel.
+) -> Optional[Iterator[tuple[object, int]]]:
+    """``mutate_round``'s children as the kernel writes them: one ``(buffer,
+    k)`` per kernel call, the buffer holding k children of ``len(seed)``
+    bytes one after another. None, drawing nothing, where there is no
+    kernel.
 
-    The inputs are checked at once. The kernel runs when a child is taken
-    and none is left from its last call, writing at most ``_CALL_BYTES``
-    per call, and leaves ``rng`` where those calls of ``mutate`` would.
+    The inputs are checked at once. The kernel runs when a chunk is taken,
+    writing at most ``_CALL_BYTES`` per call, and leaves ``rng`` where that
+    many calls of ``mutate`` would.
     """
     _check(seed, mask)
     if n < 1:  # nothing to make, so nothing to load
@@ -190,11 +188,11 @@ def mutate_round(
     make = _kernel()
     if make is None or len(seed) >= 1 << 32:
         return None
-    return _kernel_children(make, seed, mask, rng, n)
+    return _kernel_chunks(make, seed, mask, rng, n)
 
 
-def _kernel_children(make, seed: bytes, mask: Optional[MutationMask],
-                     rng: random.Random, n: int) -> Iterator[bytes]:
+def _kernel_chunks(make, seed: bytes, mask: Optional[MutationMask],
+                   rng: random.Random, n: int) -> Iterator[tuple[object, int]]:
     length = len(seed)
     probs = None if mask is None else array("d", mask.probability)
     probs_address = None if probs is None else probs.buffer_info()[0]
@@ -206,6 +204,24 @@ def _kernel_children(make, seed: bytes, mask: Optional[MutationMask],
         state = array("I", internal)  # the 624 words, then the index
         out = make(state.buffer_info()[0], seed, probs_address, argmax, k)
         rng.setstate((version, tuple(state), gauss))
+        yield out, k
+
+
+def mutate_round(
+    seed: bytes, mask: Optional[MutationMask], rng: random.Random, n: int
+) -> Optional[Iterator[bytes]]:
+    """The children of ``n`` calls of ``mutate(seed, mask, rng,
+    draw_op_count(rng))``, made by the kernel; None, drawing nothing, where
+    there is no kernel. The kernel runs as ``mutate_chunks`` says, when a
+    child is taken and none is left from its last call."""
+    chunks = mutate_chunks(seed, mask, rng, n)
+    if chunks is None:
+        return None
+    return _children(chunks, len(seed))
+
+
+def _children(chunks: Iterator[tuple[object, int]], length: int) -> Iterator[bytes]:
+    for out, k in chunks:
         view = memoryview(out)
         for start in range(0, k * length, length):
             yield view[start:start + length].tobytes()

@@ -1,7 +1,9 @@
 """Shared libraries built from the package's C sources.
 
 ``forkserver.c`` is the fork-server shim (see ``docs/external-targets.md``)
-and ``mutate.c`` the mutation kernel (see ``truzz.mutation``). Each is
+and ``mutate.c`` the round kernel, which makes a round's children (see
+``truzz.mutation``) and scores them against a synthetic target (see
+``truzz.target.CompiledTarget``). Each is
 compiled once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
 by default) under a name holding the sha256 of its source, and found
 there afterwards without a subprocess.
@@ -62,6 +64,21 @@ def library(stem: str) -> Optional[bytes]:
             return os.fsencode(path) if _private(path, stat.S_ISREG) else None
         return _build(source, path, stem)
     except OSError:
+        return None
+
+
+def function(stem: str, name: str):
+    """The ctypes function ``name`` of the library built from ``<stem>.c``,
+    or None where it cannot be built or loaded. ctypes is imported here, so
+    importing truzz loads none."""
+    path = library(stem)
+    if path is None:
+        return None
+    import ctypes
+
+    try:
+        return getattr(ctypes.CDLL(os.fsdecode(path)), name)
+    except (OSError, AttributeError):
         return None
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import os
 import select
 import shutil
@@ -21,8 +22,9 @@ import signal
 import struct
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import native
 from .coverage import MAP_SIZE, Path, parse_edges
@@ -399,6 +401,52 @@ def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
     return check.start, check.start + 1, bytes((lo,)), bytes((hi,))
 
 
+# A round code, as mutate.c's truzz_score_round writes one per child: bit j
+# set when check j passed, and the number of checks reached from bit
+# CODE_SHIFT up. A spec with more than CODE_CHECKS checks has no codes.
+CODE_CHECKS = 24
+CODE_SHIFT = 24
+# Flags of a check in the table truzz_score_round reads.
+_TERMINAL, _VALIDATION = 1, 2
+
+
+def _score_table(ops, validation) -> Optional[tuple[array, bytes, int]]:
+    """``ops`` (see ``CompiledTarget``) as truzz_score_round reads them: five
+    words per check (its first byte, its byte count, the offsets of its
+    bounds in the pool, its flags), the pool of bounds, and the bytes a
+    child needs for every check to read it in place. ``validation`` says
+    which checks are VALIDATION ones. None where the checks do not fit in
+    a code."""
+    reads = max((stop for _, stop, *_ in ops), default=0)
+    if len(ops) > CODE_CHECKS or reads >= 1 << 32 or array("I").itemsize != 4:
+        return None
+    words, pool, offsets = array("I"), bytearray(), {}
+    for (start, stop, lo, hi, terminal), is_validation in zip(ops, validation):
+        for bound in (lo, hi):
+            if bound not in offsets:
+                offsets[bound] = len(pool)
+                pool += bound
+        flags = _TERMINAL * terminal | _VALIDATION * is_validation
+        words.extend((start, stop - start, offsets[lo], offsets[hi], flags))
+    return words, bytes(pool), reads
+
+
+@functools.cache
+def _score_round():
+    """mutate.c's truzz_score_round, or None where it cannot be built or
+    loaded; loaded, and built if need be, on first use."""
+    fn = native.function("mutate", "truzz_score_round")
+    if fn is None:
+        return None
+    import ctypes
+
+    address, size = ctypes.c_void_p, ctypes.c_size_t
+    fn.argtypes = (address, size, size, address, size, ctypes.c_char_p, size,
+                   address, address, address)
+    fn.restype = None
+    return fn
+
+
 class CompiledTarget:
     """Memoized synthetic runner, the one synthetic interpreter.
 
@@ -408,18 +456,24 @@ class CompiledTarget:
     tuple by ``_result``, and returns that same object for every input
     that reaches it. A synthetic run is instantaneous, so ``run`` ignores
     ``then``. ``execute`` is another name for ``run``, kept for perfbench.
+
+    A whole round is scored in C: ``scorer`` gives each child's outcome
+    as a code, and ``result_of`` maps a code to the cached ExecResult of
+    its outcome tuple, the very object ``run`` returns for that child.
     """
 
     def __init__(self, spec: TargetSpec):
         self.spec = spec
         self._cache: dict[tuple, ExecResult] = {}
+        checked = [stage for stage in spec.stages if stage.check is not None]
         # (start, stop, lo, hi, stops execution when failed), in stage order
         self._ops = tuple(
             (*_compile_check(stage.check),
              stage.fail_region is not None and stage.fail_region.terminal)
-            for stage in spec.stages
-            if stage.check is not None
+            for stage in checked
         )
+        self._table = _score_table(
+            self._ops, [stage.check.kind is CheckKind.VALIDATION for stage in checked])
 
     def run(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
         n = self.spec.input_length
@@ -431,10 +485,40 @@ class CompiledTarget:
             outcome.append(ok)
             if terminal and not ok:
                 break
-        key = tuple(outcome)
-        result = self._cache.get(key)
+        return self._lookup(tuple(outcome))
+
+    def scorer(self) -> Optional[Callable[[object, int, int], tuple[array, array]]]:
+        """``score(children, length, n)``, which scores ``n`` children of
+        ``length`` bytes, laid one after another in the buffer ``children``,
+        in one C call. It returns their codes, and ``valid``, where
+        ``valid[i]`` is how many of the first i are valid. None where the
+        checks do not fit in a code or ``mutate.c`` cannot be built or
+        loaded."""
+        fn = None if self._table is None else _score_round()
+        if fn is None:
+            return None
+        words, pool, reads = self._table
+        checks, n_checks = words.buffer_info()[0], len(words) // 5
+        scratch = array("B", bytes(reads))
+
+        def score(children, length: int, n: int) -> tuple[array, array]:
+            if len(children) < length * n:
+                raise ValueError(f"{len(children)} bytes hold no {n} children of {length}")
+            codes, valid = array("I", [0]) * n, array("I", [0]) * (n + 1)
+            fn(children, length, n, checks, n_checks, pool, reads, scratch.buffer_info()[0],
+               codes.buffer_info()[0], valid.buffer_info()[0])
+            return codes, valid
+
+        return score
+
+    def result_of(self, code: int) -> ExecResult:
+        """The ExecResult of every input whose outcome ``code`` encodes."""
+        return self._lookup(tuple(bool(code >> j & 1) for j in range(code >> CODE_SHIFT)))
+
+    def _lookup(self, outcome: tuple[bool, ...]) -> ExecResult:
+        result = self._cache.get(outcome)
         if result is None:
-            result = self._cache[key] = self._result(key)
+            result = self._cache[outcome] = self._result(outcome)
         return result
 
     def _result(self, outcome: tuple[bool, ...]) -> ExecResult:

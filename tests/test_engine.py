@@ -12,9 +12,11 @@ from harness import (
     make_corpus,
     open_fd_count,
     vanilla_fifo,
+    write_seeds,
 )
 
 import truzz.engine
+import truzz.mutation
 import truzz.target
 from truzz.byte_analysis import AnalysisConfig, mask_from_fitness
 from truzz.engine import (
@@ -25,10 +27,10 @@ from truzz.engine import (
     replay,
     run_campaign,
 )
-from truzz.mutation import mutate, mutate_round
+from truzz.mutation import mutate, mutate_chunks, mutate_round
 from truzz.scheduler import CampaignError, SchedulerConfig
 from truzz.target import MAX_TIMEOUT, CompiledTarget, ExecStatus, load_spec
-from truzz.targets import bundled_seed, write_bundled
+from truzz.targets import bundled_names, bundled_seed, write_bundled
 
 
 def config(spec_path, corpus, **kw):
@@ -58,6 +60,62 @@ def interrupt_at(campaign, k):
 
     campaign.compiled.run = interrupted
     return campaign
+
+
+def many_checks(tmp_path, n, label):
+    """A generated spec of ``n`` one-byte checks on a 64-byte input, check
+    j a VALIDATION one for odd j and terminal too where j % 3 == 1, and a
+    corpus ``tmp_path/label`` seeded with an input that passes them all;
+    return the spec's path and the corpus."""
+    stages = []
+    for j in range(n):
+        kind = "VALIDATION" if j % 2 else "NON_VALIDATION"
+        terminal = "true" if j % 3 == 1 else "false"
+        stages.append(
+            f"[stage.s{j}]\ncheck.bytes = {j}\ncheck.predicate = LT 0x40\n"
+            f"check.kind = {kind}\npass.base = {10 * j}\npass.edges = 2\n"
+            f"fail.base = {10 * j + 5}\nfail.edges = 1\n"
+            + (f"fail.terminal = {terminal}\n" if kind == "VALIDATION" else "")
+        )
+    spec_path = tmp_path / "checks.tspec"
+    spec_path.write_text("input_length = 64\n" + "".join(stages))
+    return str(spec_path), write_seeds(tmp_path / label, [bytes(64)])
+
+
+def record_children(monkeypatch):
+    """Record, in order, each child the fuzz loop takes from the kernel or
+    from ``mutate``; return the list it fills."""
+    made = []
+
+    def record(child):
+        made.append(child)
+        return child
+
+    def counting_round(*args):
+        children = mutate_round(*args)
+        return None if children is None else map(record, children)
+
+    monkeypatch.setattr(truzz.engine, "mutate", lambda *args: record(mutate(*args)))
+    monkeypatch.setattr(truzz.engine, "mutate_round", counting_round)
+    return made
+
+
+def assert_paired(calls, made, energy, max_execs):
+    """The per-child round over ``calls``, the (data, then) of each run:
+    child i+1 is passed to child i's run as ``then``, every child ``made``
+    is run once, in order, within ``max_execs``, and a run of children
+    linked by ``then``, one round, is at most ``energy`` long."""
+    thens = [then for _, then in calls]
+    for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
+        assert then is None or then is data
+    made_ids = {id(child) for child in made}
+    ran = [(i, data) for i, (data, _) in enumerate(calls, 1) if id(data) in made_ids]
+    assert [data for _, data in ran] == made
+    assert ran[-1][0] <= max_execs
+    linked = 1
+    for then in thens:
+        assert linked <= energy
+        linked = linked + 1 if then is not None else 1
 
 
 def artifacts(corpus):
@@ -128,50 +186,183 @@ class TestSyntheticCampaign:
         assert artifacts(by_execs) == artifacts(by_secs)
 
     def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
-        """A synthetic round, like an external one, takes child i+1 before
-        it runs child i and passes it as ``then``. It takes no child, from
-        the kernel or from ``mutate``, that it does not run: none past the
-        round's energy or the execution budget."""
-        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        """A synthetic round scores exactly the kernel's children, one call
+        per kernel call, and makes none past the round's energy or the
+        execution budget; only the dry run and the probes run one input at
+        a time. On the per-child path, taken here by a scorer that is
+        refused, a round takes child i+1 before it runs child i and passes
+        it as ``then``, and takes no child, from the kernel or from
+        ``mutate``, that it does not run."""
         energy, max_execs = 16, 1_000
-        campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
-                                   scheduler=SchedulerConfig(energy=energy)))
-        run = campaign.compiled.run
-        calls = []
-        made = []
 
-        def recording(data, then=None):
-            calls.append((data, then))
-            return run(data)
+        def campaign(label):
+            spec_path, corpus = make_corpus(tmp_path, "magic64", label)
+            campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
+                                       scheduler=SchedulerConfig(energy=energy)))
+            run = campaign.compiled.run
+            calls = []
 
-        def record(child):
-            made.append(child)
-            return child
+            def recording(data, then=None):
+                calls.append((data, then))
+                return run(data)
 
-        def counting_round(*args):
-            children = mutate_round(*args)
-            return None if children is None else map(record, children)
+            campaign.compiled.run = recording
+            return campaign, calls
 
-        campaign.compiled.run = recording
-        monkeypatch.setattr(truzz.engine, "mutate", lambda *args: record(mutate(*args)))
-        monkeypatch.setattr(truzz.engine, "mutate_round", counting_round)
-        stats = campaign.run()
+        # The round path.
+        rounds, scored = [], []
+        scorer = CompiledTarget.scorer
 
-        thens = [then for _, then in calls]
-        assert sum(then is not None for then in thens) > 50
-        for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
-            assert then is None or then is data
-        # Every child made is run once, in order, within the budget.
-        made_ids = {id(child) for child in made}
-        ran = [(i, data) for i, (data, _) in enumerate(calls, 1) if id(data) in made_ids]
-        assert [data for _, data in ran] == made
+        def recorded(chunks, made):
+            for buffer, k in chunks:
+                made.append(bytes(buffer))
+                yield buffer, k
+
+        def recording_chunks(*args):
+            chunks = mutate_chunks(*args)
+            rounds.append([])
+            return None if chunks is None else recorded(chunks, rounds[-1])
+
+        def recording_scorer(self):
+            score = scorer(self)
+
+            def recording_score(children, length, n):
+                scored.append(bytes(children)[:length * n])
+                return score(children, length, n)
+
+            return None if score is None else recording_score
+
+        monkeypatch.setattr(truzz.engine, "mutate_chunks", recording_chunks)
+        monkeypatch.setattr(CompiledTarget, "scorer", recording_scorer)
+        scored_campaign, calls = campaign("round")
+        stats = scored_campaign.run()
+        if truzz.mutation._kernel() is not None:  # else both runs are the per-child path
+            assert scored == [chunk for chunks in rounds for chunk in chunks]
+            assert all(sum(map(len, chunks)) <= energy * 64 for chunks in rounds)
+            assert sum(map(len, scored)) == 64 * stats.mutation_execs
+            assert stats.executions == max_execs
+            assert len(calls) == stats.dry_run_execs + stats.probe_execs
+
+        # The per-child path.
+        monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
+        made = record_children(monkeypatch)
+        per_child, calls = campaign("per-child")
+        stats = per_child.run()
+        assert sum(then is not None for _, then in calls) > 50
+        assert_paired(calls, made, energy, max_execs)
         assert len(made) == stats.mutation_execs
-        assert ran[-1][0] <= max_execs
-        # A run of children linked by ``then`` is one round: at most ``energy``.
-        linked = 1
-        for then in thens:
-            assert linked <= energy
-            linked = linked + 1 if then is not None else 1
+        assert artifacts(tmp_path / "per-child") == artifacts(tmp_path / "round")
+
+    @pytest.mark.parametrize("case", [
+        *(f"{name}-{interval}" for name in bundled_names() for interval in (7, 1000)),
+        "magic64-seconds", "chain128-seconds", "magic64-lengths", "checks-24", "checks-25",
+    ])
+    def test_round_path_equals_per_child_path(self, tmp_path, monkeypatch, case):
+        """The round path and the per-child path write the same stats.csv,
+        queue, meta and overall.cov: on every bundled spec at two stats
+        intervals, under a time budget that ends mid-round, with seeds
+        shorter and longer than the input, and on generated specs with as
+        many checks as a code holds and with one more, whose rounds both
+        runs take child by child."""
+        name, _, variant = case.rpartition("-")
+        kw = {"budget": Budget(max_execs=20_000)}
+        seeds = None
+        if variant.isdigit() and name != "checks":
+            kw["stats_interval"] = int(variant)
+        elif variant == "seconds":
+            kw["budget"] = Budget(max_seconds=0.0523)
+        elif variant == "lengths":
+            seed = bundled_seed(name)
+            seeds = [seed[:40], seed + b"\x01\x02\x03"]
+        if name == "checks":
+            spec_path, corpus = many_checks(tmp_path, int(variant), "round")
+            fits = int(variant) <= truzz.target.CODE_CHECKS
+            assert (CompiledTarget(load_spec(spec_path))._table is not None) == fits
+        else:
+            spec_path, corpus = make_corpus(tmp_path, name, "round", seeds)
+        run_campaign(config(spec_path, corpus, **kw))
+        per_child = shutil.copytree(corpus, tmp_path / "per-child")
+        for part in ("stats.csv", "overall.cov", "queue", "meta"):
+            path = per_child / part
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
+        run_campaign(config(spec_path, per_child, **kw))
+        assert artifacts(per_child) == artifacts(corpus)
+
+    @pytest.mark.parametrize("where", [
+        "analysis", "per-child round", "round result", "round score", "interval boundary",
+    ])
+    def test_interrupt_leaves_phases_summing_to_executions(self, tmp_path, monkeypatch, where):
+        """Probes and mutated children are counted where executions are,
+        so an interrupt anywhere after the dry run leaves the phase counts
+        summing to the executions, and the final stats.csv row is the
+        returned stats."""
+        from truzz.report import read_stats
+
+        if where not in ("analysis", "per-child round") and truzz.mutation._kernel() is None:
+            pytest.skip("no C compiler on this host")
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        kw = {"stats_interval": 100 if where == "interval boundary" else 1_000}
+        if where == "per-child round":
+            kw["mask_enabled"] = False
+            monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
+        campaign = Campaign(config(spec_path, corpus, **kw))
+        if where in ("analysis", "per-child round"):
+            interrupt_at(campaign, 5 if where == "analysis" else 30)
+        elif where == "round score":
+            scorer = CompiledTarget.scorer
+            calls = itertools.count(1)
+
+            def interrupted_scorer(self):
+                score = scorer(self)
+
+                def interrupted(*args):
+                    if next(calls) == 3:
+                        raise KeyboardInterrupt
+                    return score(*args)
+
+                return score and interrupted
+
+            monkeypatch.setattr(CompiledTarget, "scorer", interrupted_scorer)
+        else:
+            result_of = campaign.compiled.result_of
+            calls = itertools.count(1)
+
+            def interrupted(code):
+                boundary = (campaign.stats.executions + 1) % 100 == 0
+                if (where != "interval boundary" or boundary) and next(calls) == 3:
+                    raise KeyboardInterrupt
+                return result_of(code)
+
+            campaign.compiled.result_of = interrupted
+        stats = campaign.run()
+        if where == "analysis":
+            assert (stats.executions, stats.dry_run_execs, stats.probe_execs) == (4, 1, 3)
+        else:
+            assert 0 < stats.mutation_execs and stats.executions < 10_000
+        if where == "per-child round":
+            assert stats.executions == 29
+        assert stats.dry_run_execs + stats.probe_execs + stats.mutation_execs \
+            == stats.executions
+        final = read_stats(corpus / "stats.csv")[-1]
+        assert (final.elapsed_s, final.executions, final.seeds, final.edges_covered,
+                final.valid, final.invalid, final.crashes) == (
+            float(f"{stats.elapsed:.6f}"), stats.executions, stats.seeds,
+            stats.edges_covered, stats.valid_count, stats.invalid_count, stats.crashes)
+
+    def test_probes_that_use_up_the_budget_leave_an_empty_round(self, tmp_path, monkeypatch):
+        """With one execution per seed and one more, the first seed's probes
+        overshoot the budget, so its round makes no child and loads neither
+        the kernel nor the scorer."""
+        def refuse(*args):
+            raise AssertionError("an empty round loaded the kernel")
+
+        monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
+        monkeypatch.setattr(CompiledTarget, "scorer", refuse)
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        stats = run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2)))
+        assert stats.probe_execs > 1 and stats.mutation_execs == 0
+        assert stats.executions == stats.dry_run_execs + stats.probe_execs
 
     def test_execution_accounting(self, tmp_path):
         spec_path, corpus = make_corpus(tmp_path, "magic64")
@@ -635,6 +826,29 @@ class TestExternalCampaign:
         assert overlapped == campaign("serial", serial)
         assert overlapped[1][1] > 0  # crashes
         assert any(name.startswith("crashes/") for name in overlapped[0])
+
+    def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
+        """An external round runs every child: it takes child i+1 before it
+        runs child i and passes it as ``then``, runs each child it makes
+        once, in order, and makes none past the round's energy or the
+        execution budget."""
+        execute = truzz.engine.execute_external
+        energy, max_execs = 10, 60
+        calls = []
+
+        def recording(target, data, then=None):
+            calls.append((data, then))
+            return execute(target, data, then)
+
+        monkeypatch.setattr(truzz.engine, "execute_external", recording)
+        made = record_children(monkeypatch)
+        stats = Campaign(external_config(
+            tmp_path, budget=Budget(max_execs=max_execs),
+            scheduler=SchedulerConfig(energy=energy), mask_enabled=False,
+        )).run()
+        assert sum(then is not None for _, then in calls) > 30
+        assert_paired(calls, made, energy, max_execs)
+        assert len(made) == stats.mutation_execs == max_execs - stats.dry_run_execs
 
     @pytest.mark.parametrize("fault", ["interrupt-1", "interrupt-2", "interrupt-5", "no-dump"])
     def test_no_child_outlives_the_campaign(self, tmp_path, monkeypatch, fault):

@@ -60,7 +60,8 @@ def test_import_starts_no_process():
 def test_shim_source_ships_as_package_data():
     sources = resources.files("truzz")
     assert b"__attribute__((constructor))" in sources.joinpath("forkserver.c").read_bytes()
-    assert b"truzz_mutate_round" in sources.joinpath("mutate.c").read_bytes()
+    kernel = sources.joinpath("mutate.c").read_bytes()
+    assert b"truzz_mutate_round" in kernel and b"truzz_score_round" in kernel
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert set(pyproject["tool"]["setuptools"]["package-data"]["truzz"]) == set(SOURCES)
@@ -99,7 +100,8 @@ def test_shim_and_target_agree_on_the_protocol():
 
 
 def test_kernel_and_mutate_agree_on_the_constants():
-    """mutate.c restates mutate's operator constants; they must agree."""
+    """mutate.c restates mutate's operator constants, and the round code and
+    check flags of CompiledTarget; they must agree."""
     from truzz import mutation
 
     source = resources.files("truzz").joinpath("mutate.c").read_text(encoding="ascii")
@@ -110,3 +112,9 @@ def test_kernel_and_mutate_agree_on_the_constants():
     assert defines["OP_COUNT_MAX_EXP"] == mutation.OP_COUNT_MAX_EXP
     interesting = re.search(r"interesting\[\] = \{([^}]*)\}", source)[1]
     assert tuple(int(v, 0) for v in interesting.split(",")) == mutation.INTERESTING_BYTES
+
+    from truzz import target
+
+    assert defines["CODE_CHECKS"] == target.CODE_CHECKS
+    assert defines["CODE_SHIFT"] == target.CODE_SHIFT
+    assert (defines["TERMINAL"], defines["VALIDATION"]) == (target._TERMINAL, target._VALIDATION)

@@ -28,8 +28,9 @@ from harness import (
 import truzz.native
 import truzz.target
 from truzz.coverage import MAP_SIZE
-from truzz.mutation import Rng, draw_op_count, mutate
+from truzz.mutation import Rng, draw_op_count, mutate, mutate_round
 from truzz.target import (
+    CODE_SHIFT,
     MAX_TIMEOUT,
     ByteRangeError,
     Check,
@@ -41,10 +42,14 @@ from truzz.target import (
     ForkServerError,
     MalformedSpecError,
     PredicateKind,
+    Region,
     RegionOverlapError,
     SpawnError,
+    Stage,
+    TargetSpec,
     _compile_check,
     execute_external,
+    fit_input,
     parse_spec,
 )
 from truzz.targets import bundled_names, load_bundled
@@ -291,6 +296,54 @@ def test_compiled_byte_check_agrees_with_passes(check_with_input):
     check, data = check_with_input
     start, stop, lo_b, hi_b = _compile_check(check)
     assert (lo_b <= data[start:stop] <= hi_b) == oracle_passes(check, data)
+
+
+def score(compiled, children):
+    """The codes and running valid counts ``compiled``'s scorer gives
+    ``children``, all of one length, passed in one buffer."""
+    scorer = compiled.scorer()
+    if scorer is None:
+        pytest.skip("no C compiler on this host")
+    return scorer(b"".join(children), len(children[0]), len(children))
+
+
+def outcome_code(outcome):
+    return sum(ok << j for j, ok in enumerate(outcome)) | len(outcome) << CODE_SHIFT
+
+
+@pytest.mark.parametrize("name", sorted(bundled_names()))
+def test_round_codes_map_to_the_results_run_returns(name):
+    """Each of 3000 kernel mutants, of the bundled seed and of seeds shorter
+    and longer than the input, is scored to the code of the checks it
+    reaches, which maps to the very ExecResult ``run`` returns for it, and
+    the running valid count is ``run``'s."""
+    spec, seed = load_bundled(name)
+    compiled = CompiledTarget(spec)
+    rng = Rng(len(seed))
+    for data in (seed, seed[: len(seed) // 2], seed + b"\x7f" * 5):
+        children = list(mutate_round(data, None, rng, 1_000) or ())
+        if not children:
+            pytest.skip("no C compiler on this host")
+        codes, valid = score(compiled, children)
+        assert len(codes) == len(children) and valid[0] == 0
+        for i, child in enumerate(children):
+            result = compiled.run(child)
+            assert codes[i] == outcome_code(reached_outcomes(spec, fit_input(child, len(seed))))
+            assert compiled.result_of(codes[i]) is result
+            assert valid[i + 1] == valid[i] + result.valid
+    assert len(compiled._cache) > 1
+
+
+@settings(max_examples=300)
+@given(check_and_input())
+def test_scored_check_agrees_with_passes(check_with_input):
+    """The scorer compares bytes as ``_compile_check``'s slices do,
+    thresholds outside 0..255 and multi-byte EQ constants included."""
+    check, data = check_with_input
+    stage = Stage("s", check, Region(0, 1), Region(1, 1))
+    codes, valid = score(CompiledTarget(TargetSpec(len(data), (stage,))), [data])
+    passed = oracle_passes(check, data)
+    assert codes[0] == outcome_code((passed,)) and valid[1] == passed
 
 
 def run_external(command, data, timeout=5.0):
@@ -683,6 +736,10 @@ class TestForkServer:
             assert os.read(slot.status_fd, 64) == b""
             with pytest.raises(ProcessLookupError):
                 os.kill(child, 0)
+            # A dying process closes its files before it becomes a zombie.
+            deadline = time.monotonic() + 5
+            while not exited(slot.server_pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert exited(slot.server_pid)
 
     def test_server_reaped_where_this_process_reaps_orphans(self):
