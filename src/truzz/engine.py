@@ -25,7 +25,9 @@ from .byte_analysis import (
     mask_from_fitness,
 )
 from .coverage import Path, parse_edges
-from .mutation import Rng, draw_op_count, mutate, mutate_chunks, mutate_round
+# Nothing here calls mutate or draw_op_count: they are imported so that
+# perfbench's tracer (tracing.SPANNED) finds them under these names.
+from .mutation import Rng, draw_op_count, mutate, mutate_chunks
 from .scheduler import (
     CampaignError,
     Corpus,
@@ -268,8 +270,8 @@ class _Chunk(NamedTuple):
 
 class Campaign:
     """One fuzzing campaign over a synthetic or external target. Every
-    execution is charged by ``_charge``, and every one but a mutated child
-    on the round path is run by ``_run``."""
+    execution is charged by ``_charge`` or ``_charge_bulk``, and every one
+    but a mutated child of a synthetic round is run by ``_run``."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -453,17 +455,15 @@ class Campaign:
 
     def _child_by_child(self, seed: bytes, mask: Optional[MutationMask],
                         n: int) -> Iterator[_Chunk]:
-        """The per-child round: one chunk in which every child is an event,
+        """The external round: one chunk in which every child is an event,
         made when the round takes it and run when the round asks for its
-        result. The children come from the mutation kernel or, where there
-        is none, from ``mutate`` one at a time. Taking child i makes child
-        i+1, which is passed to child i's run as ``then``; execution draws
-        nothing from the RNG, so every child and result is that of one
-        child at a time."""
-        rng, run = self.rng, self._run
-        children = mutate_round(seed, mask, rng, n)
-        if children is None:
-            children = (mutate(seed, mask, rng, draw_op_count(rng)) for _ in range(n))
+        result. Taking child i makes child i+1, which is passed to child
+        i's run as ``then``; execution draws nothing from the RNG, so every
+        child and result is that of one child at a time."""
+        run, length = self._run, len(seed)
+        children = (buffer[start:start + length]
+                    for buffer, k in mutate_chunks(seed, mask, self.rng, n)
+                    for start in range(0, k * length, length))
         pairs = pairwise(chain(children, [None]))
         taken = [None, None]  # the child taken last, and its ``then``
 
@@ -475,25 +475,23 @@ class Campaign:
 
     def _scored_round(self, seed: bytes, mask: Optional[MutationMask],
                       n: int) -> Iterator[_Chunk]:
-        """The synthetic round: each kernel call's children are scored in
-        one C call, and their codes (see ``CompiledTarget.scorer``) say
-        which child is the first in the round to reach its outcome. Where
-        there is no kernel, or the spec's checks do not fit in a code, the
-        round is run child by child. An empty round loads nothing."""
-        score = self.compiled.scorer() if n > 0 else None
-        chunks = None if score is None else mutate_chunks(seed, mask, self.rng, n)
-        if chunks is None:
-            yield from self._child_by_child(seed, mask, n)
-            return
-        length, result_of = len(seed), self.compiled.result_of
+        """The synthetic round: each chunk of children is scored in one
+        call, and their codes (see ``CompiledTarget.score``) say which
+        child is the first in the round to reach its outcome."""
+        length, score, result_of = len(seed), self.compiled.score, self.compiled.result_of
         offered: set[int] = set()
-        for buffer, k in chunks:
+        for buffer, k in mutate_chunks(seed, mask, self.rng, n):
             codes, valid = score(buffer, length, k)
-            new = set(codes).difference(offered)
+            distinct = dict.fromkeys(codes)  # in the order each first appears
+            new = distinct.keys() - offered
             offered |= new
-            view = memoryview(buffer)
-            yield _Chunk(k, {codes.index(code) for code in new}, valid,
-                         lambda i, view=view: view[i * length:(i + 1) * length].tobytes(),
+            firsts, first = set(), 0
+            for code in distinct:  # each search starts where the last one ended
+                if code in new:
+                    first = codes.index(code, first)
+                    firsts.add(first)
+            yield _Chunk(k, firsts, valid,
+                         lambda i, buffer=buffer: buffer[i * length:(i + 1) * length],
                          lambda i, codes=codes: result_of(codes[i]))
 
     def run(self) -> CampaignStats:

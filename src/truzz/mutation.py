@@ -13,13 +13,12 @@ as ``random.Random`` decodes it. ``randrange(n)`` takes
 same words, in the same order, as ``select_byte`` and ``randrange`` calls
 would.
 
-``mutate_round`` makes a whole round's children with the C kernel
-``mutate.c``, which decodes the same words in the same order, so its
-children and the ``Rng``'s state afterwards are those of ``mutate`` called
-once per child. ``mutate_chunks`` hands them over as the kernel writes
-them, a buffer per kernel call, for a caller that reads them in C.
-``mutate`` is the kernel's specification, and the fuzz loop's fallback
-where the kernel cannot be built or loaded.
+``mutate_chunks`` makes a whole round's children, a buffer of them at a
+time, with the C kernel ``mutate.c``, which decodes the same words in the
+same order, so its children and the ``Rng``'s state afterwards are those
+of ``mutate`` called once per child. ``mutate`` is the kernel's
+specification, and makes the chunks itself where the kernel cannot be
+built or loaded.
 """
 
 from __future__ import annotations
@@ -150,9 +149,9 @@ def mutate(
 
 @functools.cache
 def _kernel():
-    """``make(state, seed, probs, argmax, n)``, which runs the kernel into a
-    new buffer of ``n`` children and returns it, or None where ``mutate.c``
-    cannot be built or loaded. Loaded, and built if need be, on first use."""
+    """``make(seed, mask, rng, k)``, which runs the kernel into a new buffer
+    of k children of ``seed``, or None where ``mutate.c`` cannot be built
+    or loaded. Loaded, and built if need be, on first use."""
     fn = native.function("mutate", "truzz_mutate_round")
     if fn is None or array("I").itemsize != 4:  # the state's words are uint32_t
         return None
@@ -162,66 +161,44 @@ def _kernel():
     fn.argtypes = (address, ctypes.c_char_p, size, address, size, size, address)
     fn.restype = None
 
-    def make(state: int, seed: bytes, probs: Optional[int], argmax: int, n: int):
-        out = ctypes.create_string_buffer(n * len(seed))
-        fn(state, seed, len(seed), probs, argmax, n, out)
+    def make(seed: bytes, mask: Optional[MutationMask], rng: random.Random, k: int):
+        probs = None if mask is None else array("d", mask.probability)
+        version, internal, gauss = rng.getstate()
+        state = array("I", internal)  # the 624 words, then the index
+        out = ctypes.create_string_buffer(k * len(seed))
+        fn(state.buffer_info()[0], seed, len(seed), probs and probs.buffer_info()[0],
+           0 if mask is None else mask.argmax, k, out)
+        rng.setstate((version, tuple(state), gauss))
         return out
 
     return make
 
 
+def _joined(seed: bytes, mask: Optional[MutationMask], rng: random.Random, k: int) -> bytes:
+    """``_kernel``'s ``make`` where there is no kernel."""
+    return b"".join([mutate(seed, mask, rng, draw_op_count(rng)) for _ in range(k)])
+
+
 def mutate_chunks(
     seed: bytes, mask: Optional[MutationMask], rng: random.Random, n: int
-) -> Optional[Iterator[tuple[object, int]]]:
-    """``mutate_round``'s children as the kernel writes them: one ``(buffer,
-    k)`` per kernel call, the buffer holding k children of ``len(seed)``
-    bytes one after another. None, drawing nothing, where there is no
-    kernel.
+) -> Iterator[tuple[object, int]]:
+    """The children of ``n`` calls of ``mutate(seed, mask, rng,
+    draw_op_count(rng))``, as ``(children, k)`` chunks: k children of
+    ``len(seed)`` bytes one after another in ``children``, whose slices
+    are bytes. The kernel makes each chunk in one call, writing at most
+    ``_CALL_BYTES``; where it cannot be loaded, or the seed is 2**32 bytes
+    or longer, ``mutate`` makes chunks of the same size.
 
-    The inputs are checked at once. The kernel runs when a chunk is taken,
-    writing at most ``_CALL_BYTES`` per call, and leaves ``rng`` where that
-    many calls of ``mutate`` would.
+    The inputs are checked at once, and an empty round loads nothing. A
+    chunk is made when it is taken, and leaves ``rng`` where that many
+    calls of ``mutate`` would.
     """
     _check(seed, mask)
     if n < 1:  # nothing to make, so nothing to load
         return iter(())
     make = _kernel()
     if make is None or len(seed) >= 1 << 32:
-        return None
-    return _kernel_chunks(make, seed, mask, rng, n)
-
-
-def _kernel_chunks(make, seed: bytes, mask: Optional[MutationMask],
-                   rng: random.Random, n: int) -> Iterator[tuple[object, int]]:
-    length = len(seed)
-    probs = None if mask is None else array("d", mask.probability)
-    probs_address = None if probs is None else probs.buffer_info()[0]
-    argmax = 0 if mask is None else mask.argmax
-    per_call = max(1, _CALL_BYTES // length)
-    for done in range(0, n, per_call):
-        k = min(per_call, n - done)
-        version, internal, gauss = rng.getstate()
-        state = array("I", internal)  # the 624 words, then the index
-        out = make(state.buffer_info()[0], seed, probs_address, argmax, k)
-        rng.setstate((version, tuple(state), gauss))
-        yield out, k
-
-
-def mutate_round(
-    seed: bytes, mask: Optional[MutationMask], rng: random.Random, n: int
-) -> Optional[Iterator[bytes]]:
-    """The children of ``n`` calls of ``mutate(seed, mask, rng,
-    draw_op_count(rng))``, made by the kernel; None, drawing nothing, where
-    there is no kernel. The kernel runs as ``mutate_chunks`` says, when a
-    child is taken and none is left from its last call."""
-    chunks = mutate_chunks(seed, mask, rng, n)
-    if chunks is None:
-        return None
-    return _children(chunks, len(seed))
-
-
-def _children(chunks: Iterator[tuple[object, int]], length: int) -> Iterator[bytes]:
-    for out, k in chunks:
-        view = memoryview(out)
-        for start in range(0, k * length, length):
-            yield view[start:start + length].tobytes()
+        make = _joined
+    per_call = max(1, _CALL_BYTES // len(seed))
+    sizes = (min(per_call, n - done) for done in range(0, n, per_call))
+    return ((make(seed, mask, rng, k), k) for k in sizes)

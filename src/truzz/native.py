@@ -3,8 +3,8 @@
 ``forkserver.c`` is the fork-server shim (see ``docs/external-targets.md``)
 and ``mutate.c`` the round kernel, which makes a round's children (see
 ``truzz.mutation``) and scores them against a synthetic target (see
-``truzz.target.CompiledTarget``). Each is
-compiled once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
+``truzz.target.CompiledTarget``); where it cannot be built, both are done
+in Python, with the same results. Each is compiled once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
 by default) under a name holding the sha256 of its source, and found
 there afterwards without a subprocess.
 """

@@ -24,7 +24,7 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import native
 from .coverage import MAP_SIZE, Path, parse_edges
@@ -403,20 +403,21 @@ def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
 
 # A round code, as mutate.c's truzz_score_round writes one per child: bit j
 # set when check j passed, and the number of checks reached from bit
-# CODE_SHIFT up. A spec with more than CODE_CHECKS checks has no codes.
+# CODE_SHIFT up. truzz_score_round scores specs of at most CODE_CHECKS
+# checks; past that, the count sits above the last check's bit.
 CODE_CHECKS = 24
 CODE_SHIFT = 24
 # Flags of a check in the table truzz_score_round reads.
 _TERMINAL, _VALIDATION = 1, 2
 
 
-def _score_table(ops, validation) -> Optional[tuple[array, bytes, int]]:
+def _score_table(ops, validation) -> Optional[tuple[array, bytes, int, array]]:
     """``ops`` (see ``CompiledTarget``) as truzz_score_round reads them: five
     words per check (its first byte, its byte count, the offsets of its
-    bounds in the pool, its flags), the pool of bounds, and the bytes a
-    child needs for every check to read it in place. ``validation`` says
-    which checks are VALIDATION ones. None where the checks do not fit in
-    a code."""
+    bounds in the pool, its flags), the pool of bounds, the bytes a child
+    needs for every check to read it in place, and a scratch buffer of
+    that many bytes. ``validation`` says which checks are VALIDATION ones.
+    None where there are more than CODE_CHECKS checks."""
     reads = max((stop for _, stop, *_ in ops), default=0)
     if len(ops) > CODE_CHECKS or reads >= 1 << 32 or array("I").itemsize != 4:
         return None
@@ -428,7 +429,7 @@ def _score_table(ops, validation) -> Optional[tuple[array, bytes, int]]:
                 pool += bound
         flags = _TERMINAL * terminal | _VALIDATION * is_validation
         words.extend((start, stop - start, offsets[lo], offsets[hi], flags))
-    return words, bytes(pool), reads
+    return words, bytes(pool), reads, array("B", bytes(reads))
 
 
 @functools.cache
@@ -452,19 +453,21 @@ class CompiledTarget:
 
     Each check is compiled once to a byte-slice comparison. The covered
     path and validity depend only on the outcomes of the checks reached,
-    so ``run`` caches one ExecResult per outcome tuple, built from that
-    tuple by ``_result``, and returns that same object for every input
-    that reaches it. A synthetic run is instantaneous, so ``run`` ignores
-    ``then``. ``execute`` is another name for ``run``, kept for perfbench.
+    which an input's code holds (see ``CODE_SHIFT``), so ``run`` caches one
+    ExecResult per code, built from it by ``_result``, and returns that
+    same object for every input with that code. A synthetic run is
+    instantaneous, so ``run`` ignores ``then``. ``execute`` is another
+    name for ``run``, kept for perfbench.
 
-    A whole round is scored in C: ``scorer`` gives each child's outcome
-    as a code, and ``result_of`` maps a code to the cached ExecResult of
-    its outcome tuple, the very object ``run`` returns for that child.
+    ``score`` gives the codes of a whole round's children at once: in one
+    C call where ``mutate.c`` loads and the checks fit its table, and with
+    ``run``'s own ``_code`` otherwise. ``result_of`` maps a code to its
+    cached ExecResult, the very object ``run`` returns for that child.
     """
 
     def __init__(self, spec: TargetSpec):
         self.spec = spec
-        self._cache: dict[tuple, ExecResult] = {}
+        self._cache: dict[int, ExecResult] = {}
         checked = [stage for stage in spec.stages if stage.check is not None]
         # (start, stop, lo, hi, stops execution when failed), in stage order
         self._ops = tuple(
@@ -472,62 +475,65 @@ class CompiledTarget:
              stage.fail_region is not None and stage.fail_region.terminal)
             for stage in checked
         )
-        self._table = _score_table(
-            self._ops, [stage.check.kind is CheckKind.VALIDATION for stage in checked])
+        validation = [stage.check.kind is CheckKind.VALIDATION for stage in checked]
+        self._shift = max(CODE_SHIFT, len(self._ops))
+        self._validation = sum(is_validation << j for j, is_validation in enumerate(validation))
+        self._table = _score_table(self._ops, validation)
 
     def run(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
+        return self.result_of(self._code(data))
+
+    def _code(self, data: bytes) -> int:
+        """The code of ``data``, truncated or zero-padded to the input
+        length: the checks run in stage order until a terminal one fails."""
         n = self.spec.input_length
         if len(data) != n:
             data = fit_input(data, n)
-        outcome: list[bool] = []
+        code = reached = 0
         for start, stop, lo, hi, terminal in self._ops:
             ok = lo <= data[start:stop] <= hi
-            outcome.append(ok)
+            code |= ok << reached
+            reached += 1
             if terminal and not ok:
                 break
-        return self._lookup(tuple(outcome))
+        return code | reached << self._shift
 
-    def scorer(self) -> Optional[Callable[[object, int, int], tuple[array, array]]]:
-        """``score(children, length, n)``, which scores ``n`` children of
-        ``length`` bytes, laid one after another in the buffer ``children``,
-        in one C call. It returns their codes, and ``valid``, where
-        ``valid[i]`` is how many of the first i are valid. None where the
-        checks do not fit in a code or ``mutate.c`` cannot be built or
-        loaded."""
+    def score(self, children, length: int, n: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The codes of ``n`` children of ``length`` bytes, laid one after
+        another in the buffer ``children``, and ``valid``, where
+        ``valid[i]`` is how many of the first i are valid."""
+        if len(children) < length * n:
+            raise ValueError(f"{len(children)} bytes hold no {n} children of {length}")
         fn = None if self._table is None else _score_round()
-        if fn is None:
-            return None
-        words, pool, reads = self._table
-        checks, n_checks = words.buffer_info()[0], len(words) // 5
-        scratch = array("B", bytes(reads))
-
-        def score(children, length: int, n: int) -> tuple[array, array]:
-            if len(children) < length * n:
-                raise ValueError(f"{len(children)} bytes hold no {n} children of {length}")
+        if fn is not None:
+            words, pool, reads, scratch = self._table
             codes, valid = array("I", [0]) * n, array("I", [0]) * (n + 1)
-            fn(children, length, n, checks, n_checks, pool, reads, scratch.buffer_info()[0],
-               codes.buffer_info()[0], valid.buffer_info()[0])
+            fn(children, length, n, words.buffer_info()[0], len(words) // 5, pool, reads,
+               scratch.buffer_info()[0], codes.buffer_info()[0], valid.buffer_info()[0])
             return codes, valid
-
-        return score
+        code_of, shift, validation = self._code, self._shift, self._validation
+        codes, valid = [], [0]
+        for start in range(0, length * n, length):
+            code = code_of(children[start:start + length])
+            failed = ~code & ((1 << (code >> shift)) - 1)  # checks reached, not passed
+            codes.append(code)
+            valid.append(valid[-1] + (not failed & validation))
+        return codes, valid
 
     def result_of(self, code: int) -> ExecResult:
-        """The ExecResult of every input whose outcome ``code`` encodes."""
-        return self._lookup(tuple(bool(code >> j & 1) for j in range(code >> CODE_SHIFT)))
-
-    def _lookup(self, outcome: tuple[bool, ...]) -> ExecResult:
-        result = self._cache.get(outcome)
+        """The ExecResult of every input with ``code``."""
+        result = self._cache.get(code)
         if result is None:
-            result = self._cache[outcome] = self._result(outcome)
+            result = self._cache[code] = self._result(code)
         return result
 
-    def _result(self, outcome: tuple[bool, ...]) -> ExecResult:
-        """The result of an input whose reached checks have ``outcome``.
-        Stages run in order; a failed check adds its fail region's edges and
-        stops if that region is terminal. Synthetic execution cannot crash."""
+    def _result(self, code: int) -> ExecResult:
+        """The result of an input with ``code``. Stages run in order; a
+        failed check adds its fail region's edges and stops if that region
+        is terminal. Synthetic execution cannot crash."""
         edges: set[int] = set()
         valid = True
-        passed = iter(outcome)
+        passed = iter([code >> j & 1 for j in range(len(self._ops))])
         for stage in self.spec.stages:
             if stage.check is None or next(passed):
                 edges.update(stage.pass_region.edges)

@@ -10,9 +10,11 @@ import os
 import sys
 import textwrap
 
+import truzz.mutation
+import truzz.target
 from truzz.byte_analysis import path_fitness, probe_mutate
 from truzz.engine import CampaignConfig
-from truzz.mutation import Rng, draw_op_count, mutate
+from truzz.mutation import Rng, draw_op_count, mutate, mutate_chunks
 from truzz.scheduler import dry_run
 from truzz.target import CompiledTarget, load_spec
 from truzz.targets import bundled_seed, write_bundled
@@ -143,6 +145,41 @@ def spec_runner(spec):
     covers on them."""
     compiled = CompiledTarget(spec)
     return lambda data: compiled.run(data).path
+
+
+# -- rounds ------------------------------------------------------------------
+
+
+def round_children(seed, mask, rng, n):
+    """The ``n`` children ``mutate_chunks`` makes, flattened into a list."""
+    length = len(seed)
+    return [buffer[start:start + length]
+            for buffer, k in mutate_chunks(seed, mask, rng, n)
+            for start in range(0, k * length, length)]
+
+
+def without_mutate_c(monkeypatch):
+    """Make both loaders of ``mutate.c`` find nothing, as on a host with no
+    compiler: ``mutate`` makes every child and Python scores it."""
+    monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
+    monkeypatch.setattr(truzz.target, "_score_round", lambda: None)
+
+
+def many_checks_spec(n):
+    """A spec of ``n`` one-byte checks on a 64-byte input, which an input
+    of 64 zero bytes passes: check j is a VALIDATION one for odd j, and
+    terminal too where j % 3 == 1."""
+    stages = []
+    for j in range(n):
+        kind = "VALIDATION" if j % 2 else "NON_VALIDATION"
+        terminal = "true" if j % 3 == 1 else "false"
+        stages.append(
+            f"[stage.s{j}]\ncheck.bytes = {j}\ncheck.predicate = LT 0x40\n"
+            f"check.kind = {kind}\npass.base = {10 * j}\npass.edges = 2\n"
+            f"fail.base = {10 * j + 5}\nfail.edges = 1\n"
+            + (f"fail.terminal = {terminal}\n" if kind == "VALIDATION" else "")
+        )
+    return "input_length = 64\n" + "".join(stages)
 
 
 # -- external target scripts -------------------------------------------------

@@ -10,8 +10,10 @@ from harness import (
     PID_TARGET,
     external_config,
     make_corpus,
+    many_checks_spec,
     open_fd_count,
     vanilla_fifo,
+    without_mutate_c,
     write_seeds,
 )
 
@@ -27,7 +29,7 @@ from truzz.engine import (
     replay,
     run_campaign,
 )
-from truzz.mutation import mutate, mutate_chunks, mutate_round
+from truzz.mutation import mutate_chunks
 from truzz.scheduler import CampaignError, SchedulerConfig
 from truzz.target import MAX_TIMEOUT, CompiledTarget, ExecStatus, load_spec
 from truzz.targets import bundled_names, bundled_seed, write_bundled
@@ -63,59 +65,27 @@ def interrupt_at(campaign, k):
 
 
 def many_checks(tmp_path, n, label):
-    """A generated spec of ``n`` one-byte checks on a 64-byte input, check
-    j a VALIDATION one for odd j and terminal too where j % 3 == 1, and a
-    corpus ``tmp_path/label`` seeded with an input that passes them all;
+    """``many_checks_spec(n)`` written to a file, and a corpus
+    ``tmp_path/label`` seeded with an input that passes every check;
     return the spec's path and the corpus."""
-    stages = []
-    for j in range(n):
-        kind = "VALIDATION" if j % 2 else "NON_VALIDATION"
-        terminal = "true" if j % 3 == 1 else "false"
-        stages.append(
-            f"[stage.s{j}]\ncheck.bytes = {j}\ncheck.predicate = LT 0x40\n"
-            f"check.kind = {kind}\npass.base = {10 * j}\npass.edges = 2\n"
-            f"fail.base = {10 * j + 5}\nfail.edges = 1\n"
-            + (f"fail.terminal = {terminal}\n" if kind == "VALIDATION" else "")
-        )
     spec_path = tmp_path / "checks.tspec"
-    spec_path.write_text("input_length = 64\n" + "".join(stages))
+    spec_path.write_text(many_checks_spec(n))
     return str(spec_path), write_seeds(tmp_path / label, [bytes(64)])
 
 
 def record_children(monkeypatch):
-    """Record, in order, each child the fuzz loop takes from the kernel or
-    from ``mutate``; return the list it fills."""
+    """Record, in order, each child of each chunk the fuzz loop takes from
+    ``mutate_chunks``; return the list it fills."""
     made = []
 
-    def record(child):
-        made.append(child)
-        return child
+    def recorded(chunks, length):
+        for buffer, k in chunks:
+            made.extend(buffer[start:start + length] for start in range(0, k * length, length))
+            yield buffer, k
 
-    def counting_round(*args):
-        children = mutate_round(*args)
-        return None if children is None else map(record, children)
-
-    monkeypatch.setattr(truzz.engine, "mutate", lambda *args: record(mutate(*args)))
-    monkeypatch.setattr(truzz.engine, "mutate_round", counting_round)
+    monkeypatch.setattr(truzz.engine, "mutate_chunks",
+                        lambda seed, *args: recorded(mutate_chunks(seed, *args), len(seed)))
     return made
-
-
-def assert_paired(calls, made, energy, max_execs):
-    """The per-child round over ``calls``, the (data, then) of each run:
-    child i+1 is passed to child i's run as ``then``, every child ``made``
-    is run once, in order, within ``max_execs``, and a run of children
-    linked by ``then``, one round, is at most ``energy`` long."""
-    thens = [then for _, then in calls]
-    for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
-        assert then is None or then is data
-    made_ids = {id(child) for child in made}
-    ran = [(i, data) for i, (data, _) in enumerate(calls, 1) if id(data) in made_ids]
-    assert [data for _, data in ran] == made
-    assert ran[-1][0] <= max_execs
-    linked = 1
-    for then in thens:
-        assert linked <= energy
-        linked = linked + 1 if then is not None else 1
 
 
 def artifacts(corpus):
@@ -186,32 +156,24 @@ class TestSyntheticCampaign:
         assert artifacts(by_execs) == artifacts(by_secs)
 
     def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
-        """A synthetic round scores exactly the kernel's children, one call
-        per kernel call, and makes none past the round's energy or the
+        """A synthetic round scores exactly the children of its chunks, one
+        call per chunk, and makes none past the round's energy or the
         execution budget; only the dry run and the probes run one input at
-        a time. On the per-child path, taken here by a scorer that is
-        refused, a round takes child i+1 before it runs child i and passes
-        it as ``then``, and takes no child, from the kernel or from
-        ``mutate``, that it does not run."""
+        a time."""
         energy, max_execs = 16, 1_000
+        spec_path, corpus = make_corpus(tmp_path, "magic64")
+        campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
+                                   scheduler=SchedulerConfig(energy=energy)))
+        run = campaign.compiled.run
+        calls = []
 
-        def campaign(label):
-            spec_path, corpus = make_corpus(tmp_path, "magic64", label)
-            campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
-                                       scheduler=SchedulerConfig(energy=energy)))
-            run = campaign.compiled.run
-            calls = []
+        def recording(data, then=None):
+            calls.append((data, then))
+            return run(data)
 
-            def recording(data, then=None):
-                calls.append((data, then))
-                return run(data)
-
-            campaign.compiled.run = recording
-            return campaign, calls
-
-        # The round path.
+        campaign.compiled.run = recording
         rounds, scored = [], []
-        scorer = CompiledTarget.scorer
+        score = CompiledTarget.score
 
         def recorded(chunks, made):
             for buffer, k in chunks:
@@ -219,51 +181,34 @@ class TestSyntheticCampaign:
                 yield buffer, k
 
         def recording_chunks(*args):
-            chunks = mutate_chunks(*args)
             rounds.append([])
-            return None if chunks is None else recorded(chunks, rounds[-1])
+            return recorded(mutate_chunks(*args), rounds[-1])
 
-        def recording_scorer(self):
-            score = scorer(self)
-
-            def recording_score(children, length, n):
-                scored.append(bytes(children)[:length * n])
-                return score(children, length, n)
-
-            return None if score is None else recording_score
+        def recording_score(self, children, length, n):
+            scored.append(bytes(children)[:length * n])
+            return score(self, children, length, n)
 
         monkeypatch.setattr(truzz.engine, "mutate_chunks", recording_chunks)
-        monkeypatch.setattr(CompiledTarget, "scorer", recording_scorer)
-        scored_campaign, calls = campaign("round")
-        stats = scored_campaign.run()
-        if truzz.mutation._kernel() is not None:  # else both runs are the per-child path
-            assert scored == [chunk for chunks in rounds for chunk in chunks]
-            assert all(sum(map(len, chunks)) <= energy * 64 for chunks in rounds)
-            assert sum(map(len, scored)) == 64 * stats.mutation_execs
-            assert stats.executions == max_execs
-            assert len(calls) == stats.dry_run_execs + stats.probe_execs
-
-        # The per-child path.
-        monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
-        made = record_children(monkeypatch)
-        per_child, calls = campaign("per-child")
-        stats = per_child.run()
-        assert sum(then is not None for _, then in calls) > 50
-        assert_paired(calls, made, energy, max_execs)
-        assert len(made) == stats.mutation_execs
-        assert artifacts(tmp_path / "per-child") == artifacts(tmp_path / "round")
+        monkeypatch.setattr(CompiledTarget, "score", recording_score)
+        stats = campaign.run()
+        assert scored == [chunk for chunks in rounds for chunk in chunks]
+        assert all(sum(map(len, chunks)) <= energy * 64 for chunks in rounds)
+        assert sum(map(len, scored)) == 64 * stats.mutation_execs
+        assert stats.executions == max_execs
+        assert len(calls) == stats.dry_run_execs + stats.probe_execs
 
     @pytest.mark.parametrize("case", [
         *(f"{name}-{interval}" for name in bundled_names() for interval in (7, 1000)),
         "magic64-seconds", "chain128-seconds", "magic64-lengths", "checks-24", "checks-25",
     ])
     def test_round_path_equals_per_child_path(self, tmp_path, monkeypatch, case):
-        """The round path and the per-child path write the same stats.csv,
-        queue, meta and overall.cov: on every bundled spec at two stats
-        intervals, under a time budget that ends mid-round, with seeds
-        shorter and longer than the input, and on generated specs with as
-        many checks as a code holds and with one more, whose rounds both
-        runs take child by child."""
+        """A round whose children ``mutate.c`` makes and scores writes the
+        same stats.csv, queue, meta and overall.cov as one where ``mutate``
+        makes them and Python scores them: on every bundled spec at two
+        stats intervals, under a time budget that ends mid-round, with
+        seeds shorter and longer than the input, and on generated specs
+        with as many checks as the C scorer takes and with one more, which
+        Python scores in both runs."""
         name, _, variant = case.rpartition("-")
         kw = {"budget": Budget(max_execs=20_000)}
         seeds = None
@@ -285,63 +230,77 @@ class TestSyntheticCampaign:
         for part in ("stats.csv", "overall.cov", "queue", "meta"):
             path = per_child / part
             shutil.rmtree(path) if path.is_dir() else path.unlink()
-        monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
+        without_mutate_c(monkeypatch)
         run_campaign(config(spec_path, per_child, **kw))
         assert artifacts(per_child) == artifacts(corpus)
 
     @pytest.mark.parametrize("where", [
-        "analysis", "per-child round", "round result", "round score", "interval boundary",
+        "analysis", "per-child code without mutate.c", "round result", "round score",
+        "interval boundary",
     ])
     def test_interrupt_leaves_phases_summing_to_executions(self, tmp_path, monkeypatch, where):
         """Probes and mutated children are counted where executions are,
         so an interrupt anywhere after the dry run leaves the phase counts
         summing to the executions, and the final stats.csv row is the
-        returned stats."""
+        returned stats. Without ``mutate.c``, the interrupt comes while
+        Python scores the second round's children, one code at a time."""
         from truzz.report import read_stats
 
-        if where not in ("analysis", "per-child round") and truzz.mutation._kernel() is None:
-            pytest.skip("no C compiler on this host")
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         kw = {"stats_interval": 100 if where == "interval boundary" else 1_000}
-        if where == "per-child round":
+        if where == "per-child code without mutate.c":
             kw["mask_enabled"] = False
-            monkeypatch.setattr(CompiledTarget, "scorer", lambda self: None)
+            kw["scheduler"] = SchedulerConfig(energy=16)
+            without_mutate_c(monkeypatch)
         campaign = Campaign(config(spec_path, corpus, **kw))
-        if where in ("analysis", "per-child round"):
-            interrupt_at(campaign, 5 if where == "analysis" else 30)
+        calls = itertools.count(1)
+        if where == "analysis":
+            interrupt_at(campaign, 5)
+        elif where == "per-child code without mutate.c":
+            code = campaign.compiled._code
+
+            def interrupted_code(data):
+                if next(calls) == 30:
+                    raise KeyboardInterrupt
+                return code(data)
+
+            campaign.compiled._code = interrupted_code
         elif where == "round score":
-            scorer = CompiledTarget.scorer
-            calls = itertools.count(1)
+            score = CompiledTarget.score
 
-            def interrupted_scorer(self):
-                score = scorer(self)
+            def interrupted_score(self, *args):
+                if next(calls) == 3:
+                    raise KeyboardInterrupt
+                return score(self, *args)
 
-                def interrupted(*args):
-                    if next(calls) == 3:
-                        raise KeyboardInterrupt
-                    return score(*args)
-
-                return score and interrupted
-
-            monkeypatch.setattr(CompiledTarget, "scorer", interrupted_scorer)
+            monkeypatch.setattr(CompiledTarget, "score", interrupted_score)
         else:
-            result_of = campaign.compiled.result_of
-            calls = itertools.count(1)
+            result_of, run = campaign.compiled.result_of, campaign.compiled.run
+            running = []  # the lookups of run, for the dry run and probes, are not counted
+
+            def uncounted_run(data, then=None):
+                running.append(data)
+                try:
+                    return run(data)
+                finally:
+                    running.pop()
 
             def interrupted(code):
                 boundary = (campaign.stats.executions + 1) % 100 == 0
-                if (where != "interval boundary" or boundary) and next(calls) == 3:
+                if not running and (where != "interval boundary" or boundary) \
+                        and next(calls) == 3:
                     raise KeyboardInterrupt
                 return result_of(code)
 
+            campaign.compiled.run = uncounted_run
             campaign.compiled.result_of = interrupted
         stats = campaign.run()
         if where == "analysis":
             assert (stats.executions, stats.dry_run_execs, stats.probe_execs) == (4, 1, 3)
         else:
             assert 0 < stats.mutation_execs and stats.executions < 10_000
-        if where == "per-child round":
-            assert stats.executions == 29
+        if where == "per-child code without mutate.c":
+            assert stats.executions == 1 + 16  # the seed and the first round
         assert stats.dry_run_execs + stats.probe_execs + stats.mutation_execs \
             == stats.executions
         final = read_stats(corpus / "stats.csv")[-1]
@@ -352,13 +311,13 @@ class TestSyntheticCampaign:
 
     def test_probes_that_use_up_the_budget_leave_an_empty_round(self, tmp_path, monkeypatch):
         """With one execution per seed and one more, the first seed's probes
-        overshoot the budget, so its round makes no child and loads neither
-        the kernel nor the scorer."""
+        overshoot the budget, so its round makes no child and loads nothing
+        from ``mutate.c``."""
         def refuse(*args):
-            raise AssertionError("an empty round loaded the kernel")
+            raise AssertionError("an empty round loaded mutate.c")
 
         monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
-        monkeypatch.setattr(CompiledTarget, "scorer", refuse)
+        monkeypatch.setattr(truzz.target, "_score_round", refuse)
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         stats = run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2)))
         assert stats.probe_execs > 1 and stats.mutation_execs == 0
@@ -846,8 +805,18 @@ class TestExternalCampaign:
             tmp_path, budget=Budget(max_execs=max_execs),
             scheduler=SchedulerConfig(energy=energy), mask_enabled=False,
         )).run()
-        assert sum(then is not None for _, then in calls) > 30
-        assert_paired(calls, made, energy, max_execs)
+        thens = [then for _, then in calls]
+        assert sum(then is not None for then in thens) > 30
+        for then, (data, _) in zip(thens, calls[1:] + [(None, None)]):
+            assert then is None or then is data
+        # With no mask there are no probes: every run after the dry run is
+        # a child made, and every child made runs once, in order.
+        assert [data for data, _ in calls[stats.dry_run_execs:]] == made
+        assert len(calls) <= max_execs
+        linked = 1  # a run of children linked by ``then`` is one round
+        for then in thens:
+            assert linked <= energy
+            linked = linked + 1 if then is not None else 1
         assert len(made) == stats.mutation_execs == max_execs - stats.dry_run_execs
 
     @pytest.mark.parametrize("fault", ["interrupt-1", "interrupt-2", "interrupt-5", "no-dump"])

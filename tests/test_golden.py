@@ -9,10 +9,11 @@ The external digest was recorded again when crashes found by byte-analysis
 probes began to be saved: its ``crashes/`` gained ``crash_000001``, while
 its ``queue/``, ``meta/`` and ``overall.cov`` stayed the same.
 
-Each digest is checked twice: with the round's children made by the C
-mutation kernel where it can be built, and with the loader made to find
-no library, so that ``mutate`` makes each child in Python. The kernel
-decodes the same MT19937 words as ``mutate``, so the digests are the same.
+Each digest is checked twice: with the round's children made and scored
+by ``mutate.c`` where it can be built, and with its loaders made to find
+no library, so that ``mutate`` makes each child and Python scores it. The
+kernel decodes the same MT19937 words as ``mutate``, and the C scorer
+gives the codes Python does, so the digests are the same.
 A change to the mutation stream records new digests here and says so in
 CHANGES.md.
 
@@ -35,9 +36,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from harness import external_config, make_corpus
+from harness import external_config, make_corpus, without_mutate_c
 
-import truzz.engine
 import truzz.mutation
 from truzz.engine import Budget, Campaign, CampaignConfig
 from truzz.scheduler import Policy, SchedulerConfig
@@ -112,8 +112,8 @@ def test_external_crashing_campaign_matches_golden(tmp_path):
 
 @pytest.fixture()
 def no_kernel(monkeypatch):
-    """The kernel's loader finds no library, as on a host with no compiler."""
-    monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
+    """``mutate.c``'s loaders find no library, as on a host with no compiler."""
+    without_mutate_c(monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))
@@ -133,7 +133,7 @@ def test_kernel_makes_every_child(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a child was made by mutate")
 
-    monkeypatch.setattr(truzz.engine, "mutate", refuse)
+    monkeypatch.setattr(truzz.mutation, "mutate", refuse)
     assert run_synthetic("magic64-truzz", tmp_path) == GOLDEN["magic64-truzz"]
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from harness import round_children
 from scipy import stats
 
 import truzz.mutation
@@ -16,7 +17,7 @@ from truzz.mutation import (
     Rng,
     draw_op_count,
     mutate,
-    mutate_round,
+    mutate_chunks,
 )
 
 N_DRAWS = 100_000
@@ -152,7 +153,7 @@ class TestMutate:
         out = mutate(b"xy", mask, Rng(0), 4)
         assert len(out) == 2
 
-    @pytest.mark.parametrize("make", [mutate, mutate_round])
+    @pytest.mark.parametrize("make", [mutate, mutate_chunks])
     @pytest.mark.parametrize("n_probs", [1, 2, 4])
     def test_mask_of_another_length_rejected_before_any_draw(self, make, n_probs):
         rng = Rng(0)
@@ -168,7 +169,7 @@ class TestMutate:
         with pytest.raises(ValueError):
             mutate(b"", MutationMask(probability=[]), Rng(0), 1)
         with pytest.raises(ValueError):
-            mutate_round(b"", None, Rng(0), 1)
+            mutate_chunks(b"", None, Rng(0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +347,32 @@ class TestKernel:
         data, mask, n = round_
         ours, reference = Rng(seed), Rng(seed)
         for _ in range(2):  # the second round starts where the first left the stream
-            assert list(mutate_round(data, mask, ours, n)) == python_round(data, mask, reference, n)
+            assert round_children(data, mask, ours, n) == python_round(data, mask, reference, n)
             assert ours.getstate() == reference.getstate()
 
     def test_round_over_several_calls(self, monkeypatch):
         monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 100)
         mask = MutationMask([1.0, 0.3, 0.05] * 11)
         ours, reference = Rng(9), Rng(9)
-        assert list(mutate_round(bytes(33), mask, ours, 50)) == python_round(
+        assert round_children(bytes(33), mask, ours, 50) == python_round(
             bytes(33), mask, reference, 50)
         assert ours.getstate() == reference.getstate()
+
+    def test_chunks_without_the_kernel_are_the_kernels(self, monkeypatch):
+        """Where the kernel cannot load, ``mutate`` makes chunks of the
+        same sizes, holding the same children."""
+        monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 100)
+        mask = MutationMask([1.0, 0.3, 0.05] * 11)
+
+        def chunks():
+            rng = Rng(9)
+            made = [(bytes(buffer), k) for buffer, k in mutate_chunks(bytes(33), mask, rng, 50)]
+            return made, rng.getstate()
+
+        by_kernel = chunks()
+        assert [k for _, k in by_kernel[0]] == [3] * 16 + [2]
+        monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
+        assert chunks() == by_kernel
 
 
 def test_empty_round_loads_no_kernel(monkeypatch):
@@ -365,5 +382,5 @@ def test_empty_round_loads_no_kernel(monkeypatch):
     monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
     rng = Rng(0)
     state = rng.getstate()
-    assert list(mutate_round(b"xyz", None, rng, 0)) == []
+    assert round_children(b"xyz", None, rng, 0) == []
     assert rng.getstate() == state

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,15 @@ from harness import (
     FD_TARGET,
     ONCE_TARGET_C,
     exited,
+    many_checks_spec,
     open_fd_count,
+    round_children,
 )
 
 import truzz.native
 import truzz.target
 from truzz.coverage import MAP_SIZE
-from truzz.mutation import Rng, draw_op_count, mutate, mutate_round
+from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.target import (
     CODE_SHIFT,
     MAX_TIMEOUT,
@@ -262,7 +265,7 @@ def test_compiled_runner_agrees_on_mutants_of_the_seed(name):
     for _ in range(3_000):
         data = mutate(seed, None, rng, draw_op_count(rng))
         result = compiled.run(data)
-        assert compiled._cache[reached_outcomes(spec, data)] is result
+        assert compiled._cache[outcome_code(reached_outcomes(spec, data))] is result
         assert (result.path, result.valid) == oracle_execute(spec, data)
         assert result.exec_status is ExecStatus.NORMAL
     assert len(compiled._cache) > 1
@@ -298,52 +301,67 @@ def test_compiled_byte_check_agrees_with_passes(check_with_input):
     assert (lo_b <= data[start:stop] <= hi_b) == oracle_passes(check, data)
 
 
-def score(compiled, children):
-    """The codes and running valid counts ``compiled``'s scorer gives
-    ``children``, all of one length, passed in one buffer."""
-    scorer = compiled.scorer()
-    if scorer is None:
-        pytest.skip("no C compiler on this host")
-    return scorer(b"".join(children), len(children[0]), len(children))
+def scores(compiled, children):
+    """The codes and running valid counts ``compiled.score`` gives
+    ``children``, all of one length, passed in one buffer: by the C scorer
+    where ``mutate.c`` loads and the checks fit its table, and by Python."""
+    args = b"".join(children), len(children[0]), len(children)
+    with mock.patch.object(truzz.target, "_score_round", lambda: None):
+        by_python = compiled.score(*args)
+    return compiled.score(*args), by_python
 
 
-def outcome_code(outcome):
-    return sum(ok << j for j, ok in enumerate(outcome)) | len(outcome) << CODE_SHIFT
+def outcome_code(outcome, shift=CODE_SHIFT):
+    return sum(ok << j for j, ok in enumerate(outcome)) | len(outcome) << shift
 
 
-@pytest.mark.parametrize("name", sorted(bundled_names()))
+@pytest.mark.parametrize("name", [*sorted(bundled_names()), "checks-30"])
 def test_round_codes_map_to_the_results_run_returns(name):
-    """Each of 3000 kernel mutants, of the bundled seed and of seeds shorter
-    and longer than the input, is scored to the code of the checks it
-    reaches, which maps to the very ExecResult ``run`` returns for it, and
-    the running valid count is ``run``'s."""
-    spec, seed = load_bundled(name)
+    """Each of 3000 kernel mutants, of the seed and of seeds shorter and
+    longer than the input, is scored by both scorers to the code of the
+    checks it reaches, which maps to the oracle's result and is the very
+    ExecResult ``run`` returns for it, and the running valid count is
+    ``run``'s. A spec of 30 checks has its reached count at bit 30."""
+    if name == "checks-30":
+        spec, seed = parse_spec(many_checks_spec(30)), bytes(64)
+    else:
+        spec, seed = load_bundled(name)
     compiled = CompiledTarget(spec)
+    shift = max(CODE_SHIFT, len(compiled._ops))
+    assert (compiled._table is None) == (name == "checks-30")
     rng = Rng(len(seed))
     for data in (seed, seed[: len(seed) // 2], seed + b"\x7f" * 5):
-        children = list(mutate_round(data, None, rng, 1_000) or ())
-        if not children:
-            pytest.skip("no C compiler on this host")
-        codes, valid = score(compiled, children)
-        assert len(codes) == len(children) and valid[0] == 0
-        for i, child in enumerate(children):
-            result = compiled.run(child)
-            assert codes[i] == outcome_code(reached_outcomes(spec, fit_input(child, len(seed))))
-            assert compiled.result_of(codes[i]) is result
-            assert valid[i + 1] == valid[i] + result.valid
+        children = round_children(data, None, rng, 1_000)
+        for codes, valid in scores(compiled, children):
+            assert len(codes) == len(children) and valid[0] == 0
+            for i, child in enumerate(children):
+                result = compiled.run(child)
+                outcome = reached_outcomes(spec, fit_input(child, spec.input_length))
+                assert codes[i] == outcome_code(outcome, shift)
+                assert compiled.result_of(codes[i]) is result
+                assert (result.path, result.valid) == oracle_execute(spec, child)
+                assert valid[i + 1] == valid[i] + result.valid
     assert len(compiled._cache) > 1
 
 
 @settings(max_examples=300)
 @given(check_and_input())
 def test_scored_check_agrees_with_passes(check_with_input):
-    """The scorer compares bytes as ``_compile_check``'s slices do,
-    thresholds outside 0..255 and multi-byte EQ constants included."""
+    """Both scorers compare bytes as ``_compile_check``'s slices do,
+    thresholds outside 0..255 and multi-byte EQ constants included, alone
+    and as the last of 30 checks, after 29 that every input passes."""
     check, data = check_with_input
-    stage = Stage("s", check, Region(0, 1), Region(1, 1))
-    codes, valid = score(CompiledTarget(TargetSpec(len(data), (stage,))), [data])
     passed = oracle_passes(check, data)
-    assert codes[0] == outcome_code((passed,)) and valid[1] == passed
+    always = Check(0, 0, PredicateKind.IN_RANGE, CheckKind.NON_VALIDATION, lo=0, hi=255)
+    stages = [Stage(f"s{j}", always, Region(2 * j + 2, 1), Region(2 * j + 3, 1))
+              for j in range(29)]
+    for before in ([], stages):
+        stage = Stage("s", check, Region(0, 1), Region(1, 1))
+        compiled = CompiledTarget(TargetSpec(len(data), (*before, stage)))
+        outcome = (True,) * len(before) + (passed,)
+        for codes, valid in scores(compiled, [data]):
+            assert codes[0] == outcome_code(outcome, max(CODE_SHIFT, len(outcome)))
+            assert valid[1] == passed
 
 
 def run_external(command, data, timeout=5.0):
