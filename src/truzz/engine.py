@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
@@ -65,6 +66,22 @@ def _virtual_seconds(executions: int) -> float:
     return executions * VIRTUAL_SECONDS_PER_EXEC
 
 
+def _virtual_stop(seconds: float) -> int:
+    """The first execution count whose virtual time reaches ``seconds``,
+    or sys.maxsize where that is past 2**52: no campaign runs that long,
+    and there a search one count at a time may never end, as consecutive
+    counts round to the same float."""
+    stop = seconds / VIRTUAL_SECONDS_PER_EXEC
+    if stop >= 2 ** 52:
+        return sys.maxsize
+    stop = math.ceil(stop)
+    while stop > 0 and _virtual_seconds(stop - 1) >= seconds:
+        stop -= 1
+    while _virtual_seconds(stop) < seconds:
+        stop += 1
+    return stop
+
+
 @dataclass
 class Budget:
     max_execs: Optional[int] = None
@@ -73,8 +90,9 @@ class Budget:
     def __post_init__(self):
         if self.max_execs is None and self.max_seconds is None:
             raise ValueError("budget requires max_execs and/or max_seconds")
-        if self.max_execs is not None and self.max_execs <= 0:
-            raise ValueError(f"max_execs must be positive, got {self.max_execs}")
+        if self.max_execs is not None and not (isinstance(self.max_execs, int)
+                                               and self.max_execs > 0):
+            raise ValueError(f"max_execs must be a positive integer, got {self.max_execs!r}")
         # Written so that NaN fails too: a NaN budget would never run out.
         if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
             raise ValueError(f"max_seconds must be a positive finite number: {self.max_seconds}")
@@ -99,8 +117,8 @@ class CampaignConfig:
         if self.command is not None:
             placeholder_index(self.command)
             check_timeout(self.exec_timeout)
-        if self.stats_interval < 1:
-            raise ValueError(f"stats_interval must be >= 1, got {self.stats_interval}")
+        if not (isinstance(self.stats_interval, int) and self.stats_interval >= 1):
+            raise ValueError(f"stats_interval must be an integer >= 1, got {self.stats_interval!r}")
 
 
 @dataclass
@@ -269,9 +287,12 @@ class _Chunk(NamedTuple):
 
 
 class Campaign:
-    """One fuzzing campaign over a synthetic or external target. Every
-    execution is charged by ``_charge`` or ``_charge_bulk``, and every one
-    but a mutated child of a synthetic round is run by ``_run``."""
+    """One fuzzing campaign over a synthetic or external target. ``run()``
+    is the one place that tells the two apart: it binds the executor
+    ``_run``, the round evaluator ``_evaluate``, the ``_clock`` and the
+    execution ``_cap``. Every execution is charged by ``_charge`` or
+    ``_charge_bulk``, and every one but a mutated child of a synthetic
+    round is run by ``_run``."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -280,25 +301,24 @@ class Campaign:
         self.corpus_dir = FsPath(cfg.corpus_dir)
         self.crash_dir = self.corpus_dir / "crashes"
         self._stats_writer: Optional[_StatsWriter] = None
-        self._wall_start = 0.0
         self._crash_base = 0  # the highest crash number saved before this run
         self.compiled: Optional[CompiledTarget] = None
         if cfg.target_spec is not None:
             self.compiled = CompiledTarget(load_spec(cfg.target_spec))
-        # The executor and the round evaluator, bound while run() runs; only
-        # ``_exec`` and the evaluator call the executor.
-        self._run: Optional[Callable[[bytes, Optional[bytes]], ExecResult]] = None
+        # Bound by each run(); only ``_exec`` and the external round call the
+        # executor ``_run``, and only the external round passes it ``then``.
+        self._run: Optional[Callable[..., ExecResult]] = None
         self._evaluate: Optional[Callable[[bytes, Optional[MutationMask], int],
                                           Iterator[_Chunk]]] = None
+        self._clock: Optional[Callable[[], float]] = None  # virtual or wall seconds
+        self._cap = 0  # the execution count at which the budget runs out
         self.corpus: Optional[Corpus] = None
 
     # -- execution ----------------------------------------------------------
 
-    def _exec(self, data: bytes, then: Optional[bytes] = None, phase: str = "") -> ExecResult:
-        """Run ``data`` in any phase (dry run, probe, mutation) and charge
-        it. An external target starts ``then``, the next call's input,
-        while ``data`` runs."""
-        return self._charge(data, self._run(data, then), phase)
+    def _exec(self, data: bytes, phase: str = "") -> ExecResult:
+        """Run ``data`` in the dry run or as a probe and charge it."""
+        return self._charge(data, self._run(data), phase)
 
     def _charge(self, data: bytes, result: ExecResult, phase: str) -> ExecResult:
         """Charge one execution of ``data``, which gave ``result``, to the
@@ -338,36 +358,10 @@ class Campaign:
         self.stats.edges_covered = self.corpus.edges_covered
         self._stats_writer.row(self.stats)
 
-    def _elapsed(self) -> float:
-        """The campaign's one clock, read by the time budget and stats.csv:
-        virtual seconds for a synthetic target, wall seconds otherwise."""
-        if self.compiled is not None:
-            return _virtual_seconds(self.stats.executions)
-        return time.monotonic() - self._wall_start
-
     def _budget_left(self) -> bool:
-        b = self.cfg.budget
-        if b.max_execs is not None and self.stats.executions >= b.max_execs:
-            return False
-        if b.max_seconds is not None and self._elapsed() >= b.max_seconds:
-            return False
-        return True
-
-    def _execs_left(self) -> float:
-        """How many more executions ``_budget_left`` allows, as far as can be
-        told before they run: on the wall clock only ``max_execs`` says."""
-        b = self.cfg.budget
-        executions = self.stats.executions
-        left = math.inf if b.max_execs is None else b.max_execs - executions
-        if b.max_seconds is not None and self.compiled is not None:
-            # The first count whose virtual time reaches the budget.
-            stop = math.ceil(b.max_seconds / VIRTUAL_SECONDS_PER_EXEC)
-            while stop > 0 and _virtual_seconds(stop - 1) >= b.max_seconds:
-                stop -= 1
-            while _virtual_seconds(stop) < b.max_seconds:
-                stop += 1
-            left = min(left, stop - executions)
-        return left
+        max_seconds = self.cfg.budget.max_seconds
+        return self.stats.executions < self._cap and not (
+            max_seconds is not None and self._clock() >= max_seconds)
 
     # -- byte analysis ------------------------------------------------------
 
@@ -423,8 +417,8 @@ class Campaign:
         retention; and the budget's stop. The children between events are
         charged in bulk. This is exact: a later child with an outcome
         already offered this round has the same path, so it adds no edge.
-        The round makes no child past the energy or what ``_execs_left``
-        allows, and a round cut short by the budget or an interrupt is the
+        The round makes no child past the energy or the execution cap, and
+        a round cut short by the budget or an interrupt is the
         campaign's last, so children made and never run change nothing.
         """
         cfg = self.cfg
@@ -433,7 +427,7 @@ class Campaign:
             if entry.analysis is None:
                 self._analyze_seed(entry)
             mask = entry.analysis.mask
-        n = min(cfg.scheduler.energy, self._execs_left())
+        n = min(cfg.scheduler.energy, self._cap - self.stats.executions)
         st, corpus, interval = self.stats, self.corpus, cfg.stats_interval
         n_all = 0
         for chunk in self._evaluate(entry.data, mask, n):
@@ -496,17 +490,25 @@ class Campaign:
 
     def run(self) -> CampaignStats:
         seeds, saved, covered = _load_seeds(self.corpus_dir)
-        self.stats = CampaignStats()
-        self._wall_start = time.monotonic()
+        stats = self.stats = CampaignStats()
         self._crash_base = _last_crash_number(self.crash_dir)
-        self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", self._elapsed)
+        self._stats_writer = _StatsWriter(self.corpus_dir / "stats.csv", lambda: self._clock())
+        budget = self.cfg.budget
+        self._cap = sys.maxsize if budget.max_execs is None else budget.max_execs
         external = None
         dry_run_done = False
         try:
             if self.compiled is not None:
                 self._run = self.compiled.run
                 self._evaluate = self._scored_round
+                self._clock = lambda: _virtual_seconds(stats.executions)
+                if budget.max_seconds is not None:
+                    # The time budget as a count, so every run of a config
+                    # stops on the same execution.
+                    self._cap = min(self._cap, _virtual_stop(budget.max_seconds))
             else:
+                start = time.monotonic()
+                self._clock = lambda: time.monotonic() - start
                 external = ExternalTarget(self.cfg.command, self.cfg.exec_timeout)
                 # The module global, looked up now, so a wrapper installed
                 # before the campaign runs sees every execution.

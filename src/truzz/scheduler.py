@@ -35,8 +35,8 @@ class SchedulerConfig:
     def __post_init__(self):
         if isinstance(self.policy, str):
             self.policy = Policy(self.policy)
-        if self.energy < 1:
-            raise ValueError(f"energy must be >= 1, got {self.energy}")
+        if not (isinstance(self.energy, int) and self.energy >= 1):
+            raise ValueError(f"energy must be an integer >= 1, got {self.energy!r}")
 
 
 @dataclass
@@ -62,8 +62,6 @@ class Corpus:
     def __init__(self):
         self.entries: list[SeedEntry] = []
         self.covered: set[int] = set()
-        # Paths that added no edge when offered; coverage only grows, so never will.
-        self.stale: set[Path] = set()
         self._cursor = 0  # round-robin position
 
     def __len__(self) -> int:
@@ -88,16 +86,9 @@ class Corpus:
 
     def retain_if_new(self, data: bytes, path: Path) -> Optional[SeedEntry]:
         """Keep ``data`` as a seed iff ``path`` has edges not covered yet,
-        ranked by their count; overall coverage takes those edges. A path
-        that adds none is remembered as stale and refused at once later.
-        """
-        if path in self.stale:
-            return None
+        ranked by their count; overall coverage takes those edges."""
         n_new = self.merge(path)
-        if not n_new:
-            self.stale.add(path)
-            return None
-        return self.add_entry(data, path, n_new)
+        return self.add_entry(data, path, n_new) if n_new else None
 
     # -- selection ----------------------------------------------------------
 

@@ -455,8 +455,7 @@ class CompiledTarget:
     path and validity depend only on the outcomes of the checks reached,
     which an input's code holds (see ``CODE_SHIFT``), so ``run`` caches one
     ExecResult per code, built from it by ``_result``, and returns that
-    same object for every input with that code. A synthetic run is
-    instantaneous, so ``run`` ignores ``then``. ``execute`` is another
+    same object for every input with that code. ``execute`` is another
     name for ``run``, kept for perfbench.
 
     ``score`` gives the codes of a whole round's children at once: in one
@@ -480,7 +479,7 @@ class CompiledTarget:
         self._validation = sum(is_validation << j for j, is_validation in enumerate(validation))
         self._table = _score_table(self._ops, validation)
 
-    def run(self, data: bytes, then: Optional[bytes] = None) -> ExecResult:
+    def run(self, data: bytes) -> ExecResult:
         return self.result_of(self._code(data))
 
     def _code(self, data: bytes) -> int:

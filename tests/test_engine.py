@@ -6,6 +6,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from harness import (
     PID_TARGET,
     external_config,
@@ -23,6 +25,7 @@ import truzz.target
 from truzz.byte_analysis import AnalysisConfig, mask_from_fitness
 from truzz.engine import (
     STATS_HEADER,
+    VIRTUAL_SECONDS_PER_EXEC,
     Budget,
     Campaign,
     CampaignConfig,
@@ -30,7 +33,7 @@ from truzz.engine import (
     run_campaign,
 )
 from truzz.mutation import mutate_chunks
-from truzz.scheduler import CampaignError, SchedulerConfig
+from truzz.scheduler import CampaignError, Policy, SchedulerConfig
 from truzz.target import MAX_TIMEOUT, CompiledTarget, ExecStatus, load_spec
 from truzz.targets import bundled_names, bundled_seed, write_bundled
 
@@ -109,6 +112,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_seconds must be a positive finite"):
             Budget(max_seconds=seconds)
 
+    @pytest.mark.parametrize("field, make", [
+        ("max_execs", lambda: Budget(max_execs=2500.5)),
+        ("max_execs", lambda: Budget(max_execs=2500.0, max_seconds=1.0)),
+        ("stats_interval", lambda: CampaignConfig(corpus_dir="c", target_spec="t",
+                                                  stats_interval=7.5)),
+        ("energy", lambda: SchedulerConfig(energy=10.5)),
+    ])
+    def test_counts_must_be_integers(self, field, make):
+        """A fractional count is refused by name when its config is made,
+        not in the first round, after the dry run has written the corpus."""
+        with pytest.raises(ValueError, match=f"{field} must be .*integer"):
+            make()
+
     def test_config_requires_exactly_one_target(self, tmp_path):
         with pytest.raises(ValueError):
             CampaignConfig(corpus_dir=str(tmp_path))
@@ -154,6 +170,35 @@ class TestSyntheticCampaign:
         run_campaign(config(spec_path, by_execs, budget=Budget(max_execs=5_000)))
         run_campaign(config(spec_path, by_secs, budget=Budget(max_seconds=0.05)))
         assert artifacts(by_execs) == artifacts(by_secs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seconds=st.floats(1e-6, 0.1), max_execs=st.none() | st.integers(1, 10_000))
+    @example(seconds=0.0523, max_execs=None)
+    @example(seconds=3e-5, max_execs=None)
+    @example(seconds=0.07, max_execs=None)
+    @example(seconds=0.07, max_execs=6_999)  # the execution budget binds first
+    # Stops so far past any campaign that a search one count at a time
+    # would not end, or whose count overflows a float.
+    @example(seconds=1e20, max_execs=500)
+    @example(seconds=1e305, max_execs=500)
+    def test_time_budget_stops_on_the_first_execution_to_reach_it(self, seconds, max_execs):
+        """A synthetic campaign stops on the first execution count whose
+        virtual time reaches ``max_seconds``, unless ``max_execs`` comes
+        first; with no mask, no probe can overshoot it."""
+        def virtual(executions):
+            return executions * VIRTUAL_SECONDS_PER_EXEC
+
+        if max_execs is not None and virtual(max_execs - 1) < seconds:
+            stop = max_execs
+        else:
+            stop = next(k for k in itertools.count(1) if virtual(k) >= seconds)
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path, corpus = make_corpus(Path(tmp), "magic64")
+            stats = run_campaign(config(
+                spec_path, corpus, budget=Budget(max_execs=max_execs, max_seconds=seconds),
+                scheduler=SchedulerConfig(energy=64, policy=Policy.FIFO), mask_enabled=False))
+        assert stats.executions == stop
+        assert stats.elapsed == virtual(stop)
 
     def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
         """A synthetic round scores exactly the children of its chunks, one

@@ -1,8 +1,11 @@
 """The package runs on the standard library alone, as README and
 pyproject.toml promise, ships the C sources of the fork-server shim and
 the mutation kernel, they compile cleanly, and each agrees with the Python
-it pairs with."""
+it pairs with. Every name the benchmark in perfbench/ wraps or reads
+exists."""
 
+import ast
+import importlib
 import os
 import re
 import shutil
@@ -20,6 +23,18 @@ TEST_ONLY = ("numpy", "scipy", "hypothesis", "pytest")
 
 # Every C source the package ships.
 SOURCES = sorted(p.name for p in (ROOT / "src/truzz").glob("*.c"))
+
+PERFBENCH = ROOT / "perfbench"
+
+# (module, class or None, attribute) of each name perfbench's run.py and
+# checks.py read off a truzz module or class, besides those in SPANNED.
+PERFBENCH_READS = (
+    ("truzz.engine", None, "execute_external"),
+    ("truzz.engine", None, "replay"),
+    ("truzz.target", None, "execute_synthetic"),
+    ("truzz.target", "CompiledTarget", "execute"),
+    ("truzz.mutation", None, "select_byte"),
+)
 
 
 def run_python(code):
@@ -118,3 +133,47 @@ def test_kernel_and_mutate_agree_on_the_constants():
     assert defines["CODE_CHECKS"] == target.CODE_CHECKS
     assert defines["CODE_SHIFT"] == target.CODE_SHIFT
     assert (defines["TERMINAL"], defines["VALIDATION"]) == (target._TERMINAL, target._VALIDATION)
+
+
+def perfbench_names():
+    """(module, class or None, attribute) of every truzz name perfbench
+    wraps or reads: tracing.py's SPANNED, read from its source since
+    importing it needs numpy and perfbench's own path; each ``from truzz.x
+    import y`` in perfbench/; and PERFBENCH_READS."""
+    names = list(PERFBENCH_READS)
+    for source in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign) and source.name == "tracing.py" \
+                    and [getattr(t, "id", None) for t in node.targets] == ["SPANNED"]:
+                names += [(module, cls, attr)
+                          for _, _, module, cls, attr in ast.literal_eval(node.value)]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("truzz."):
+                names += [(node.module, None, alias.name) for alias in node.names]
+    return names
+
+
+def test_perfbench_entry_points_exist():
+    """The benchmark wraps each SPANNED entry point where it is defined, and
+    fails on one that is gone; this finds a refactor that drops or moves one
+    with no compiler, before the compiler-gated selftest would."""
+    names = perfbench_names()
+    assert ("truzz.target", "CompiledTarget", "run") in names
+    missing = []
+    for module, cls, attr in names:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}:{cls + '.' if cls else ''}{attr}")
+    assert missing == []
+
+
+def test_campaign_keeps_the_cache_perfbench_reads(tmp_path):
+    """A traced synthetic run reads its cache hit ratio from
+    ``Campaign.compiled._cache``."""
+    from truzz.engine import Campaign, CampaignConfig
+    from truzz.targets import write_bundled
+
+    spec_path, _ = write_bundled("magic64", tmp_path)
+    campaign = Campaign(CampaignConfig(corpus_dir=str(tmp_path), target_spec=str(spec_path)))
+    assert isinstance(campaign.compiled._cache, dict)

@@ -111,20 +111,17 @@ class TestRetention:
     @given(st.lists(st.tuples(
         st.booleans(), st.frozensets(st.integers(0, 15), max_size=6))))
     def test_stale_path_stays_stale(self, ops):
-        # retain_if_new refuses a path in corpus.stale without merging it;
-        # that is sound because covered only grows.
+        # A path is kept iff it adds an edge, and coverage takes its edges
+        # either way; covered only grows, so a refused path stays refused.
         corpus = Corpus()
         for is_merge, path in ops:
             if is_merge:
                 corpus.merge(path)
                 continue
             before = set(corpus.covered)
-            was_stale = path in corpus.stale
             kept = corpus.retain_if_new(b"x", path)
-            assert (kept is None) == (path in corpus.stale)
-            if was_stale:
-                assert corpus.covered == before
             assert (kept is None) == (path <= before)
+            assert corpus.covered == before | path
 
 
 class TestRankUpdate:
