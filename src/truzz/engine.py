@@ -32,7 +32,6 @@ from .mutation import Rng, draw_op_count, mutate, mutate_chunks
 from .scheduler import (
     CampaignError,
     Corpus,
-    Policy,
     SchedulerConfig,
     SeedAnalysis,
     SeedEntry,

@@ -11,7 +11,7 @@ whole round discovered, so seeds that stop producing are passed over.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .byte_analysis import FitnessMap, MutationMask

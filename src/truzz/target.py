@@ -411,14 +411,13 @@ CODE_SHIFT = 24
 _TERMINAL, _VALIDATION = 1, 2
 
 
-def _score_table(ops, validation) -> Optional[tuple[array, bytes, int, array]]:
+def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, array]]:
     """``ops`` (see ``CompiledTarget``) as truzz_score_round reads them: five
     words per check (its first byte, its byte count, the offsets of its
-    bounds in the pool, its flags), the pool of bounds, the bytes a child
-    needs for every check to read it in place, and a scratch buffer of
-    that many bytes. ``validation`` says which checks are VALIDATION ones.
-    None where there are more than CODE_CHECKS checks."""
-    reads = max((stop for _, stop, *_ in ops), default=0)
+    bounds in the pool, its flags), the pool of bounds, ``reads``, the
+    bytes a child needs for every check to read it in place, and a scratch
+    buffer of that many bytes. ``validation`` says which checks are
+    VALIDATION ones. None where there are more than CODE_CHECKS checks."""
     if len(ops) > CODE_CHECKS or reads >= 1 << 32 or array("I").itemsize != 4:
         return None
     words, pool, offsets = array("I"), bytearray(), {}
@@ -451,12 +450,13 @@ def _score_round():
 class CompiledTarget:
     """Memoized synthetic runner, the one synthetic interpreter.
 
-    Each check is compiled once to a byte-slice comparison. The covered
-    path and validity depend only on the outcomes of the checks reached,
-    which an input's code holds (see ``CODE_SHIFT``), so ``run`` caches one
-    ExecResult per code, built from it by ``_result``, and returns that
-    same object for every input with that code. ``execute`` is another
-    name for ``run``, kept for perfbench.
+    The covered path and validity depend only on the outcomes of the
+    checks reached, which an input's code holds (see ``CODE_SHIFT``). The
+    constructor compiles each check once to a byte-slice comparison and
+    each outcome to the edges it adds; ``run`` caches one ExecResult per
+    code, built from those by ``_result``, and returns that same object
+    for every input with that code. ``execute`` is another name for
+    ``run``, kept for perfbench.
 
     ``score`` gives the codes of a whole round's children at once: in one
     C call where ``mutate.c`` loads and the checks fit its table, and with
@@ -467,27 +467,37 @@ class CompiledTarget:
     def __init__(self, spec: TargetSpec):
         self.spec = spec
         self._cache: dict[int, ExecResult] = {}
-        checked = [stage for stage in spec.stages if stage.check is not None]
-        # (start, stop, lo, hi, stops execution when failed), in stage order
-        self._ops = tuple(
-            (*_compile_check(stage.check),
-             stage.fail_region is not None and stage.fail_region.terminal)
-            for stage in checked
-        )
-        validation = [stage.check.kind is CheckKind.VALIDATION for stage in checked]
-        self._shift = max(CODE_SHIFT, len(self._ops))
+        ops, validation, adds = [], [], []
+        head: set[int] = set()
+        tails = (head,)  # the sets the edges of a check-less stage join
+        for stage in spec.stages:
+            check, fail = stage.check, stage.fail_region
+            if check is None:
+                for edges in tails:
+                    edges.update(stage.pass_region.edges)
+                continue
+            terminal = fail is not None and fail.terminal
+            ops.append((*_compile_check(check), terminal))  # (start, stop, lo, hi, terminal)
+            validation.append(check.kind is CheckKind.VALIDATION)
+            adds.append((set(fail.edges if fail else ()), set(stage.pass_region.edges)))
+            tails = adds[-1][terminal:]  # nothing follows a terminal fail
+        self._ops = tuple(ops)
+        self._head = frozenset(head)
+        # check j's (edges on fail, edges on pass) up to the next check, indexed by its bit
+        self._adds = tuple((frozenset(f), frozenset(p)) for f, p in adds)
+        self._shift = max(CODE_SHIFT, len(ops))
         self._validation = sum(is_validation << j for j, is_validation in enumerate(validation))
-        self._table = _score_table(self._ops, validation)
+        self._reads = max((stop for _, stop, *_ in ops), default=0)
+        self._table = _score_table(self._ops, validation, self._reads)
 
     def run(self, data: bytes) -> ExecResult:
         return self.result_of(self._code(data))
 
     def _code(self, data: bytes) -> int:
-        """The code of ``data``, truncated or zero-padded to the input
-        length: the checks run in stage order until a terminal one fails."""
-        n = self.spec.input_length
-        if len(data) != n:
-            data = fit_input(data, n)
+        """The code of ``data`` zero-padded to the ``_reads`` bytes the checks
+        read: the checks run in stage order until a terminal one fails."""
+        if len(data) < self._reads:
+            data = fit_input(data, self._reads)
         code = reached = 0
         for start, stop, lo, hi, terminal in self._ops:
             ok = lo <= data[start:stop] <= hi
@@ -496,6 +506,10 @@ class CompiledTarget:
             if terminal and not ok:
                 break
         return code | reached << self._shift
+
+    def _valid(self, code: int) -> bool:
+        """Whether ``code`` passed every validation check it reached."""
+        return not ~code & ((1 << (code >> self._shift)) - 1) & self._validation
 
     def score(self, children, length: int, n: int) -> tuple[Sequence[int], Sequence[int]]:
         """The codes of ``n`` children of ``length`` bytes, laid one after
@@ -510,13 +524,12 @@ class CompiledTarget:
             fn(children, length, n, words.buffer_info()[0], len(words) // 5, pool, reads,
                scratch.buffer_info()[0], codes.buffer_info()[0], valid.buffer_info()[0])
             return codes, valid
-        code_of, shift, validation = self._code, self._shift, self._validation
+        code_of, valid_of = self._code, self._valid
         codes, valid = [], [0]
         for start in range(0, length * n, length):
             code = code_of(children[start:start + length])
-            failed = ~code & ((1 << (code >> shift)) - 1)  # checks reached, not passed
             codes.append(code)
-            valid.append(valid[-1] + (not failed & validation))
+            valid.append(valid[-1] + valid_of(code))
         return codes, valid
 
     def result_of(self, code: int) -> ExecResult:
@@ -527,23 +540,11 @@ class CompiledTarget:
         return result
 
     def _result(self, code: int) -> ExecResult:
-        """The result of an input with ``code``. Stages run in order; a
-        failed check adds its fail region's edges and stops if that region
-        is terminal. Synthetic execution cannot crash."""
-        edges: set[int] = set()
-        valid = True
-        passed = iter([code >> j & 1 for j in range(len(self._ops))])
-        for stage in self.spec.stages:
-            if stage.check is None or next(passed):
-                edges.update(stage.pass_region.edges)
-                continue
-            if stage.check.kind is CheckKind.VALIDATION:
-                valid = False
-            if stage.fail_region is not None:
-                edges.update(stage.fail_region.edges)
-                if stage.fail_region.terminal:
-                    break
-        return ExecResult(path=frozenset(edges), exec_status=ExecStatus.NORMAL, valid=valid)
+        """The result of an input with ``code``: the edges before the first
+        check and those each reached check's outcome adds. Synthetic
+        execution cannot crash."""
+        path = self._head.union(*[self._adds[j][code >> j & 1] for j in range(code >> self._shift)])
+        return ExecResult(path=path, exec_status=ExecStatus.NORMAL, valid=self._valid(code))
 
     execute = run
 

@@ -316,6 +316,15 @@ def make_corpus(tmp_path, name, label="c", seeds=None):
     return spec_path, write_seeds(tmp_path / label, seeds or [bundled_seed(name)])
 
 
+def many_checks(tmp_path, n, label):
+    """``many_checks_spec(n)`` written to a file, and a corpus
+    ``tmp_path/label`` seeded with an input that passes every check;
+    return the spec's path and the corpus."""
+    spec_path = tmp_path / "checks.tspec"
+    spec_path.write_text(many_checks_spec(n))
+    return str(spec_path), write_seeds(tmp_path / label, [bytes(64)])
+
+
 def external_config(tmp_path, label="c", seeds=(bytes(8),), script=CRASHY_TARGET, **kw):
     """A campaign on ``script``, written to ``tmp_path/target.py`` and run
     by this interpreter, over a corpus ``tmp_path/label`` seeded with

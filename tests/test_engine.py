@@ -12,11 +12,10 @@ from harness import (
     PID_TARGET,
     external_config,
     make_corpus,
-    many_checks_spec,
+    many_checks,
     open_fd_count,
     vanilla_fifo,
     without_mutate_c,
-    write_seeds,
 )
 
 import truzz.engine
@@ -65,15 +64,6 @@ def interrupt_at(campaign, k):
 
     campaign.compiled.run = interrupted
     return campaign
-
-
-def many_checks(tmp_path, n, label):
-    """``many_checks_spec(n)`` written to a file, and a corpus
-    ``tmp_path/label`` seeded with an input that passes every check;
-    return the spec's path and the corpus."""
-    spec_path = tmp_path / "checks.tspec"
-    spec_path.write_text(many_checks_spec(n))
-    return str(spec_path), write_seeds(tmp_path / label, [bytes(64)])
 
 
 def record_children(monkeypatch):

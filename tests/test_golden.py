@@ -24,6 +24,14 @@ Its digest was recorded before the resume path was rewritten, and again
 when a resume began to keep the edges ``overall.cov`` lists: its
 ``stats.csv``, ``queue/`` and ``meta/`` changed, its ``overall.cov`` did not.
 
+The checks30 case runs ``many_checks_spec(30)``, 30 one-byte checks, from
+a seed of 64 zero bytes. Past CODE_CHECKS checks every round is scored in
+Python, and nearly every child reaches an outcome code no earlier child
+did, so this case pins the building of a result from its code and the
+Python scorer. Its digest was recorded, with the kernel and without it,
+before the synthetic runner began to build results from a compiled
+outcome table; the other five were left as they were.
+
 Synthetic campaigns charge virtual time, so their whole ``stats.csv`` is
 pinned. The external campaign's ``elapsed_s`` is wall-clock, so its
 ``stats.csv`` is left out.
@@ -36,7 +44,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from harness import external_config, make_corpus, without_mutate_c
+from harness import external_config, make_corpus, many_checks, without_mutate_c
 
 import truzz.mutation
 from truzz.engine import Budget, Campaign, CampaignConfig
@@ -47,11 +55,13 @@ EXTERNAL_PARTS = ("queue", "meta", "crashes", "overall.cov")
 
 # name -> (target, policy, mask, budget, rng_seeds); each RNG seed runs one
 # campaign of ``budget`` executions, every one after the first a resume.
+# The target is a bundled one, run from its seed, or "checks30".
 SYNTHETIC = {
     "magic64-truzz": ("magic64", Policy.TRUZZ, True, 20_000, (3,)),
     "chain128-truzz": ("chain128", Policy.TRUZZ, True, 30_000, (1,)),
     "header128-fifo": ("header128", Policy.FIFO, False, 20_000, (2,)),
     "magic64-truzz-resume": ("magic64", Policy.TRUZZ, True, 5_000, (3, 103)),
+    "checks30-truzz": ("checks30", Policy.TRUZZ, True, 20_000, (1,)),
 }
 
 GOLDEN = {
@@ -60,6 +70,7 @@ GOLDEN = {
     "header128-fifo": "f2546f6a0d5e8bdda9fb66405091397312dd3c7fc41458aa00e0cfa9ebb1f67d",
     "external-crashy": "30413e8e148b16fac9489c5dde40a6d2d7334862c5dd287b6c80841a86d2dac7",
     "magic64-truzz-resume": "c3d56d6b93750fc2d5021cf83f98a9c3d97e912cee7da282fb96970510a89b3d",
+    "checks30-truzz": "4bc09df1f29a310257a4e62847615ca68ba8ecab3fdb2e801c738cf09edd6c73",
 }
 
 
@@ -77,7 +88,10 @@ def digest(corpus: Path, parts) -> str:
 
 def run_synthetic(name: str, tmp_path: Path) -> str:
     target, policy, mask, budget, rng_seeds = SYNTHETIC[name]
-    spec_path, corpus = make_corpus(tmp_path, target, "corpus")
+    if target == "checks30":
+        spec_path, corpus = many_checks(tmp_path, 30, "corpus")
+    else:
+        spec_path, corpus = make_corpus(tmp_path, target, "corpus")
     for rng_seed in rng_seeds:
         Campaign(CampaignConfig(
             corpus_dir=str(corpus),

@@ -135,6 +135,33 @@ def test_kernel_and_mutate_agree_on_the_constants():
     assert (defines["TERMINAL"], defines["VALIDATION"]) == (target._TERMINAL, target._VALIDATION)
 
 
+# Imported names each module keeps without using them: the engine's two
+# are there for perfbench's tracer (tracing.SPANNED) to find.
+UNUSED_IMPORTS_KEPT = {"engine": {"mutate", "draw_op_count"}}
+
+
+def test_modules_use_every_name_they_import():
+    """No linter comes with the package, so this finds an import a refactor
+    left unused. ``__init__`` may re-export the names ``__all__`` lists."""
+    unused = []
+    for source in sorted((ROOT / "src/truzz").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        kept = set(UNUSED_IMPORTS_KEPT.get(source.stem, ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and source.stem == "__init__" \
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                kept |= set(ast.literal_eval(node.value))
+        unused += [f"{source.stem}.{name}" for name in sorted(imported - used - kept)]
+    assert unused == []
+
+
 def perfbench_names():
     """(module, class or None, attribute) of every truzz name perfbench
     wraps or reads: tracing.py's SPANNED, read from its source since

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -362,6 +363,67 @@ def test_scored_check_agrees_with_passes(check_with_input):
         for codes, valid in scores(compiled, [data]):
             assert codes[0] == outcome_code(outcome, max(CODE_SHIFT, len(outcome)))
             assert valid[1] == passed
+
+
+@st.composite
+def generated_specs(draw):
+    """A spec of 0 to 30 stages in any order, each with no check or a
+    one-byte LT check of any threshold, VALIDATION or not, with no fail
+    region, a fail region or, VALIDATION only, a terminal one. So check-less
+    stages come before the first check, between checks, after a terminal
+    one and at the tail. Regions of 1 to 3 edges start 4 apart."""
+    input_length = draw(st.integers(1, 8))
+    bases = iter(range(0, MAP_SIZE, 4))
+    stages = []
+    for j in range(draw(st.integers(0, 30))):
+        pass_region = Region(next(bases), draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            stages.append(Stage(f"s{j}", None, pass_region))
+            continue
+        kind = draw(st.sampled_from(CheckKind))
+        at = draw(st.integers(0, input_length - 1))
+        check = Check(at, at, PredicateKind.LT, kind, lo=draw(st.integers(0, 256)))
+        fails = ["none", "fail"] + ["terminal"] * (kind is CheckKind.VALIDATION)
+        fail = draw(st.sampled_from(fails))
+        fail_region = None if fail == "none" else Region(
+            next(bases), draw(st.integers(1, 3)), terminal=fail == "terminal")
+        stages.append(Stage(f"s{j}", check, pass_region, fail_region))
+    return TargetSpec(input_length, tuple(stages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_specs(), st.data())
+def test_generated_specs_run_and_score_as_the_reference_interpreter(spec, data):
+    """On children shorter than, as long as and longer than the input,
+    ``run`` gives the oracle's result, and each scorer's code for a child
+    maps to the very ExecResult ``run`` returns for it."""
+    length = data.draw(st.integers(1, spec.input_length + 4))
+    children = data.draw(st.lists(st.binary(min_size=length, max_size=length),
+                                  min_size=1, max_size=6))
+    compiled = CompiledTarget(spec)
+    results = [compiled.run(child) for child in children]
+    for child, result in zip(children, results):
+        assert (result.path, result.valid) == oracle_execute(spec, child)
+    for codes, valid in scores(compiled, children):
+        for i, result in enumerate(results):
+            assert compiled.result_of(codes[i]) is result
+            assert valid[i + 1] == valid[i] + result.valid
+
+
+def test_run_pads_an_input_only_as_far_as_the_checks_read():
+    """A short input of a spec whose input is 100 MB long is padded to the
+    one byte its check reads, not to the input length."""
+    check = Check(0, 0, PredicateKind.LT, CheckKind.VALIDATION, lo=0x40)
+    spec = TargetSpec(100_000_000, (Stage("s", check, Region(0, 1), Region(1, 1)),))
+    compiled = CompiledTarget(spec)
+    tracemalloc.start()
+    try:
+        results = [compiled.run(data) for data in (b"", b"\xff" * 64)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [(r.path, r.valid) for r in results] == [({0}, True), ({1}, False)]
 
 
 def run_external(command, data, timeout=5.0):
