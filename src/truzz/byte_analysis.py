@@ -11,8 +11,10 @@ floor so error paths still get exercised occasionally.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .coverage import Path
@@ -63,6 +65,12 @@ class MutationMask:
         self.argmax = max(
             range(len(self.probability)), key=self.probability.__getitem__
         )
+
+    @cached_property
+    def doubles(self) -> array:
+        """``probability`` as the C doubles the mutation kernel reads, made
+        on first use; a mask's probabilities are not changed once made."""
+        return array("d", self.probability)
 
 
 def path_fitness(seed_path: Path, mutant_path: Path) -> float:

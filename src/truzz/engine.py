@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from pathlib import Path as FsPath
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .byte_analysis import (
     AnalysisConfig,
@@ -38,6 +38,7 @@ from .scheduler import (
     dry_run,
 )
 from .target import (
+    Chunk,
     CompiledTarget,
     ExecResult,
     ExecStatus,
@@ -271,20 +272,6 @@ def _persist_corpus(corpus_dir: FsPath, corpus: Corpus) -> None:
     )
 
 
-class _Chunk(NamedTuple):
-    """``size`` consecutive children of a round. ``firsts`` holds the index
-    of each child that is the first in its round to reach its outcome;
-    ``child(i)`` and ``result(i)`` give child i and its ExecResult, and
-    ``valid[j] - valid[i]`` is how many of children i to j - 1 are valid
-    (None where every child is in ``firsts``, so none is charged in bulk)."""
-
-    size: int
-    firsts: set[int]
-    valid: Optional[Sequence[int]]
-    child: Callable[[int], bytes]
-    result: Callable[[int], ExecResult]
-
-
 class Campaign:
     """One fuzzing campaign over a synthetic or external target. ``run()``
     is the one place that tells the two apart: it binds the executor
@@ -308,7 +295,7 @@ class Campaign:
         # executor ``_run``, and only the external round passes it ``then``.
         self._run: Optional[Callable[..., ExecResult]] = None
         self._evaluate: Optional[Callable[[bytes, Optional[MutationMask], int],
-                                          Iterator[_Chunk]]] = None
+                                          Iterator[Chunk]]] = None
         self._clock: Optional[Callable[[], float]] = None  # virtual or wall seconds
         self._cap = 0  # the execution count at which the budget runs out
         self.corpus: Optional[Corpus] = None
@@ -319,11 +306,12 @@ class Campaign:
         """Run ``data`` in the dry run or as a probe and charge it."""
         return self._charge(data, self._run(data), phase)
 
-    def _charge(self, data: bytes, result: ExecResult, phase: str) -> ExecResult:
+    def _charge(self, data: Optional[bytes], result: ExecResult, phase: str) -> ExecResult:
         """Charge one execution of ``data``, which gave ``result``, to the
         budget, the stats and the counter named ``phase`` if any, and write
         the interval row. A crash is saved and its path merged into the
-        corpus's coverage, so retention never keeps a crashing input."""
+        corpus's coverage, so retention never keeps a crashing input.
+        ``data`` is None for a child whose round kept no copy of it."""
         st = self.stats
         st.executions += 1
         if phase:
@@ -432,13 +420,16 @@ class Campaign:
         for chunk in self._evaluate(entry.data, mask, n):
             done = 0
             boundaries = range(interval - 1 - st.executions % interval, chunk.size, interval)
-            for i in sorted(chunk.firsts.union(boundaries)):
+            for i in sorted({*chunk.firsts, *boundaries}):
                 self._charge_bulk(chunk.valid, done, i)
                 if not self._budget_left():
                     return n_all
-                child = chunk.child(i)
+                first = i in chunk.firsts
+                # Any other child repeats a first's outcome, so it cannot
+                # crash, and its round kept no copy of it.
+                child = chunk.child(i) if first else None
                 result = self._charge(child, chunk.result(i), _MUTATION)
-                if i in chunk.firsts:
+                if first:
                     kept = corpus.retain_if_new(child, result.path)
                     if kept is not None:
                         n_all += kept.rank_key
@@ -447,7 +438,7 @@ class Campaign:
         return n_all
 
     def _child_by_child(self, seed: bytes, mask: Optional[MutationMask],
-                        n: int) -> Iterator[_Chunk]:
+                        n: int) -> Iterator[Chunk]:
         """The external round: one chunk in which every child is an event,
         made when the round takes it and run when the round asks for its
         result. Taking child i makes child i+1, which is passed to child
@@ -464,28 +455,7 @@ class Campaign:
             taken[:] = next(pairs)
             return taken[0]
 
-        yield _Chunk(n, set(range(n)), None, child, lambda _: run(*taken))
-
-    def _scored_round(self, seed: bytes, mask: Optional[MutationMask],
-                      n: int) -> Iterator[_Chunk]:
-        """The synthetic round: each chunk of children is scored in one
-        call, and their codes (see ``CompiledTarget.score``) say which
-        child is the first in the round to reach its outcome."""
-        length, score, result_of = len(seed), self.compiled.score, self.compiled.result_of
-        offered: set[int] = set()
-        for buffer, k in mutate_chunks(seed, mask, self.rng, n):
-            codes, valid = score(buffer, length, k)
-            distinct = dict.fromkeys(codes)  # in the order each first appears
-            new = distinct.keys() - offered
-            offered |= new
-            firsts, first = set(), 0
-            for code in distinct:  # each search starts where the last one ended
-                if code in new:
-                    first = codes.index(code, first)
-                    firsts.add(first)
-            yield _Chunk(k, firsts, valid,
-                         lambda i, buffer=buffer: buffer[i * length:(i + 1) * length],
-                         lambda i, codes=codes: result_of(codes[i]))
+        yield Chunk(n, range(n), None, child, lambda _: run(*taken))
 
     def run(self) -> CampaignStats:
         seeds, saved, covered = _load_seeds(self.corpus_dir)
@@ -499,7 +469,7 @@ class Campaign:
         try:
             if self.compiled is not None:
                 self._run = self.compiled.run
-                self._evaluate = self._scored_round
+                self._evaluate = lambda seed, mask, n: self.compiled.round(seed, mask, self.rng, n)
                 self._clock = lambda: _virtual_seconds(stats.executions)
                 if budget.max_seconds is not None:
                     # The time budget as a count, so every run of a config

@@ -1,5 +1,5 @@
 /* Round kernel for truzz: one call makes a round's children, and one
-   scores them against a synthetic target.
+   makes, scores and sorts out a synthetic round's.
 
    truzz_mutate_round writes n children of seed, one after another, into
    out. They are the children n calls of
@@ -13,7 +13,10 @@
    tempered all at once: the state is untempered, as getstate() gives it,
    and is written back untempered.
 
-   truzz_score_round is described below. */
+   truzz_synthetic_round, described below, makes the same children with
+   the same decoder, make_child, and scores each against a synthetic
+   target as it makes it, so Python sees only the first child of the
+   round to reach each outcome. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -88,93 +91,148 @@ static double uniform(stream *s) {
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* 0 < length < 2**32, and probability, if given, has length entries. */
+
+/* Writes to out the child of one call of mutate(seed, mask, rng,
+   draw_op_count(rng)). 0 < length < 2**32, and probability, if given, has
+   length entries. */
+static void make_child(stream *s, const unsigned char *seed, size_t length,
+                       const double *probability, size_t argmax, unsigned char *out) {
+    const uint64_t tries = (uint64_t)RETRY_FACTOR * length;
+    memcpy(out, seed, length);
+    for (uint32_t ops = 1U << below(s, OP_COUNT_MAX_EXP + 1); ops; ops--) {
+        uint32_t idx = 0;
+        if (!probability) {
+            idx = below(s, (uint32_t)length);
+        } else {
+            uint64_t t;
+            for (t = 0; t < tries; t++) {
+                idx = below(s, (uint32_t)length);
+                double p = probability[idx];
+                if (p >= 1.0 || uniform(s) < p) break;
+            }
+            if (t == tries) idx = (uint32_t)argmax;
+        }
+        switch (below(s, 4)) {
+        case 0: /* BIT_FLIP */
+            out[idx] ^= (unsigned char)(1U << below(s, 8));
+            break;
+        case 1: /* BYTE_RANDOM */
+            out[idx] = (unsigned char)below(s, 256);
+            break;
+        case 2: { /* BYTE_ARITH: the delta, then its sign */
+            unsigned char delta = (unsigned char)(below(s, ARITH_MAX) + 1);
+            out[idx] = (unsigned char)(below(s, 2) ? out[idx] - delta : out[idx] + delta);
+            break;
+        }
+        default: /* INTERESTING_BYTE */
+            out[idx] = interesting[below(s, sizeof interesting)];
+        }
+    }
+}
+
 void truzz_mutate_round(uint32_t *state, const unsigned char *seed, size_t length,
                         const double *probability, size_t argmax, size_t n,
                         unsigned char *out) {
     stream s;
     open_stream(&s, state);
-    const uint64_t tries = (uint64_t)RETRY_FACTOR * length;
-    for (; n; n--, out += length) {
-        memcpy(out, seed, length);
-        for (uint32_t ops = 1U << below(&s, OP_COUNT_MAX_EXP + 1); ops; ops--) {
-            uint32_t idx = 0;
-            if (!probability) {
-                idx = below(&s, (uint32_t)length);
-            } else {
-                uint64_t t;
-                for (t = 0; t < tries; t++) {
-                    idx = below(&s, (uint32_t)length);
-                    double p = probability[idx];
-                    if (p >= 1.0 || uniform(&s) < p) break;
-                }
-                if (t == tries) idx = (uint32_t)argmax;
-            }
-            switch (below(&s, 4)) {
-            case 0: /* BIT_FLIP */
-                out[idx] ^= (unsigned char)(1U << below(&s, 8));
-                break;
-            case 1: /* BYTE_RANDOM */
-                out[idx] = (unsigned char)below(&s, 256);
-                break;
-            case 2: { /* BYTE_ARITH: the delta, then its sign */
-                unsigned char delta = (unsigned char)(below(&s, ARITH_MAX) + 1);
-                out[idx] = (unsigned char)(below(&s, 2) ? out[idx] - delta : out[idx] + delta);
-                break;
-            }
-            default: /* INTERESTING_BYTE */
-                out[idx] = interesting[below(&s, sizeof interesting)];
-            }
-        }
-    }
+    for (; n; n--, out += length) make_child(&s, seed, length, probability, argmax, out);
     state[N] = s.index;
 }
 
-/* truzz_score_round scores n children of length bytes, laid one after
-   another in children, against a synthetic target's checks, as
-   CompiledTarget.run in target.py would: each child is read as if
-   truncated or zero-padded to the target's input length, and the checks
-   run in stage order until a TERMINAL one fails.
+/* A synthetic target's checks, as CompiledTarget.run in target.py runs
+   them: a child is read as if truncated or zero-padded to the target's
+   input length, and the checks run in stage order until a TERMINAL one
+   fails.
 
    checks holds 5 words per check: the first byte it reads, how many bytes
    it reads, the offsets in bounds of its lower and upper bound, and its
    flags. A child passes a check when lo <= its bytes <= hi, compared as
-   byte strings. No check reads past byte reads - 1, and scratch holds
-   reads bytes. n_checks is at most CODE_CHECKS.
+   byte strings. No check reads past byte reads - 1. n_checks is at most
+   CODE_CHECKS.
 
-   codes[i] gets bit j set when child i passed check j, and the number of
-   checks it reached from bit CODE_SHIFT up. valid[i + 1] is how many of
-   the first i + 1 children are valid, having passed every VALIDATION
-   check they reached; valid[0] is 0. */
+   A child's code has bit j set when it passed check j, and the number of
+   checks it reached from bit CODE_SHIFT up, so it is below 2**29. */
 #define CODE_CHECKS 24
 #define CODE_SHIFT 24
 #define TERMINAL 1
 #define VALIDATION 2
+#define UNSEEN 0xFFFFFFFF /* no code: an empty slot of the set of codes */
 
-void truzz_score_round(const unsigned char *children, size_t length, size_t n,
-                       const uint32_t *checks, size_t n_checks,
-                       const unsigned char *bounds, size_t reads,
-                       unsigned char *scratch, uint32_t *codes, uint32_t *valid) {
-    const int padded = length < reads;
-    if (padded) memset(scratch + length, 0, reads - length);
-    valid[0] = 0;
-    for (size_t i = 0; i < n; i++, children += length) {
-        const unsigned char *data = children;
-        uint32_t code = 0, reached = 0, is_valid = 1;
-        if (padded) data = memcpy(scratch, children, length);
-        while (reached < n_checks) {
-            const uint32_t *c = checks + 5 * reached;
-            const unsigned char *d = data + c[0];
-            const int ok = c[2] == c[3] ? memcmp(d, bounds + c[2], c[1]) == 0
-                                        : memcmp(bounds + c[2], d, c[1]) <= 0 &&
-                                              memcmp(d, bounds + c[3], c[1]) <= 0;
-            code |= (uint32_t)ok << reached++;
-            if (!ok) {
-                if (c[4] & VALIDATION) is_valid = 0;
-                if (c[4] & TERMINAL) break;
-            }
+/* The code of data, which holds reads bytes; *valid is 1 when it passed
+   every VALIDATION check it reached, and 0 otherwise. */
+static uint32_t score(const uint32_t *checks, size_t n_checks, const unsigned char *bounds,
+                      const unsigned char *data, uint32_t *valid) {
+    uint32_t code = 0, reached = 0;
+    *valid = 1;
+    while (reached < n_checks) {
+        const uint32_t *c = checks + 5 * reached;
+        const unsigned char *d = data + c[0];
+        const int ok = c[2] == c[3] ? memcmp(d, bounds + c[2], c[1]) == 0
+                                    : memcmp(bounds + c[2], d, c[1]) <= 0 &&
+                                          memcmp(d, bounds + c[3], c[1]) <= 0;
+        code |= (uint32_t)ok << reached++;
+        if (!ok) {
+            if (c[4] & VALIDATION) *valid = 0;
+            if (c[4] & TERMINAL) break;
         }
-        codes[i] = code | reached << CODE_SHIFT;
-        valid[i + 1] = valid[i] + is_valid;
     }
+    return code | reached << CODE_SHIFT;
+}
+
+/* Adds code to the open-addressing set seen, of mask + 1 slots (a power
+   of two) that start UNSEEN; 1 if it was not there, else 0. A slot must
+   stay UNSEEN, or a search for a new code would not end. */
+static int add_code(uint32_t *seen, size_t mask, uint32_t code) {
+    uint32_t h = code * 0x9E3779B1U;
+    size_t i = (h ^ h >> 15) & mask;
+    for (; seen[i] != UNSEEN; i = (i + 1) & mask)
+        if (seen[i] == code) return 0;
+    seen[i] = code;
+    return 1;
+}
+
+/* truzz_synthetic_round makes the next n children of a synthetic round, as
+   truzz_mutate_round would, scores each as it makes it, and keeps the
+   first child of the round to reach each code.
+
+   seen is the round's set of codes (see add_code), with room for every
+   code of its children. Each child is made in the next free slot of out,
+   which has capacity slots of length bytes; a child whose code is new to
+   seen keeps its slot, and its index, counted from this call's first
+   child, goes into firsts. scratch holds reads bytes, where a child
+   shorter than that is zero-padded to be scored.
+
+   codes[i] gets child i's code, and valid[i + 1] valid[0] plus how many
+   of the first i + 1 children are valid. The call returns the number of
+   children kept. It stops after the child that fills the last slot, so
+   it has made all n children unless it returns capacity. */
+size_t truzz_synthetic_round(uint32_t *state, const unsigned char *seed, size_t length,
+                             const double *probability, size_t argmax,
+                             const uint32_t *checks, size_t n_checks,
+                             const unsigned char *bounds, size_t reads,
+                             unsigned char *scratch, uint32_t *seen, size_t mask,
+                             size_t n, unsigned char *out, size_t capacity,
+                             uint32_t *firsts, uint32_t *codes, uint32_t *valid) {
+    const int padded = length < reads;
+    uint32_t count = valid[0], is_valid;
+    uint32_t last = UNSEEN; /* the code of the child before, in seen already */
+    size_t kept = 0;
+    stream s;
+    open_stream(&s, state);
+    if (padded) memset(scratch + length, 0, reads - length);
+    for (size_t i = 0; i < n; i++) {
+        unsigned char *child = out + kept * length;
+        make_child(&s, seed, length, probability, argmax, child);
+        const uint32_t code = score(checks, n_checks, bounds,
+                                    padded ? memcpy(scratch, child, length) : child, &is_valid);
+        codes[i] = code;
+        valid[i + 1] = count += is_valid;
+        if (code != last && add_code(seen, mask, code)) {
+            firsts[kept++] = (uint32_t)i;
+            if (kept == capacity) break;
+        }
+        last = code;
+    }
+    state[N] = s.index;
+    return kept;
 }

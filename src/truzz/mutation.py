@@ -18,7 +18,9 @@ time, with the C kernel ``mutate.c``, which decodes the same words in the
 same order, so its children and the ``Rng``'s state afterwards are those
 of ``mutate`` called once per child. ``mutate`` is the kernel's
 specification, and makes the chunks itself where the kernel cannot be
-built or loaded.
+built or loaded. ``truzz.target.CompiledTarget.round`` makes a synthetic
+round's children with the kernel's same decoder, and scores them as it
+makes them.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ OP_COUNT_MAX_EXP = 6  # ops per input drawn as 2**k, k in [0, OP_COUNT_MAX_EXP]
 _ARITH_BITS = ARITH_MAX.bit_length()
 _INTERESTING_BITS = len(INTERESTING_BYTES).bit_length()
 
-# The most output one kernel call writes, in bytes: a round of 1024 children
-# takes one call for a seed of up to 64 bytes, and several for a longer one,
-# so the buffer adds at most 64 KiB to the peak RSS.
+# The most output one kernel call writes, in bytes, unless one child is
+# longer: a round of 1024 children takes one call for a seed of up to 64
+# bytes, and several for a longer one, so the buffer adds at most 64 KiB to
+# the peak RSS. A synthetic round's call (CompiledTarget.round) writes only
+# the first child of each code, so it takes one call until that many fill it.
 _CALL_BYTES = 1 << 16
 
 
@@ -162,7 +166,7 @@ def _kernel():
     fn.restype = None
 
     def make(seed: bytes, mask: Optional[MutationMask], rng: random.Random, k: int):
-        probs = None if mask is None else array("d", mask.probability)
+        probs = None if mask is None else mask.doubles
         version, internal, gauss = rng.getstate()
         state = array("I", internal)  # the 624 words, then the index
         out = ctypes.create_string_buffer(k * len(seed))

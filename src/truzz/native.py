@@ -2,9 +2,10 @@
 
 ``forkserver.c`` is the fork-server shim (see ``docs/external-targets.md``)
 and ``mutate.c`` the round kernel, which makes a round's children (see
-``truzz.mutation``) and scores them against a synthetic target (see
-``truzz.target.CompiledTarget``); where it cannot be built, both are done
-in Python, with the same results. Each is compiled once per host into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
+``truzz.mutation``) and, on a synthetic target, scores each as it makes
+it (see ``truzz.target.CompiledTarget.round``); where it cannot be built,
+both are done in Python, with the same results. Each is compiled once
+per host, with ``CFLAGS``, into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
 by default) under a name holding the sha256 of its source, and found
 there afterwards without a subprocess.
 """
@@ -21,6 +22,8 @@ from importlib import resources
 from typing import Optional
 
 COMPILERS = ("cc", "gcc", "clang")
+# The flags each library is built with, before its output and source.
+CFLAGS = ("-shared", "-fPIC", "-O2")
 
 
 def _private(path: str, kind) -> bool:
@@ -95,7 +98,7 @@ def _build(source: bytes, path: str, stem: str) -> Optional[bytes]:
     fd, tmp = tempfile.mkstemp(prefix=f".{stem}-", dir=os.path.dirname(path))
     os.close(fd)
     try:
-        command = [compiler, "-shared", "-fPIC", "-O2", "-o", tmp, "-x", "c", "-"]
+        command = [compiler, *CFLAGS, "-o", tmp, "-x", "c", "-"]
         try:
             built = subprocess.run(command, input=source, capture_output=True, timeout=120)
         except subprocess.SubprocessError:

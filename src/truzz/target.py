@@ -16,6 +16,7 @@ import contextlib
 import enum
 import functools
 import os
+import random
 import select
 import shutil
 import signal
@@ -24,9 +25,10 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
-from . import native
+from . import mutation, native
+from .byte_analysis import MutationMask
 from .coverage import MAP_SIZE, Path, parse_edges
 
 COVERAGE_FILE_ENV = "TRUZZ_COV_FILE"
@@ -401,20 +403,22 @@ def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
     return check.start, check.start + 1, bytes((lo,)), bytes((hi,))
 
 
-# A round code, as mutate.c's truzz_score_round writes one per child: bit j
-# set when check j passed, and the number of checks reached from bit
-# CODE_SHIFT up. truzz_score_round scores specs of at most CODE_CHECKS
+# A round code, as mutate.c's truzz_synthetic_round writes one per child:
+# bit j set when check j passed, and the number of checks reached from bit
+# CODE_SHIFT up. truzz_synthetic_round scores specs of at most CODE_CHECKS
 # checks; past that, the count sits above the last check's bit.
 CODE_CHECKS = 24
 CODE_SHIFT = 24
-# Flags of a check in the table truzz_score_round reads.
+# Flags of a check in the table truzz_synthetic_round reads.
 _TERMINAL, _VALIDATION = 1, 2
+# The code no child has: an empty slot of the kernel's set of a round's codes.
+_UNSEEN = 0xFFFFFFFF
 
 
 def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, array]]:
-    """``ops`` (see ``CompiledTarget``) as truzz_score_round reads them: five
-    words per check (its first byte, its byte count, the offsets of its
-    bounds in the pool, its flags), the pool of bounds, ``reads``, the
+    """``ops`` (see ``CompiledTarget``) as truzz_synthetic_round reads them:
+    five words per check (its first byte, its byte count, the offsets of
+    its bounds in the pool, its flags), the pool of bounds, ``reads``, the
     bytes a child needs for every check to read it in place, and a scratch
     buffer of that many bytes. ``validation`` says which checks are
     VALIDATION ones. None where there are more than CODE_CHECKS checks."""
@@ -432,19 +436,35 @@ def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, ar
 
 
 @functools.cache
-def _score_round():
-    """mutate.c's truzz_score_round, or None where it cannot be built or
+def _synthetic_round():
+    """mutate.c's truzz_synthetic_round, or None where it cannot be built or
     loaded; loaded, and built if need be, on first use."""
-    fn = native.function("mutate", "truzz_score_round")
+    fn = native.function("mutate", "truzz_synthetic_round")
     if fn is None:
         return None
     import ctypes
 
     address, size = ctypes.c_void_p, ctypes.c_size_t
-    fn.argtypes = (address, size, size, address, size, ctypes.c_char_p, size,
+    fn.argtypes = (address, ctypes.c_char_p, size, address, size, address, size,
+                   ctypes.c_char_p, size, address, address, size, size, address, size,
                    address, address, address)
-    fn.restype = None
+    fn.restype = size
     return fn
+
+
+class Chunk(NamedTuple):
+    """``size`` consecutive children of a round. ``firsts`` holds the index
+    of each child that is the first in its round to reach its outcome;
+    ``child(i)``, for i in ``firsts``, is child i, and ``result(i)`` is
+    child i's ExecResult for every i. ``valid[j] - valid[i]`` is how many
+    of children i to j - 1 are valid (None where every child is in
+    ``firsts``, so none is charged in bulk)."""
+
+    size: int
+    firsts: Collection[int]
+    valid: Optional[Sequence[int]]
+    child: Callable[[int], bytes]
+    result: Callable[[int], ExecResult]
 
 
 class CompiledTarget:
@@ -458,9 +478,10 @@ class CompiledTarget:
     for every input with that code. ``execute`` is another name for
     ``run``, kept for perfbench.
 
-    ``score`` gives the codes of a whole round's children at once: in one
-    C call where ``mutate.c`` loads and the checks fit its table, and with
-    ``run``'s own ``_code`` otherwise. ``result_of`` maps a code to its
+    ``round`` makes and scores a whole round's children, and keeps the
+    first to reach each code: in one C call per buffer of those where
+    ``mutate.c`` loads and the checks fit its table. ``score`` gives the
+    codes of children in Python, with ``run``'s own ``_code``. ``result_of`` maps a code to its
     cached ExecResult, the very object ``run`` returns for that child.
     """
 
@@ -511,26 +532,94 @@ class CompiledTarget:
         """Whether ``code`` passed every validation check it reached."""
         return not ~code & ((1 << (code >> self._shift)) - 1) & self._validation
 
-    def score(self, children, length: int, n: int) -> tuple[Sequence[int], Sequence[int]]:
+    def score(self, children, length: int, n: int) -> tuple[list[int], list[int]]:
         """The codes of ``n`` children of ``length`` bytes, laid one after
         another in the buffer ``children``, and ``valid``, where
         ``valid[i]`` is how many of the first i are valid."""
         if len(children) < length * n:
             raise ValueError(f"{len(children)} bytes hold no {n} children of {length}")
-        fn = None if self._table is None else _score_round()
-        if fn is not None:
-            words, pool, reads, scratch = self._table
-            codes, valid = array("I", [0]) * n, array("I", [0]) * (n + 1)
-            fn(children, length, n, words.buffer_info()[0], len(words) // 5, pool, reads,
-               scratch.buffer_info()[0], codes.buffer_info()[0], valid.buffer_info()[0])
-            return codes, valid
         code_of, valid_of = self._code, self._valid
         codes, valid = [], [0]
-        for start in range(0, length * n, length):
-            code = code_of(children[start:start + length])
+        for i in range(n):
+            code = code_of(children[i * length:(i + 1) * length])
             codes.append(code)
             valid.append(valid[-1] + valid_of(code))
         return codes, valid
+
+    def round(self, seed: bytes, mask: Optional[MutationMask], rng: random.Random,
+              n: int) -> Iterator[Chunk]:
+        """The ``n`` children of ``mutation.mutate_chunks(seed, mask, rng,
+        n)``, scored, as Chunks whose firsts are the first child in the
+        round to reach each code. ``rng`` is left where the children of the
+        chunks taken leave it.
+
+        Where truzz_synthetic_round loads and the checks fit its table, a
+        chunk is one call: it makes and scores children, and copies out
+        each first, until its buffer of ``mutation._CALL_BYTES`` (or of
+        one child, if longer) is full or the round is done. The next call
+        reuses the buffer, so a chunk's children are taken before the next
+        chunk. Otherwise ``mutate_chunks`` makes the chunks and ``score``
+        scores them. The inputs are checked at once, and an empty round
+        loads nothing.
+        """
+        mutation._check(seed, mask)
+        if n < 1:  # nothing to make, so nothing to load
+            return iter(())
+        fn = None
+        if self._table is not None and len(seed) < 1 << 32 and n < 1 << 32:
+            fn = _synthetic_round()
+        if fn is None:
+            return self._composed_round(seed, mask, rng, n)
+        return self._kernel_round(fn, seed, mask, rng, n)
+
+    def _kernel_round(self, fn, seed: bytes, mask: Optional[MutationMask],
+                      rng: random.Random, n: int) -> Iterator[Chunk]:
+        """``round`` by truzz_synthetic_round. The MT state is converted
+        once, and written back after each call."""
+        length, result_of = len(seed), self.result_of
+        capacity = min(n, max(1, mutation._CALL_BYTES // length))
+        words, pool, reads, scratch = self._table
+        version, internal, gauss = rng.getstate()
+        state = array("I", internal)  # the 624 words, then the index
+        seen = array("I", [_UNSEEN]) * (2 << n.bit_length())  # over twice n slots
+        out, firsts = array("B", [0]) * (capacity * length), array("I", [0]) * capacity
+        codes, valid = array("I", [0]) * n, array("I", [0]) * (n + 1)
+        view, codes_view, valid_view = memoryview(out), memoryview(codes), memoryview(valid)
+        state_at, seen_at, out_at, firsts_at, codes_at, valid_at = (
+            b.buffer_info()[0] for b in (state, seen, out, firsts, codes, valid))
+        call = functools.partial(
+            fn, state_at, seed, length, None if mask is None else mask.doubles.buffer_info()[0],
+            0 if mask is None else mask.argmax, words.buffer_info()[0], len(words) // 5, pool,
+            reads, scratch.buffer_info()[0], seen_at, len(seen) - 1)
+        done = 0
+        while done < n:
+            kept = call(n - done, out_at, capacity, firsts_at,
+                        codes_at + 4 * done, valid_at + 4 * done)
+            rng.setstate((version, tuple(state), gauss))
+            # A call that fills the buffer stops at the child it keeps last.
+            k = n - done if kept < capacity else firsts[kept - 1] + 1
+            offsets = {i: slot * length for slot, i in enumerate(firsts[:kept])}
+            yield Chunk(k, offsets, valid_view[done:done + k + 1],
+                        lambda i, at=offsets: view[at[i]:at[i] + length].tobytes(),
+                        lambda i, codes=codes_view[done:done + k]: result_of(codes[i]))
+            done += k
+
+    def _composed_round(self, seed: bytes, mask: Optional[MutationMask],
+                        rng: random.Random, n: int) -> Iterator[Chunk]:
+        """``round`` by ``mutate_chunks`` and ``score``: each chunk's codes
+        say which child is the first in the round to reach its code."""
+        length, result_of = len(seed), self.result_of
+        offered: set[int] = set()
+        for buffer, k in mutation.mutate_chunks(seed, mask, rng, n):
+            codes, valid = self.score(buffer, length, k)
+            firsts = set()
+            for i, code in enumerate(codes):
+                if code not in offered:
+                    offered.add(code)
+                    firsts.add(i)
+            yield Chunk(k, firsts, valid,
+                        lambda i, buffer=buffer: buffer[i * length:(i + 1) * length],
+                        lambda i, codes=codes: result_of(codes[i]))
 
     def result_of(self, code: int) -> ExecResult:
         """The ExecResult of every input with ``code``."""

@@ -9,6 +9,7 @@ builders, and the external target scripts.
 import os
 import sys
 import textwrap
+from unittest import mock
 
 import truzz.mutation
 import truzz.target
@@ -158,11 +159,35 @@ def round_children(seed, mask, rng, n):
             for start in range(0, k * length, length)]
 
 
+def round_record(compiled, seed, mask, rng, n):
+    """``compiled.round(seed, mask, rng, n)`` over all its chunks: the code
+    of each child's ExecResult in ``compiled``'s cache, the running count
+    of valid children from 0, and each first child by its index in the
+    round. Each chunk's children are taken before the next chunk."""
+    results, valid, firsts = [], [0], {}
+    for chunk in compiled.round(seed, mask, rng, n):
+        start = len(results)
+        results += map(chunk.result, range(chunk.size))
+        valid += (valid[start] + chunk.valid[i] - chunk.valid[0]
+                  for i in range(1, chunk.size + 1))
+        firsts.update((start + i, chunk.child(i)) for i in chunk.firsts)
+    code_of = {id(result): code for code, result in compiled._cache.items()}
+    return [code_of[id(result)] for result in results], valid, firsts
+
+
+def composed_round_record(compiled, seed, mask, rng, n):
+    """``round_record`` with neither loader of ``mutate.c`` finding it:
+    ``mutate`` makes every child and Python scores it."""
+    with mock.patch.object(truzz.mutation, "_kernel", lambda: None), \
+            mock.patch.object(truzz.target, "_synthetic_round", lambda: None):
+        return round_record(compiled, seed, mask, rng, n)
+
+
 def without_mutate_c(monkeypatch):
     """Make both loaders of ``mutate.c`` find nothing, as on a host with no
     compiler: ``mutate`` makes every child and Python scores it."""
     monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
-    monkeypatch.setattr(truzz.target, "_score_round", lambda: None)
+    monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: None)
 
 
 def many_checks_spec(n):

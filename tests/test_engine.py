@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import itertools
 import os
@@ -79,6 +80,15 @@ def record_children(monkeypatch):
     monkeypatch.setattr(truzz.engine, "mutate_chunks",
                         lambda seed, *args: recorded(mutate_chunks(seed, *args), len(seed)))
     return made
+
+
+def kernel_or_skip():
+    """mutate.c's truzz_synthetic_round; the test is skipped where it
+    cannot be built."""
+    kernel = truzz.target._synthetic_round()
+    if kernel is None:
+        pytest.skip("no C compiler on this host")
+    return kernel
 
 
 def artifacts(corpus):
@@ -191,11 +201,14 @@ class TestSyntheticCampaign:
         assert stats.elapsed == virtual(stop)
 
     def test_rounds_pair_their_children(self, tmp_path, monkeypatch):
-        """A synthetic round scores exactly the children of its chunks, one
-        call per chunk, and makes none past the round's energy or the
-        execution budget; only the dry run and the probes run one input at
-        a time."""
+        """A synthetic round makes and scores exactly the children of its
+        chunks, one kernel call per chunk, carried over several calls where
+        the copy-out buffer fills, and makes none past the round's energy
+        or the execution budget; only the dry run and the probes run one
+        input at a time."""
+        kernel = kernel_or_skip()
         energy, max_execs = 16, 1_000
+        monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 3 * 64)  # three firsts a call
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         campaign = Campaign(config(spec_path, corpus, budget=Budget(max_execs=max_execs),
                                    scheduler=SchedulerConfig(energy=energy)))
@@ -207,28 +220,30 @@ class TestSyntheticCampaign:
             return run(data)
 
         campaign.compiled.run = recording
-        rounds, scored = [], []
-        score = CompiledTarget.score
+        made, rounds = [], []  # children each kernel call made; chunk sizes of each round
 
-        def recorded(chunks, made):
-            for buffer, k in chunks:
-                made.append(bytes(buffer))
-                yield buffer, k
+        def recording_kernel(*args):
+            kept = kernel(*args)
+            n, capacity, firsts = args[12], args[14], args[15]
+            last = ctypes.c_uint32.from_address(firsts + 4 * (kept - 1)).value if kept else 0
+            made.append(n if kept < capacity else last + 1)
+            return kept
 
-        def recording_chunks(*args):
+        round_ = CompiledTarget.round
+
+        def recording_round(self, *args):
             rounds.append([])
-            return recorded(mutate_chunks(*args), rounds[-1])
+            for chunk in round_(self, *args):
+                rounds[-1].append(chunk.size)
+                yield chunk
 
-        def recording_score(self, children, length, n):
-            scored.append(bytes(children)[:length * n])
-            return score(self, children, length, n)
-
-        monkeypatch.setattr(truzz.engine, "mutate_chunks", recording_chunks)
-        monkeypatch.setattr(CompiledTarget, "score", recording_score)
+        monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: recording_kernel)
+        monkeypatch.setattr(CompiledTarget, "round", recording_round)
         stats = campaign.run()
-        assert scored == [chunk for chunks in rounds for chunk in chunks]
-        assert all(sum(map(len, chunks)) <= energy * 64 for chunks in rounds)
-        assert sum(map(len, scored)) == 64 * stats.mutation_execs
+        assert made == [size for sizes in rounds for size in sizes]
+        assert len(made) > len(rounds)
+        assert all(sum(sizes) <= energy for sizes in rounds)
+        assert sum(made) == stats.mutation_execs
         assert stats.executions == max_execs
         assert len(calls) == stats.dry_run_execs + stats.probe_execs
 
@@ -269,6 +284,23 @@ class TestSyntheticCampaign:
         run_campaign(config(spec_path, per_child, **kw))
         assert artifacts(per_child) == artifacts(corpus)
 
+    @pytest.mark.parametrize("name", ["magic64", "record512"])
+    def test_copy_out_capacity_changes_no_artifact(self, tmp_path, monkeypatch, name):
+        """A campaign writes the same stats.csv, queue, meta and overall.cov
+        whether each kernel call's copy-out buffer holds 64 KiB of first
+        children or one, so that every first ends a call."""
+        kernel_or_skip()
+        kw = {"budget": Budget(max_execs=20_000), "stats_interval": 7}
+        spec_path, corpus = make_corpus(tmp_path, name, "wide")
+        run_campaign(config(spec_path, corpus, **kw))
+        narrow = shutil.copytree(corpus, tmp_path / "narrow")
+        for part in ("stats.csv", "overall.cov", "queue", "meta"):
+            path = narrow / part
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 1)
+        run_campaign(config(spec_path, narrow, **kw))
+        assert artifacts(narrow) == artifacts(corpus)
+
     @pytest.mark.parametrize("where", [
         "analysis", "per-child code without mutate.c", "round result", "round score",
         "interval boundary",
@@ -301,14 +333,14 @@ class TestSyntheticCampaign:
 
             campaign.compiled._code = interrupted_code
         elif where == "round score":
-            score = CompiledTarget.score
+            kernel = kernel_or_skip()
 
-            def interrupted_score(self, *args):
+            def interrupted_kernel(*args):
                 if next(calls) == 3:
                     raise KeyboardInterrupt
-                return score(self, *args)
+                return kernel(*args)
 
-            monkeypatch.setattr(CompiledTarget, "score", interrupted_score)
+            monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: interrupted_kernel)
         else:
             result_of, run = campaign.compiled.result_of, campaign.compiled.run
             running = []  # the lookups of run, for the dry run and probes, are not counted
@@ -352,7 +384,7 @@ class TestSyntheticCampaign:
             raise AssertionError("an empty round loaded mutate.c")
 
         monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
-        monkeypatch.setattr(truzz.target, "_score_round", refuse)
+        monkeypatch.setattr(truzz.target, "_synthetic_round", refuse)
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         stats = run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2)))
         assert stats.probe_execs > 1 and stats.mutation_execs == 0

@@ -76,7 +76,7 @@ def test_shim_source_ships_as_package_data():
     sources = resources.files("truzz")
     assert b"__attribute__((constructor))" in sources.joinpath("forkserver.c").read_bytes()
     kernel = sources.joinpath("mutate.c").read_bytes()
-    assert b"truzz_mutate_round" in kernel and b"truzz_score_round" in kernel
+    assert b"void truzz_mutate_round(" in kernel and b"size_t truzz_synthetic_round(" in kernel
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert set(pyproject["tool"]["setuptools"]["package-data"]["truzz"]) == set(SOURCES)
@@ -85,14 +85,15 @@ def test_shim_source_ships_as_package_data():
 def test_shim_compiles_without_warnings(tmp_path):
     """A compiler that rejected a shipped source would leave every target
     spawned, or every child made in Python, with no error; so each must
-    build warning-free."""
-    from truzz.native import COMPILERS
+    build warning-free with the flags the package builds it with, which
+    include the optimisation some warnings need."""
+    from truzz.native import CFLAGS, COMPILERS
 
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         pytest.skip("no C compiler on this host")
     for source in SOURCES:
-        command = [compiler, "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+        command = [compiler, *CFLAGS, "-Wall", "-Wextra", "-Werror",
                    "-o", str(tmp_path / f"{source}.so"), str(ROOT / "src/truzz" / source)]
         built = subprocess.run(command, capture_output=True, text=True, timeout=120)
         assert built.returncode == 0, (source, built.stderr[-2000:])
@@ -115,8 +116,8 @@ def test_shim_and_target_agree_on_the_protocol():
 
 
 def test_kernel_and_mutate_agree_on_the_constants():
-    """mutate.c restates mutate's operator constants, and the round code and
-    check flags of CompiledTarget; they must agree."""
+    """mutate.c restates mutate's operator constants, and the round code,
+    check flags and empty slot of CompiledTarget; they must agree."""
     from truzz import mutation
 
     source = resources.files("truzz").joinpath("mutate.c").read_text(encoding="ascii")
@@ -133,6 +134,7 @@ def test_kernel_and_mutate_agree_on_the_constants():
     assert defines["CODE_CHECKS"] == target.CODE_CHECKS
     assert defines["CODE_SHIFT"] == target.CODE_SHIFT
     assert (defines["TERMINAL"], defines["VALIDATION"]) == (target._TERMINAL, target._VALIDATION)
+    assert defines["UNSEEN"] == target._UNSEEN
 
 
 # Imported names each module keeps without using them: the engine's two

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import pathlib
@@ -15,7 +16,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from harness import (
     DUMP_TARGET,
@@ -25,15 +26,21 @@ from harness import (
     ONCE_TARGET_C,
     exited,
     many_checks_spec,
+    composed_round_record,
     open_fd_count,
     round_children,
+    round_record,
+    without_mutate_c,
 )
 
 import truzz.native
 import truzz.target
+from truzz import mutation
+from truzz.byte_analysis import AnalysisConfig, MutationMask
 from truzz.coverage import MAP_SIZE
 from truzz.mutation import Rng, draw_op_count, mutate
 from truzz.target import (
+    CODE_CHECKS,
     CODE_SHIFT,
     MAX_TIMEOUT,
     ByteRangeError,
@@ -302,14 +309,37 @@ def test_compiled_byte_check_agrees_with_passes(check_with_input):
     assert (lo_b <= data[start:stop] <= hi_b) == oracle_passes(check, data)
 
 
-def scores(compiled, children):
-    """The codes and running valid counts ``compiled.score`` gives
-    ``children``, all of one length, passed in one buffer: by the C scorer
-    where ``mutate.c`` loads and the checks fit its table, and by Python."""
-    args = b"".join(children), len(children[0]), len(children)
-    with mock.patch.object(truzz.target, "_score_round", lambda: None):
-        by_python = compiled.score(*args)
-    return compiled.score(*args), by_python
+def rounds(compiled, seed, mask, seed_int, n):
+    """``round_record`` of a round of ``n`` children of ``seed`` from
+    ``Rng(seed_int)``: by truzz_synthetic_round where ``mutate.c`` loads
+    and the checks fit its table, and with neither loader finding it."""
+    return (round_record(compiled, seed, mask, Rng(seed_int), n),
+            composed_round_record(compiled, seed, mask, Rng(seed_int), n))
+
+
+def first_children(children, codes):
+    """Each child that is the first in ``children`` with its code, by index."""
+    firsts, seen = {}, set()
+    for i, code in enumerate(codes):
+        if code not in seen:
+            seen.add(code)
+            firsts[i] = children[i]
+    return firsts
+
+
+def assert_round_runs_as_the_oracle(compiled, spec, seed, n):
+    """Both ways of ``rounds``, every child of a round of ``n`` of ``seed``
+    gets the code of the very ExecResult ``run`` returns for it, which is
+    the oracle's; the valid count and the firsts follow from those."""
+    children = round_children(seed, None, Rng(0), n)
+    results = [compiled.run(child) for child in children]
+    for child, result in zip(children, results):
+        assert (result.path, result.valid) == oracle_execute(spec, child)
+    for codes, valid, firsts in rounds(compiled, seed, None, 0, n):
+        assert [compiled.result_of(code) for code in codes] == results
+        assert all(compiled.result_of(code) is r for code, r in zip(codes, results))
+        assert valid == [0, *itertools.accumulate(r.valid for r in results)]
+        assert firsts == first_children(children, codes)
 
 
 def outcome_code(outcome, shift=CODE_SHIFT):
@@ -318,11 +348,12 @@ def outcome_code(outcome, shift=CODE_SHIFT):
 
 @pytest.mark.parametrize("name", [*sorted(bundled_names()), "checks-30"])
 def test_round_codes_map_to_the_results_run_returns(name):
-    """Each of 3000 kernel mutants, of the seed and of seeds shorter and
-    longer than the input, is scored by both scorers to the code of the
-    checks it reaches, which maps to the oracle's result and is the very
-    ExecResult ``run`` returns for it, and the running valid count is
-    ``run``'s. A spec of 30 checks has its reached count at bit 30."""
+    """Each of 4000 kernel mutants, of the seed and of seeds shorter and
+    longer than the input, is scored by ``score`` and by both ways of
+    ``round`` to the code of the checks it reaches, which maps to the
+    oracle's result and is the very ExecResult ``run`` returns for it, and
+    the running valid count is ``run``'s. A spec of 30 checks has its
+    reached count at bit 30."""
     if name == "checks-30":
         spec, seed = parse_spec(many_checks_spec(30)), bytes(64)
     else:
@@ -330,10 +361,12 @@ def test_round_codes_map_to_the_results_run_returns(name):
     compiled = CompiledTarget(spec)
     shift = max(CODE_SHIFT, len(compiled._ops))
     assert (compiled._table is None) == (name == "checks-30")
-    rng = Rng(len(seed))
-    for data in (seed, seed[: len(seed) // 2], seed + b"\x7f" * 5):
-        children = round_children(data, None, rng, 1_000)
-        for codes, valid in scores(compiled, children):
+    # The shorter seeds, longest first, leave the kernel's padding scratch dirty.
+    for data in (seed, seed[: len(seed) // 2], seed[: len(seed) // 4], seed + b"\x7f" * 5):
+        children = round_children(data, None, Rng(len(seed)), 1_000)
+        scored = compiled.score(b"".join(children), len(data), len(children))
+        for codes, valid, firsts in (scored + (None,), *rounds(compiled, data, None,
+                                                               len(seed), 1_000)):
             assert len(codes) == len(children) and valid[0] == 0
             for i, child in enumerate(children):
                 result = compiled.run(child)
@@ -342,15 +375,17 @@ def test_round_codes_map_to_the_results_run_returns(name):
                 assert compiled.result_of(codes[i]) is result
                 assert (result.path, result.valid) == oracle_execute(spec, child)
                 assert valid[i + 1] == valid[i] + result.valid
+            assert firsts in (None, first_children(children, codes))
     assert len(compiled._cache) > 1
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(check_and_input())
 def test_scored_check_agrees_with_passes(check_with_input):
     """Both scorers compare bytes as ``_compile_check``'s slices do,
     thresholds outside 0..255 and multi-byte EQ constants included, alone
-    and as the last of 30 checks, after 29 that every input passes."""
+    and as the last of 30 checks, after 29 that every input passes:
+    ``score`` on the input, and ``round`` on 64 children of it."""
     check, data = check_with_input
     passed = oracle_passes(check, data)
     always = Check(0, 0, PredicateKind.IN_RANGE, CheckKind.NON_VALIDATION, lo=0, hi=255)
@@ -358,28 +393,45 @@ def test_scored_check_agrees_with_passes(check_with_input):
               for j in range(29)]
     for before in ([], stages):
         stage = Stage("s", check, Region(0, 1), Region(1, 1))
-        compiled = CompiledTarget(TargetSpec(len(data), (*before, stage)))
+        spec = TargetSpec(len(data), (*before, stage))
+        compiled = CompiledTarget(spec)
         outcome = (True,) * len(before) + (passed,)
-        for codes, valid in scores(compiled, [data]):
-            assert codes[0] == outcome_code(outcome, max(CODE_SHIFT, len(outcome)))
-            assert valid[1] == passed
+        codes, valid = compiled.score(data, len(data), 1)
+        assert codes[0] == outcome_code(outcome, max(CODE_SHIFT, len(outcome)))
+        assert valid[1] == passed
+        assert_round_runs_as_the_oracle(compiled, spec, data, 64)
+
+
+@pytest.mark.parametrize("without", [False, True])
+def test_score_gives_an_empty_child_the_code_of_zero_bytes(monkeypatch, without):
+    """``score`` reads a child of no bytes as zero-padded, as ``run`` does,
+    whether or not ``mutate.c`` loads."""
+    if without:
+        without_mutate_c(monkeypatch)
+    compiled = CompiledTarget(parse_spec(TWO_STAGE))
+    codes, valid = compiled.score(b"", 0, 2)
+    assert codes == [compiled._code(bytes(5))] * 2
+    assert compiled.result_of(codes[0]) is compiled.run(b"")
+    assert valid == [0, 0, 0]  # a zero first byte fails the terminal gate
 
 
 @st.composite
-def generated_specs(draw):
-    """A spec of 0 to 30 stages in any order, each with no check or a
-    one-byte LT check of any threshold, VALIDATION or not, with no fail
-    region, a fail region or, VALIDATION only, a terminal one. So check-less
-    stages come before the first check, between checks, after a terminal
-    one and at the tail. Regions of 1 to 3 edges start 4 apart."""
+def generated_specs(draw, max_checks=30):
+    """A spec of 0 to 30 stages in any order, at most ``max_checks`` of
+    them with a check, each with no check or a one-byte LT check of any
+    threshold, VALIDATION or not, with no fail region, a fail region or,
+    VALIDATION only, a terminal one. So check-less stages come before the
+    first check, between checks, after a terminal one and at the tail.
+    Regions of 1 to 3 edges start 4 apart."""
     input_length = draw(st.integers(1, 8))
     bases = iter(range(0, MAP_SIZE, 4))
-    stages = []
+    stages, checks = [], 0
     for j in range(draw(st.integers(0, 30))):
         pass_region = Region(next(bases), draw(st.integers(1, 3)))
-        if draw(st.booleans()):
+        if checks == max_checks or draw(st.booleans()):
             stages.append(Stage(f"s{j}", None, pass_region))
             continue
+        checks += 1
         kind = draw(st.sampled_from(CheckKind))
         at = draw(st.integers(0, input_length - 1))
         check = Check(at, at, PredicateKind.LT, kind, lo=draw(st.integers(0, 256)))
@@ -395,8 +447,9 @@ def generated_specs(draw):
 @given(generated_specs(), st.data())
 def test_generated_specs_run_and_score_as_the_reference_interpreter(spec, data):
     """On children shorter than, as long as and longer than the input,
-    ``run`` gives the oracle's result, and each scorer's code for a child
-    maps to the very ExecResult ``run`` returns for it."""
+    ``run`` gives the oracle's result, and ``score``'s code for a child
+    maps to the very ExecResult ``run`` returns for it; so does each
+    code both ways of ``round`` give the 8 children of each."""
     length = data.draw(st.integers(1, spec.input_length + 4))
     children = data.draw(st.lists(st.binary(min_size=length, max_size=length),
                                   min_size=1, max_size=6))
@@ -404,10 +457,82 @@ def test_generated_specs_run_and_score_as_the_reference_interpreter(spec, data):
     results = [compiled.run(child) for child in children]
     for child, result in zip(children, results):
         assert (result.path, result.valid) == oracle_execute(spec, child)
-    for codes, valid in scores(compiled, children):
-        for i, result in enumerate(results):
-            assert compiled.result_of(codes[i]) is result
-            assert valid[i + 1] == valid[i] + result.valid
+    codes, valid = compiled.score(b"".join(children), length, len(children))
+    for i, result in enumerate(results):
+        assert compiled.result_of(codes[i]) is result
+        assert valid[i + 1] == valid[i] + result.valid
+    for child in children:
+        assert_round_runs_as_the_oracle(compiled, spec, child, 8)
+
+
+# Masks of a seed of ``length`` bytes: none, mixed, every byte at the
+# default floor, and the argmax fallback (every probability 0 but a tiny
+# one, so rejection sampling almost never accepts).
+MASKS = {
+    "none": lambda draw, length: None,
+    "mixed": lambda draw, length: MutationMask(draw(st.lists(
+        st.sampled_from([1.0, 0.99, 0.3, 0.05, 0.0]), min_size=length, max_size=length))),
+    "floor": lambda draw, length: MutationMask([AnalysisConfig().prob_floor] * length),
+    "fallback": lambda draw, length: MutationMask(
+        [0.0] * (length // 2) + [1e-9] + [0.0] * (length - length // 2 - 1)),
+}
+
+
+@st.composite
+def synthetic_rounds(draw):
+    """A spec of 0 to 24 checks reading up to 8 bytes, a seed of 1 to 12
+    bytes or of 100, a mask, a round of 1 to 300 children (4 under the
+    argmax fallback, whose Python is slow) and a copy-out buffer of one
+    byte, one child, three children or the default."""
+    spec = draw(generated_specs(max_checks=CODE_CHECKS))
+    length = draw(st.integers(1, 12) | st.just(100))
+    kind = draw(st.sampled_from(sorted(MASKS)))
+    n = draw(st.integers(1, 4 if kind == "fallback" else 300))
+    call_bytes = draw(st.sampled_from([1, length, 3 * length, mutation._CALL_BYTES]))
+    return spec, draw(st.binary(min_size=length, max_size=length)), \
+        MASKS[kind](draw, length), n, call_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_rounds(), st.integers(0, 2**64 - 1))
+@example((parse_spec(many_checks_spec(CODE_CHECKS)), bytes(64), None, 300, 64 * 3), 0)
+@example((parse_spec(many_checks_spec(0)), b"\x00", None, 5, 1), 1)
+def test_kernel_round_equals_composed_round(round_, seed_int):
+    """truzz_synthetic_round gives the firsts, their bytes, the codes and the
+    valid counts that ``mutate`` and Python's ``score`` give, and leaves the
+    Rng where they do, over two rounds and any copy-out buffer."""
+    spec, seed, mask, n, call_bytes = round_
+    compiled = CompiledTarget(spec)
+    if compiled._table is None or truzz.target._synthetic_round() is None:
+        pytest.skip("no C compiler on this host")
+    ours, reference = Rng(seed_int), Rng(seed_int)
+    with mock.patch.object(mutation, "_CALL_BYTES", call_bytes):
+        for _ in range(2):  # the second round starts where the first left the stream
+            assert round_record(compiled, seed, mask, ours, n) == \
+                composed_round_record(compiled, seed, mask, reference, n)
+            assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_round_on_a_long_seed_allocates_one_copy_out_buffer(masked):
+    """A round on a 2 MiB seed allocates, besides a few small arrays, one
+    copy-out buffer, here of one child: no second copy of the seed, per
+    call or per child. The mask's doubles are made once per mask."""
+    if truzz.target._synthetic_round() is None:
+        pytest.skip("no C compiler on this host")
+    compiled = CompiledTarget(load_bundled("magic64")[0])
+    seed = bytes(range(256)) * (2 << 12)
+    mask = MutationMask([1.0, 0.5] * (len(seed) // 2)) if masked else None
+    if mask is not None:
+        mask.doubles
+    tracemalloc.start()
+    try:
+        sizes = [chunk.size for chunk in compiled.round(seed, mask, Rng(3), 16)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 16 and len(sizes) > 1
+    assert peak < mutation._CALL_BYTES + len(seed)
 
 
 def test_run_pads_an_input_only_as_far_as_the_checks_read():
