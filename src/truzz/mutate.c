@@ -13,6 +13,13 @@
    tempered all at once: the state is untempered, as getstate() gives it,
    and is written back untempered.
 
+   The block's tempering also writes each word's top bit to a flag. A draw
+   below a power of two, 1 included, keeps a word exactly when that bit is
+   clear, so it finds its word by scanning the flags 8 at a time instead
+   of drawing word by word; it takes the same word, so the stream is
+   CPython's, word for word. Those are the position draw on a seed whose
+   length is a power of two and the operator, bit, byte and sign draws.
+
    truzz_synthetic_round, described below, makes the same children with
    the same decoder, make_child, and scores each against a synthetic
    target as it makes it, so Python sees only the first child of the
@@ -32,7 +39,8 @@ static const unsigned char interesting[] = {0x00, 0xFF, 0x7F, 0x80, 0x01};
 typedef struct {
     uint32_t *mt;
     uint32_t index;
-    uint32_t out[N]; /* mt[k] tempered, for k >= index */
+    uint32_t out[N];         /* mt[k] tempered, for k >= index */
+    unsigned char top[N + 8]; /* out[k] >> 31, for k >= index; 0 past N */
 } stream;
 
 static uint32_t temper(uint32_t y) {
@@ -48,7 +56,8 @@ static uint32_t temper(uint32_t y) {
 static void open_stream(stream *s, uint32_t *state) {
     s->mt = state;
     s->index = state[N];
-    for (uint32_t k = s->index; k < N; k++) s->out[k] = temper(state[k]);
+    for (uint32_t k = s->index; k < N; k++) s->top[k] = (s->out[k] = temper(state[k])) >> 31;
+    memset(s->top + N, 0, 8);
 }
 
 /* The next block of genrand_uint32 of CPython's _randommodule.c, tempered
@@ -66,7 +75,7 @@ static void refill(stream *s) {
     }
     y = (mt[N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
     mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
-    for (k = 0; k < N; k++) s->out[k] = temper(mt[k]);
+    for (k = 0; k < N; k++) s->top[k] = (s->out[k] = temper(mt[k])) >> 31;
     s->index = 0;
 }
 
@@ -76,10 +85,36 @@ static uint32_t word(stream *s) {
 }
 
 /* randrange(n), 0 < n < 2**32: getrandbits(n.bit_length()), which is the
-   top bits of one word, drawn again while it is >= n. */
+   top bits of one word, drawn again while it is >= n.
+
+   Where n is a power of two, n << shift is 2**31, so a word is kept
+   exactly when its top bit is clear: the next kept word is the next 0 in
+   top, found 8 flags at a time. A hit at or past N means the rest of the
+   block was rejected. */
 static uint32_t below(stream *s, uint32_t n) {
     int shift = __builtin_clz(n);
     uint32_t r;
+    if (!(n & (n - 1))) {
+        for (;;) {
+            uint64_t rejected;
+            memcpy(&rejected, s->top + s->index, 8);
+            const uint64_t kept = rejected ^ 0x0101010101010101ULL;
+            if (!kept) {
+                s->index += 8; /* all 8 rejected, so all 8 are before N */
+                continue;
+            }
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__ /* top[index] is the high byte */
+            const uint32_t k = s->index + (__builtin_clzll(kept) >> 3);
+#else
+            const uint32_t k = s->index + (__builtin_ctzll(kept) >> 3);
+#endif
+            if (k < N) {
+                s->index = k + 1;
+                return s->out[k] >> shift;
+            }
+            refill(s);
+        }
+    }
     while ((r = word(s) >> shift) >= n) {
     }
     return r;
@@ -181,7 +216,8 @@ static uint32_t score(const uint32_t *checks, size_t n_checks, const unsigned ch
 
 /* Adds code to the open-addressing set seen, of mask + 1 slots (a power
    of two) that start UNSEEN; 1 if it was not there, else 0. A slot must
-   stay UNSEEN, or a search for a new code would not end. */
+   stay UNSEEN, or a search for a new code would not end. target.py's
+   _code_set places codes as this does, to rebuild a set larger. */
 static int add_code(uint32_t *seen, size_t mask, uint32_t code) {
     uint32_t h = code * 0x9E3779B1U;
     size_t i = (h ^ h >> 15) & mask;

@@ -25,7 +25,7 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import mutation, native
 from .byte_analysis import MutationMask
@@ -413,6 +413,25 @@ CODE_SHIFT = 24
 _TERMINAL, _VALIDATION = 1, 2
 # The code no child has: an empty slot of the kernel's set of a round's codes.
 _UNSEEN = 0xFFFFFFFF
+# The most children one truzz_synthetic_round call makes. A call's codes and
+# valid counts take 8 bytes per child, so a round of any energy holds at
+# most 32 KiB of them; a round of up to this many children is one call
+# until its copy-out buffer fills.
+_CALL_CHILDREN = 1 << 12
+
+
+def _code_set(codes: Iterable[int], slots: int) -> array:
+    """A set of a round's codes as truzz_synthetic_round reads it: ``slots``
+    words (a power of two) that hold ``codes``, each where mutate.c's
+    add_code would have put it, and ``_UNSEEN`` elsewhere."""
+    seen, mask = array("I", [_UNSEEN]) * slots, slots - 1
+    for code in codes:
+        h = code * 0x9E3779B1 & 0xFFFFFFFF
+        i = (h ^ h >> 15) & mask
+        while seen[i] != _UNSEEN:
+            i = (i + 1) & mask
+        seen[i] = code
+    return seen
 
 
 def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, array]]:
@@ -479,10 +498,11 @@ class CompiledTarget:
     ``run``, kept for perfbench.
 
     ``round`` makes and scores a whole round's children, and keeps the
-    first to reach each code: in one C call per buffer of those where
-    ``mutate.c`` loads and the checks fit its table. ``score`` gives the
-    codes of children in Python, with ``run``'s own ``_code``. ``result_of`` maps a code to its
-    cached ExecResult, the very object ``run`` returns for that child.
+    first to reach each code: in C calls of up to ``_CALL_CHILDREN``
+    children where ``mutate.c`` loads and the checks fit its table.
+    ``score`` gives the codes of children in Python, with ``run``'s own
+    ``_code``. ``result_of`` maps a code to its cached ExecResult, the
+    very object ``run`` returns for that child.
     """
 
     def __init__(self, spec: TargetSpec):
@@ -554,13 +574,13 @@ class CompiledTarget:
         chunks taken leave it.
 
         Where truzz_synthetic_round loads and the checks fit its table, a
-        chunk is one call: it makes and scores children, and copies out
-        each first, until its buffer of ``mutation._CALL_BYTES`` (or of
-        one child, if longer) is full or the round is done. The next call
-        reuses the buffer, so a chunk's children are taken before the next
-        chunk. Otherwise ``mutate_chunks`` makes the chunks and ``score``
-        scores them. The inputs are checked at once, and an empty round
-        loads nothing.
+        chunk is one call: it makes and scores up to ``_CALL_CHILDREN``
+        children, and copies out each first, until its buffer of
+        ``mutation._CALL_BYTES`` (or of one child, if longer) is full or
+        the call's children are made. The next call reuses the buffers, so
+        a chunk is used before the next chunk is taken. Otherwise
+        ``mutate_chunks`` makes the chunks and ``score`` scores them. The
+        inputs are checked at once, and an empty round loads nothing.
         """
         mutation._check(seed, mask)
         if n < 1:  # nothing to make, so nothing to load
@@ -575,34 +595,44 @@ class CompiledTarget:
     def _kernel_round(self, fn, seed: bytes, mask: Optional[MutationMask],
                       rng: random.Random, n: int) -> Iterator[Chunk]:
         """``round`` by truzz_synthetic_round. The MT state is converted
-        once, and written back after each call."""
+        once, and written back after each call. ``valid[0]`` carries the
+        round's valid count from call to call. A call adds at most one code
+        per child to the round's set, so the set is rebuilt larger before
+        a call could fill more than half of it."""
         length, result_of = len(seed), self.result_of
-        capacity = min(n, max(1, mutation._CALL_BYTES // length))
+        per_call = min(n, _CALL_CHILDREN)
+        capacity = min(per_call, max(1, mutation._CALL_BYTES // length))
         words, pool, reads, scratch = self._table
         version, internal, gauss = rng.getstate()
         state = array("I", internal)  # the 624 words, then the index
-        seen = array("I", [_UNSEEN]) * (2 << n.bit_length())  # over twice n slots
+        seen = _code_set((), 2 << per_call.bit_length())  # over twice a call's children
         out, firsts = array("B", [0]) * (capacity * length), array("I", [0]) * capacity
-        codes, valid = array("I", [0]) * n, array("I", [0]) * (n + 1)
+        codes, valid = array("I", [0]) * per_call, array("I", [0]) * (per_call + 1)
         view, codes_view, valid_view = memoryview(out), memoryview(codes), memoryview(valid)
-        state_at, seen_at, out_at, firsts_at, codes_at, valid_at = (
-            b.buffer_info()[0] for b in (state, seen, out, firsts, codes, valid))
+        state_at, out_at, firsts_at, codes_at, valid_at = (
+            b.buffer_info()[0] for b in (state, out, firsts, codes, valid))
         call = functools.partial(
             fn, state_at, seed, length, None if mask is None else mask.doubles.buffer_info()[0],
             0 if mask is None else mask.argmax, words.buffer_info()[0], len(words) // 5, pool,
-            reads, scratch.buffer_info()[0], seen_at, len(seen) - 1)
-        done = 0
+            reads, scratch.buffer_info()[0])
+        done = known = 0
         while done < n:
-            kept = call(n - done, out_at, capacity, firsts_at,
-                        codes_at + 4 * done, valid_at + 4 * done)
+            k = min(per_call, n - done)
+            if 2 * (known + k) > len(seen):
+                seen = _code_set([c for c in seen if c != _UNSEEN], 2 << (known + k).bit_length())
+            kept = call(seen.buffer_info()[0], len(seen) - 1, k, out_at, capacity,
+                        firsts_at, codes_at, valid_at)
             rng.setstate((version, tuple(state), gauss))
             # A call that fills the buffer stops at the child it keeps last.
-            k = n - done if kept < capacity else firsts[kept - 1] + 1
+            if kept == capacity:
+                k = firsts[kept - 1] + 1
             offsets = {i: slot * length for slot, i in enumerate(firsts[:kept])}
-            yield Chunk(k, offsets, valid_view[done:done + k + 1],
+            yield Chunk(k, offsets, valid_view[:k + 1],
                         lambda i, at=offsets: view[at[i]:at[i] + length].tobytes(),
-                        lambda i, codes=codes_view[done:done + k]: result_of(codes[i]))
+                        lambda i, codes=codes_view[:k]: result_of(codes[i]))
+            valid[0] = valid[k]
             done += k
+            known += kept
 
     def _composed_round(self, seed: bytes, mask: Optional[MutationMask],
                         rng: random.Random, n: int) -> Iterator[Chunk]:

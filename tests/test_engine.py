@@ -301,6 +301,25 @@ class TestSyntheticCampaign:
         run_campaign(config(spec_path, narrow, **kw))
         assert artifacts(narrow) == artifacts(corpus)
 
+    @pytest.mark.parametrize("per_call", [1, 3])
+    @pytest.mark.parametrize("name", ["magic64", "record512"])
+    def test_children_per_call_change_no_artifact(self, tmp_path, monkeypatch, name, per_call):
+        """A campaign writes the same stats.csv, queue, meta and overall.cov
+        whether a kernel call makes a round's children 4096 at a time or
+        one or three, so that the round's set of codes is rebuilt larger
+        as it fills."""
+        kernel_or_skip()
+        kw = {"budget": Budget(max_execs=20_000), "stats_interval": 7}
+        spec_path, corpus = make_corpus(tmp_path, name, "wide")
+        run_campaign(config(spec_path, corpus, **kw))
+        narrow = shutil.copytree(corpus, tmp_path / "narrow")
+        for part in ("stats.csv", "overall.cov", "queue", "meta"):
+            path = narrow / part
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        monkeypatch.setattr(truzz.target, "_CALL_CHILDREN", per_call)
+        run_campaign(config(spec_path, narrow, **kw))
+        assert artifacts(narrow) == artifacts(corpus)
+
     @pytest.mark.parametrize("where", [
         "analysis", "per-child code without mutate.c", "round result", "round score",
         "interval boundary",

@@ -375,6 +375,35 @@ class TestKernel:
         assert chunks() == by_kernel
 
 
+BLOCK_LENGTHS = [1, 2, 3, 64, 100, 128, 512]
+BLOCK_MASKS = {
+    "none": lambda length: None,
+    "mixed": lambda length: MutationMask(([1.0, 0.3, 0.05] * length)[:length]),
+    "floor": lambda length: MutationMask([0.05] * length),
+}
+
+
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("offset", [*range(4), *range(600, 625)])
+def test_stream_identical_from_every_block_offset(offset):
+    """The kernel finds a power-of-two draw's word by the top-bit flags of
+    its MT block, 8 at a time, with 8 zero flags past the block's end. From
+    a stream ``offset`` words into its block (624 and 0 are both its end),
+    a round is ``python_round``'s on seeds whose position draw is a power
+    of two (1, 2, 64, 128, 512) or not (3, 100), and leaves the state
+    where it does."""
+    for length in BLOCK_LENGTHS:
+        for kind, make_mask in BLOCK_MASKS.items():
+            seed, mask = bytes(i * 37 & 0xFF for i in range(length)), make_mask(length)
+            ours, reference = Rng(length * 1000 + offset), Rng(length * 1000 + offset)
+            for rng in (ours, reference):
+                for _ in range(offset):
+                    rng.getrandbits(32)
+            assert round_children(seed, mask, ours, 12) == python_round(
+                seed, mask, reference, 12), (length, kind)
+            assert ours.getstate() == reference.getstate(), (length, kind)
+
+
 def test_empty_round_loads_no_kernel(monkeypatch):
     def refuse():
         raise AssertionError("the kernel was loaded")

@@ -535,6 +535,41 @@ def test_round_on_a_long_seed_allocates_one_copy_out_buffer(masked):
     assert peak < mutation._CALL_BYTES + len(seed)
 
 
+def test_round_memory_does_not_grow_with_its_children():
+    """A round of a million children holds one call's codes and valid
+    counts, and a set of codes sized by the codes it holds, not by the
+    round: it peaks under 1 MiB."""
+    if truzz.target._synthetic_round() is None:
+        pytest.skip("no C compiler on this host")
+    spec, seed = load_bundled("magic64")
+    compiled = CompiledTarget(spec)
+    tracemalloc.start()
+    try:
+        sizes = [chunk.size for chunk in compiled.round(seed, None, Rng(4), 1_000_000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 1_000_000
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("per_call", [1, 3])
+def test_children_per_call_change_no_round(monkeypatch, per_call):
+    """Calls of one or three children give the firsts, their bytes, the
+    codes and the valid counts that ``mutate`` and Python's ``score``
+    give, on a spec where most children reach a new code, so the round's
+    set of codes is rebuilt larger many times."""
+    compiled = CompiledTarget(parse_spec(many_checks_spec(CODE_CHECKS)))
+    if truzz.target._synthetic_round() is None:
+        pytest.skip("no C compiler on this host")
+    monkeypatch.setattr(truzz.target, "_CALL_CHILDREN", per_call)
+    ours, reference = Rng(per_call), Rng(per_call)
+    for _ in range(2):  # the second round starts where the first left the stream
+        assert round_record(compiled, bytes(64), None, ours, 300) == \
+            composed_round_record(compiled, bytes(64), None, reference, 300)
+        assert ours.getstate() == reference.getstate()
+
+
 def test_run_pads_an_input_only_as_far_as_the_checks_read():
     """A short input of a spec whose input is 100 MB long is padded to the
     one byte its check reads, not to the input length."""
@@ -1074,6 +1109,18 @@ class TestShimCache:
         monkeypatch.setattr(subprocess, "Popen", refuse)
         assert truzz.native.library("forkserver") == shim
         assert truzz.native.library("mutate") == kernel
+
+    def test_new_flags_build_a_new_library(self, cache, monkeypatch):
+        """A library is named by its flags as well as its source: other
+        flags build a library of another name and delete the old one as
+        stale."""
+        old = truzz.native.library("forkserver")
+        if old is None:
+            pytest.skip("no C compiler on this host")
+        monkeypatch.setattr(truzz.native, "CFLAGS", (*truzz.native.CFLAGS, "-g"))
+        new = truzz.native.library("forkserver")
+        assert new is not None and new != old
+        assert [p.name for p in cache.iterdir()] == [os.path.basename(os.fsdecode(new))]
 
     @pytest.mark.parametrize("where", ["directory", "file"])
     def test_writable_cache_refused(self, cache, where):
