@@ -1,8 +1,10 @@
-/* Round kernel for truzz: one call makes a round's children, and one
-   makes, scores and sorts out a synthetic round's.
+/* Round kernel for truzz. Its one entry point, truzz_round, makes the next
+   children of a round for both kinds of target. Given a synthetic
+   target's checks and the round's set of codes, it scores each child as
+   it makes it and keeps the first to reach each code; given seen == NULL
+   and no checks, as for an external target, it keeps every child.
 
-   truzz_mutate_round writes n children of seed, one after another, into
-   out. They are the children n calls of
+   The children are those n calls of
    mutate(seed, mask, rng, draw_op_count(rng)) in mutation.py would make,
    from the same MT19937 words in the same order: mutation.py is the
    specification, and this file decodes the words as CPython's random
@@ -18,12 +20,7 @@
    clear, so it finds its word by scanning the flags 8 at a time instead
    of drawing word by word; it takes the same word, so the stream is
    CPython's, word for word. Those are the position draw on a seed whose
-   length is a power of two and the operator, bit, byte and sign draws.
-
-   truzz_synthetic_round, described below, makes the same children with
-   the same decoder, make_child, and scores each against a synthetic
-   target as it makes it, so Python sees only the first child of the
-   round to reach each outcome. */
+   length is a power of two and the operator, bit, byte and sign draws. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -165,15 +162,6 @@ static void make_child(stream *s, const unsigned char *seed, size_t length,
     }
 }
 
-void truzz_mutate_round(uint32_t *state, const unsigned char *seed, size_t length,
-                        const double *probability, size_t argmax, size_t n,
-                        unsigned char *out) {
-    stream s;
-    open_stream(&s, state);
-    for (; n; n--, out += length) make_child(&s, seed, length, probability, argmax, out);
-    state[N] = s.index;
-}
-
 /* A synthetic target's checks, as CompiledTarget.run in target.py runs
    them: a child is read as if truncated or zero-padded to the target's
    input length, and the checks run in stage order until a TERMINAL one
@@ -216,7 +204,7 @@ static uint32_t score(const uint32_t *checks, size_t n_checks, const unsigned ch
 
 /* Adds code to the open-addressing set seen, of mask + 1 slots (a power
    of two) that start UNSEEN; 1 if it was not there, else 0. A slot must
-   stay UNSEEN, or a search for a new code would not end. target.py's
+   stay UNSEEN, or a search for a new code would not end. mutation.py's
    _code_set places codes as this does, to rebuild a set larger. */
 static int add_code(uint32_t *seen, size_t mask, uint32_t code) {
     uint32_t h = code * 0x9E3779B1U;
@@ -227,30 +215,31 @@ static int add_code(uint32_t *seen, size_t mask, uint32_t code) {
     return 1;
 }
 
-/* truzz_synthetic_round makes the next n children of a synthetic round, as
-   truzz_mutate_round would, scores each as it makes it, and keeps the
-   first child of the round to reach each code.
+/* truzz_round makes the next n children of a round and scores each as it
+   makes it. Given seen, the round's set of codes (see add_code), with
+   room for every code of its children, it keeps the first child of the
+   round to reach each code; given seen == NULL, and no checks, it keeps
+   every child.
 
-   seen is the round's set of codes (see add_code), with room for every
-   code of its children. Each child is made in the next free slot of out,
-   which has capacity slots of length bytes; a child whose code is new to
-   seen keeps its slot, and its index, counted from this call's first
-   child, goes into firsts. scratch holds reads bytes, where a child
-   shorter than that is zero-padded to be scored.
+   Each child is made in the next free slot of out, which has capacity
+   slots of length bytes; a kept child keeps its slot, and its index,
+   counted from this call's first child, goes into firsts. scratch holds
+   reads bytes, where a child shorter than that is zero-padded to be
+   scored.
 
-   codes[i] gets child i's code, and valid[i + 1] valid[0] plus how many
-   of the first i + 1 children are valid. The call returns the number of
-   children kept. It stops after the child that fills the last slot, so
-   it has made all n children unless it returns capacity. */
-size_t truzz_synthetic_round(uint32_t *state, const unsigned char *seed, size_t length,
-                             const double *probability, size_t argmax,
-                             const uint32_t *checks, size_t n_checks,
-                             const unsigned char *bounds, size_t reads,
-                             unsigned char *scratch, uint32_t *seen, size_t mask,
-                             size_t n, unsigned char *out, size_t capacity,
-                             uint32_t *firsts, uint32_t *codes, uint32_t *valid) {
+   codes[i] gets child i's code, and valid[i] how many of the first i
+   children are valid. The call returns the number of children kept. It
+   stops after the child that fills the last slot, so it has made all n
+   children unless it returns capacity. */
+size_t truzz_round(uint32_t *state, const unsigned char *seed, size_t length,
+                   const double *probability, size_t argmax,
+                   const uint32_t *checks, size_t n_checks,
+                   const unsigned char *bounds, size_t reads,
+                   unsigned char *scratch, uint32_t *seen, size_t mask,
+                   size_t n, unsigned char *out, size_t capacity,
+                   uint32_t *firsts, uint32_t *codes, uint32_t *valid) {
     const int padded = length < reads;
-    uint32_t count = valid[0], is_valid;
+    uint32_t count = valid[0] = 0, is_valid;
     uint32_t last = UNSEEN; /* the code of the child before, in seen already */
     size_t kept = 0;
     stream s;
@@ -263,7 +252,7 @@ size_t truzz_synthetic_round(uint32_t *state, const unsigned char *seed, size_t 
                                     padded ? memcpy(scratch, child, length) : child, &is_valid);
         codes[i] = code;
         valid[i + 1] = count += is_valid;
-        if (code != last && add_code(seen, mask, code)) {
+        if (!seen || (code != last && add_code(seen, mask, code))) {
             firsts[kept++] = (uint32_t)i;
             if (kept == capacity) break;
         }

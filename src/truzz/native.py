@@ -1,14 +1,16 @@
 """Shared libraries built from the package's C sources.
 
 ``forkserver.c`` is the fork-server shim (see ``docs/external-targets.md``)
-and ``mutate.c`` the round kernel, which makes a round's children (see
-``truzz.mutation``) and, on a synthetic target, scores each as it makes
-it (see ``truzz.target.CompiledTarget.round``); where it cannot be built,
-both are done in Python, with the same results. Each is compiled once
-per host, with ``CFLAGS``, into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz``
-by default) under a name holding the sha256 of its source and ``CFLAGS``
-together, and found there afterwards without a subprocess; a change of
-either builds a new library and deletes the old one.
+and ``mutate.c`` the round kernel, whose one function makes a round's
+children and, on a synthetic target, scores each as it makes it (see
+``truzz.mutation``); where it cannot be built, both are done in Python,
+with the same results. Each is compiled once per host, with ``CFLAGS``,
+into ``$XDG_CACHE_HOME/truzz`` (``~/.cache/truzz`` by default) under a name
+holding the sha256 of its source and ``CFLAGS`` together, and found there
+afterwards without a subprocess; a change of either builds a new library.
+A build deletes the libraries of the same stem built more than
+``_STALE_SECONDS`` before, so that checkouts of different versions that
+share the cache keep each other's while they are in use.
 
 ``CFLAGS`` optimises at ``-O3``, at which the compiler vectorises the
 round kernel's MT block refill and tempering. It holds no host-specific
@@ -25,12 +27,15 @@ import os
 import shutil
 import stat
 import tempfile
+import time
 from importlib import resources
 from typing import Optional
 
 COMPILERS = ("cc", "gcc", "clang")
 # The flags each library is built with, before its output and source.
 CFLAGS = ("-shared", "-fPIC", "-O3")
+# A library of another version is stale once it was built this long ago.
+_STALE_SECONDS = 24 * 60 * 60
 
 
 def _private(path: str, kind) -> bool:
@@ -96,8 +101,9 @@ def function(stem: str, name: str):
 def _build(source: bytes, path: str, stem: str) -> Optional[bytes]:
     """Compile ``source`` into the shared library ``path`` with the first of
     ``COMPILERS`` found: to a temporary file beside it, then moved into
-    place, and every other ``<stem>-*.so`` beside it deleted. None if there
-    is no compiler or it fails."""
+    place, and every other ``<stem>-*.so`` beside it last written more
+    than ``_STALE_SECONDS`` ago deleted. None if there is no compiler or
+    it fails."""
     import subprocess  # here, not with the module: a cache hit needs none
 
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
@@ -116,13 +122,15 @@ def _build(source: bytes, path: str, stem: str) -> Optional[bytes]:
         os.chmod(tmp, 0o755)
         os.replace(tmp, path)
         directory, name = os.path.split(path)
+        stale = time.time() - _STALE_SECONDS
         with os.scandir(directory) as entries:
             for entry in entries:
                 if (entry.name != name and entry.name.startswith(f"{stem}-")
                         and entry.name.endswith(".so")
                         and entry.is_file(follow_symlinks=False)):
                     with contextlib.suppress(OSError):
-                        os.unlink(entry.path)
+                        if entry.stat(follow_symlinks=False).st_mtime < stale:
+                            os.unlink(entry.path)
         return os.fsencode(path)
     finally:
         with contextlib.suppress(FileNotFoundError):

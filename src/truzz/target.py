@@ -7,14 +7,15 @@ routes execution into a short error-handling region and (if terminal)
 stops it, which is exactly the shape the byte-analysis pass looks for.
 Synthetic execution is deterministic and reports a validity verdict, the
 ground truth that real campaigns obtain by marking error handlers by hand.
-``CompiledTarget`` is the one synthetic interpreter.
+``CompiledTarget`` is the one synthetic interpreter; its ``round`` scores a
+round's children in the calls of the C kernel that make them (see
+``truzz.mutation.kernel_calls``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import os
 import random
 import select
@@ -25,7 +26,7 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from . import mutation, native
 from .byte_analysis import MutationMask
@@ -403,39 +404,18 @@ def _compile_check(check: Check) -> tuple[int, int, bytes, bytes]:
     return check.start, check.start + 1, bytes((lo,)), bytes((hi,))
 
 
-# A round code, as mutate.c's truzz_synthetic_round writes one per child:
-# bit j set when check j passed, and the number of checks reached from bit
-# CODE_SHIFT up. truzz_synthetic_round scores specs of at most CODE_CHECKS
-# checks; past that, the count sits above the last check's bit.
+# A round code, as mutate.c's truzz_round writes one per child: bit j set
+# when check j passed, and the number of checks reached from bit
+# CODE_SHIFT up. truzz_round scores specs of at most CODE_CHECKS checks;
+# past that, the count sits above the last check's bit.
 CODE_CHECKS = 24
 CODE_SHIFT = 24
-# Flags of a check in the table truzz_synthetic_round reads.
+# Flags of a check in the table truzz_round reads.
 _TERMINAL, _VALIDATION = 1, 2
-# The code no child has: an empty slot of the kernel's set of a round's codes.
-_UNSEEN = 0xFFFFFFFF
-# The most children one truzz_synthetic_round call makes. A call's codes and
-# valid counts take 8 bytes per child, so a round of any energy holds at
-# most 32 KiB of them; a round of up to this many children is one call
-# until its copy-out buffer fills.
-_CALL_CHILDREN = 1 << 12
-
-
-def _code_set(codes: Iterable[int], slots: int) -> array:
-    """A set of a round's codes as truzz_synthetic_round reads it: ``slots``
-    words (a power of two) that hold ``codes``, each where mutate.c's
-    add_code would have put it, and ``_UNSEEN`` elsewhere."""
-    seen, mask = array("I", [_UNSEEN]) * slots, slots - 1
-    for code in codes:
-        h = code * 0x9E3779B1 & 0xFFFFFFFF
-        i = (h ^ h >> 15) & mask
-        while seen[i] != _UNSEEN:
-            i = (i + 1) & mask
-        seen[i] = code
-    return seen
 
 
 def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, array]]:
-    """``ops`` (see ``CompiledTarget``) as truzz_synthetic_round reads them:
+    """``ops`` (see ``CompiledTarget``) as truzz_round reads them:
     five words per check (its first byte, its byte count, the offsets of
     its bounds in the pool, its flags), the pool of bounds, ``reads``, the
     bytes a child needs for every check to read it in place, and a scratch
@@ -452,23 +432,6 @@ def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, ar
         flags = _TERMINAL * terminal | _VALIDATION * is_validation
         words.extend((start, stop - start, offsets[lo], offsets[hi], flags))
     return words, bytes(pool), reads, array("B", bytes(reads))
-
-
-@functools.cache
-def _synthetic_round():
-    """mutate.c's truzz_synthetic_round, or None where it cannot be built or
-    loaded; loaded, and built if need be, on first use."""
-    fn = native.function("mutate", "truzz_synthetic_round")
-    if fn is None:
-        return None
-    import ctypes
-
-    address, size = ctypes.c_void_p, ctypes.c_size_t
-    fn.argtypes = (address, ctypes.c_char_p, size, address, size, address, size,
-                   ctypes.c_char_p, size, address, address, size, size, address, size,
-                   address, address, address)
-    fn.restype = size
-    return fn
 
 
 class Chunk(NamedTuple):
@@ -498,8 +461,8 @@ class CompiledTarget:
     ``run``, kept for perfbench.
 
     ``round`` makes and scores a whole round's children, and keeps the
-    first to reach each code: in C calls of up to ``_CALL_CHILDREN``
-    children where ``mutate.c`` loads and the checks fit its table.
+    first to reach each code: in calls of ``mutate.c`` (see
+    ``mutation.kernel_calls``) where it loads and the checks fit its table.
     ``score`` gives the codes of children in Python, with ``run``'s own
     ``_code``. ``result_of`` maps a code to its cached ExecResult, the
     very object ``run`` returns for that child.
@@ -573,66 +536,34 @@ class CompiledTarget:
         round to reach each code. ``rng`` is left where the children of the
         chunks taken leave it.
 
-        Where truzz_synthetic_round loads and the checks fit its table, a
-        chunk is one call: it makes and scores up to ``_CALL_CHILDREN``
-        children, and copies out each first, until its buffer of
-        ``mutation._CALL_BYTES`` (or of one child, if longer) is full or
-        the call's children are made. The next call reuses the buffers, so
-        a chunk is used before the next chunk is taken. Otherwise
-        ``mutate_chunks`` makes the chunks and ``score`` scores them. The
-        inputs are checked at once, and an empty round loads nothing.
+        Where ``mutate.c`` loads and the checks fit its table, a chunk is
+        one call of ``mutation.kernel_calls``, which makes and scores the
+        call's children and copies out each first. The next call reuses
+        the buffers, so a chunk is used before the next chunk is taken.
+        Otherwise ``mutate_chunks`` makes the chunks and ``score`` scores
+        them. The inputs are checked at once, and an empty round loads
+        nothing.
         """
         mutation._check(seed, mask)
         if n < 1:  # nothing to make, so nothing to load
             return iter(())
         fn = None
-        if self._table is not None and len(seed) < 1 << 32 and n < 1 << 32:
-            fn = _synthetic_round()
+        if self._table is not None and len(seed) < 1 << 32:
+            fn = mutation._kernel()
         if fn is None:
             return self._composed_round(seed, mask, rng, n)
         return self._kernel_round(fn, seed, mask, rng, n)
 
     def _kernel_round(self, fn, seed: bytes, mask: Optional[MutationMask],
                       rng: random.Random, n: int) -> Iterator[Chunk]:
-        """``round`` by truzz_synthetic_round. The MT state is converted
-        once, and written back after each call. ``valid[0]`` carries the
-        round's valid count from call to call. A call adds at most one code
-        per child to the round's set, so the set is rebuilt larger before
-        a call could fill more than half of it."""
+        """``round`` by ``mutation.kernel_calls`` with this target's checks."""
         length, result_of = len(seed), self.result_of
-        per_call = min(n, _CALL_CHILDREN)
-        capacity = min(per_call, max(1, mutation._CALL_BYTES // length))
-        words, pool, reads, scratch = self._table
-        version, internal, gauss = rng.getstate()
-        state = array("I", internal)  # the 624 words, then the index
-        seen = _code_set((), 2 << per_call.bit_length())  # over twice a call's children
-        out, firsts = array("B", [0]) * (capacity * length), array("I", [0]) * capacity
-        codes, valid = array("I", [0]) * per_call, array("I", [0]) * (per_call + 1)
-        view, codes_view, valid_view = memoryview(out), memoryview(codes), memoryview(valid)
-        state_at, out_at, firsts_at, codes_at, valid_at = (
-            b.buffer_info()[0] for b in (state, out, firsts, codes, valid))
-        call = functools.partial(
-            fn, state_at, seed, length, None if mask is None else mask.doubles.buffer_info()[0],
-            0 if mask is None else mask.argmax, words.buffer_info()[0], len(words) // 5, pool,
-            reads, scratch.buffer_info()[0])
-        done = known = 0
-        while done < n:
-            k = min(per_call, n - done)
-            if 2 * (known + k) > len(seen):
-                seen = _code_set([c for c in seen if c != _UNSEEN], 2 << (known + k).bit_length())
-            kept = call(seen.buffer_info()[0], len(seen) - 1, k, out_at, capacity,
-                        firsts_at, codes_at, valid_at)
-            rng.setstate((version, tuple(state), gauss))
-            # A call that fills the buffer stops at the child it keeps last.
-            if kept == capacity:
-                k = firsts[kept - 1] + 1
-            offsets = {i: slot * length for slot, i in enumerate(firsts[:kept])}
-            yield Chunk(k, offsets, valid_view[:k + 1],
-                        lambda i, at=offsets: view[at[i]:at[i] + length].tobytes(),
-                        lambda i, codes=codes_view[:k]: result_of(codes[i]))
-            valid[0] = valid[k]
-            done += k
-            known += kept
+        for k, firsts, out, codes, valid in mutation.kernel_calls(fn, seed, mask, rng, n,
+                                                                 self._table):
+            offsets = {i: slot * length for slot, i in enumerate(firsts)}
+            yield Chunk(k, offsets, valid,
+                        lambda i, at=offsets, out=out: out[at[i]:at[i] + length].tobytes(),
+                        lambda i, codes=codes: result_of(codes[i]))
 
     def _composed_round(self, seed: bytes, mask: Optional[MutationMask],
                         rng: random.Random, n: int) -> Iterator[Chunk]:

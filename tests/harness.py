@@ -12,7 +12,6 @@ import textwrap
 from unittest import mock
 
 import truzz.mutation
-import truzz.target
 from truzz.byte_analysis import path_fitness, probe_mutate
 from truzz.engine import CampaignConfig
 from truzz.mutation import Rng, draw_op_count, mutate, mutate_chunks
@@ -176,18 +175,16 @@ def round_record(compiled, seed, mask, rng, n):
 
 
 def composed_round_record(compiled, seed, mask, rng, n):
-    """``round_record`` with neither loader of ``mutate.c`` finding it:
+    """``round_record`` with the loader of ``mutate.c`` finding nothing:
     ``mutate`` makes every child and Python scores it."""
-    with mock.patch.object(truzz.mutation, "_kernel", lambda: None), \
-            mock.patch.object(truzz.target, "_synthetic_round", lambda: None):
+    with mock.patch.object(truzz.mutation, "_kernel", lambda: None):
         return round_record(compiled, seed, mask, rng, n)
 
 
 def without_mutate_c(monkeypatch):
-    """Make both loaders of ``mutate.c`` find nothing, as on a host with no
+    """Make the loader of ``mutate.c`` find nothing, as on a host with no
     compiler: ``mutate`` makes every child and Python scores it."""
     monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
-    monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: None)
 
 
 def many_checks_spec(n):

@@ -83,9 +83,9 @@ def record_children(monkeypatch):
 
 
 def kernel_or_skip():
-    """mutate.c's truzz_synthetic_round; the test is skipped where it
-    cannot be built."""
-    kernel = truzz.target._synthetic_round()
+    """mutate.c's truzz_round; the test is skipped where it cannot be
+    built."""
+    kernel = truzz.mutation._kernel()
     if kernel is None:
         pytest.skip("no C compiler on this host")
     return kernel
@@ -237,7 +237,7 @@ class TestSyntheticCampaign:
                 rounds[-1].append(chunk.size)
                 yield chunk
 
-        monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: recording_kernel)
+        monkeypatch.setattr(truzz.mutation, "_kernel", lambda: recording_kernel)
         monkeypatch.setattr(CompiledTarget, "round", recording_round)
         stats = campaign.run()
         assert made == [size for sizes in rounds for size in sizes]
@@ -316,7 +316,7 @@ class TestSyntheticCampaign:
         for part in ("stats.csv", "overall.cov", "queue", "meta"):
             path = narrow / part
             shutil.rmtree(path) if path.is_dir() else path.unlink()
-        monkeypatch.setattr(truzz.target, "_CALL_CHILDREN", per_call)
+        monkeypatch.setattr(truzz.mutation, "_CALL_CHILDREN", per_call)
         run_campaign(config(spec_path, narrow, **kw))
         assert artifacts(narrow) == artifacts(corpus)
 
@@ -359,7 +359,7 @@ class TestSyntheticCampaign:
                     raise KeyboardInterrupt
                 return kernel(*args)
 
-            monkeypatch.setattr(truzz.target, "_synthetic_round", lambda: interrupted_kernel)
+            monkeypatch.setattr(truzz.mutation, "_kernel", lambda: interrupted_kernel)
         else:
             result_of, run = campaign.compiled.result_of, campaign.compiled.run
             running = []  # the lookups of run, for the dry run and probes, are not counted
@@ -403,7 +403,6 @@ class TestSyntheticCampaign:
             raise AssertionError("an empty round loaded mutate.c")
 
         monkeypatch.setattr(truzz.mutation, "_kernel", refuse)
-        monkeypatch.setattr(truzz.target, "_synthetic_round", refuse)
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         stats = run_campaign(config(spec_path, corpus, budget=Budget(max_execs=2)))
         assert stats.probe_execs > 1 and stats.mutation_execs == 0

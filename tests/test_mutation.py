@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import shutil
+import subprocess
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +23,7 @@ from truzz.mutation import (
     mutate,
     mutate_chunks,
 )
+from truzz.native import COMPILERS
 
 N_DRAWS = 100_000
 
@@ -360,19 +365,25 @@ class TestKernel:
 
     def test_chunks_without_the_kernel_are_the_kernels(self, monkeypatch):
         """Where the kernel cannot load, ``mutate`` makes chunks of the
-        same sizes, holding the same children."""
-        monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", 100)
-        mask = MutationMask([1.0, 0.3, 0.05] * 11)
+        same sizes, holding the same children: sized by a small copy-out
+        buffer, and by ``_CALL_CHILDREN`` on a short seed."""
+        cases = [(33, 100, 50, [3] * 16 + [2]),
+                 (3, truzz.mutation._CALL_BYTES, 10_000, [4096, 4096, 1808])]
+        for length, call_bytes, n, sizes in cases:
+            monkeypatch.setattr(truzz.mutation, "_CALL_BYTES", call_bytes)
+            mask = MutationMask(([1.0, 0.3, 0.05] * length)[:length])
 
-        def chunks():
-            rng = Rng(9)
-            made = [(bytes(buffer), k) for buffer, k in mutate_chunks(bytes(33), mask, rng, 50)]
-            return made, rng.getstate()
+            def chunks():
+                rng = Rng(9)
+                made = [(bytes(buffer), k)
+                        for buffer, k in mutate_chunks(bytes(length), mask, rng, n)]
+                return made, rng.getstate()
 
-        by_kernel = chunks()
-        assert [k for _, k in by_kernel[0]] == [3] * 16 + [2]
-        monkeypatch.setattr(truzz.mutation, "_kernel", lambda: None)
-        assert chunks() == by_kernel
+            by_kernel = chunks()
+            assert [k for _, k in by_kernel[0]] == sizes
+            with monkeypatch.context() as patched:
+                patched.setattr(truzz.mutation, "_kernel", lambda: None)
+                assert chunks() == by_kernel
 
 
 BLOCK_LENGTHS = [1, 2, 3, 64, 100, 128, 512]
@@ -402,6 +413,36 @@ def test_stream_identical_from_every_block_offset(offset):
             assert round_children(seed, mask, ours, 12) == python_round(
                 seed, mask, reference, 12), (length, kind)
             assert ours.getstate() == reference.getstate(), (length, kind)
+
+
+def test_round_stays_in_bounds_under_address_sanitizer(tmp_path):
+    """``round_driver.c`` runs the round, built with AddressSanitizer, on
+    the cases above, keeping every child and with a two-check table: no
+    access strays outside the round's buffers or its stream, as a flag
+    scan that went past the 8 zero flags ending a block would. Skipped
+    where there is no compiler or AddressSanitizer does not build or run."""
+    compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
+    if compiler is None:
+        pytest.skip("no C compiler on this host")
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0"}
+
+    def build(source, binary):
+        command = [compiler, "-O3", "-g", "-fsanitize=address",
+                   "-I", str(here.parent / "src" / "truzz"), "-o", str(binary), str(source)]
+        return subprocess.run(command, capture_output=True, text=True, timeout=120)
+
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if build(probe, tmp_path / "probe").returncode != 0 or subprocess.run(
+            [tmp_path / "probe"], capture_output=True, env=env, timeout=60).returncode != 0:
+        pytest.skip("AddressSanitizer does not build or run on this host")
+    built = build(here / "round_driver.c", tmp_path / "round_driver")
+    assert built.returncode == 0, built.stderr[-2000:]
+    ran = subprocess.run([tmp_path / "round_driver"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert ran.returncode == 0, ran.stderr[-4000:]
+    assert ran.stdout == f"{29 * len(BLOCK_LENGTHS) * len(BLOCK_MASKS) * 2} rounds\n"
 
 
 def test_empty_round_loads_no_kernel(monkeypatch):

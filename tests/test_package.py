@@ -76,7 +76,9 @@ def test_shim_source_ships_as_package_data():
     sources = resources.files("truzz")
     assert b"__attribute__((constructor))" in sources.joinpath("forkserver.c").read_bytes()
     kernel = sources.joinpath("mutate.c").read_bytes()
-    assert b"void truzz_mutate_round(" in kernel and b"size_t truzz_synthetic_round(" in kernel
+    # The round is the kernel's one entry point: every other function is static.
+    exported = re.findall(rb"^(?!static\b)[a-z][\w ]*?\**(\w+)\(", kernel, re.M)
+    assert exported == [b"truzz_round"]
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert set(pyproject["tool"]["setuptools"]["package-data"]["truzz"]) == set(SOURCES)
@@ -134,7 +136,7 @@ def test_kernel_and_mutate_agree_on_the_constants():
     assert defines["CODE_CHECKS"] == target.CODE_CHECKS
     assert defines["CODE_SHIFT"] == target.CODE_SHIFT
     assert (defines["TERMINAL"], defines["VALIDATION"]) == (target._TERMINAL, target._VALIDATION)
-    assert defines["UNSEEN"] == target._UNSEEN
+    assert defines["UNSEEN"] == mutation._UNSEEN
 
 
 # Imported names each module keeps without using them: the engine's two

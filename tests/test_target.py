@@ -311,8 +311,8 @@ def test_compiled_byte_check_agrees_with_passes(check_with_input):
 
 def rounds(compiled, seed, mask, seed_int, n):
     """``round_record`` of a round of ``n`` children of ``seed`` from
-    ``Rng(seed_int)``: by truzz_synthetic_round where ``mutate.c`` loads
-    and the checks fit its table, and with neither loader finding it."""
+    ``Rng(seed_int)``: by truzz_round where ``mutate.c`` loads and the
+    checks fit its table, and with its loader finding nothing."""
     return (round_record(compiled, seed, mask, Rng(seed_int), n),
             composed_round_record(compiled, seed, mask, Rng(seed_int), n))
 
@@ -498,12 +498,12 @@ def synthetic_rounds(draw):
 @example((parse_spec(many_checks_spec(CODE_CHECKS)), bytes(64), None, 300, 64 * 3), 0)
 @example((parse_spec(many_checks_spec(0)), b"\x00", None, 5, 1), 1)
 def test_kernel_round_equals_composed_round(round_, seed_int):
-    """truzz_synthetic_round gives the firsts, their bytes, the codes and the
+    """truzz_round gives the firsts, their bytes, the codes and the
     valid counts that ``mutate`` and Python's ``score`` give, and leaves the
     Rng where they do, over two rounds and any copy-out buffer."""
     spec, seed, mask, n, call_bytes = round_
     compiled = CompiledTarget(spec)
-    if compiled._table is None or truzz.target._synthetic_round() is None:
+    if compiled._table is None or truzz.mutation._kernel() is None:
         pytest.skip("no C compiler on this host")
     ours, reference = Rng(seed_int), Rng(seed_int)
     with mock.patch.object(mutation, "_CALL_BYTES", call_bytes):
@@ -518,7 +518,7 @@ def test_round_on_a_long_seed_allocates_one_copy_out_buffer(masked):
     """A round on a 2 MiB seed allocates, besides a few small arrays, one
     copy-out buffer, here of one child: no second copy of the seed, per
     call or per child. The mask's doubles are made once per mask."""
-    if truzz.target._synthetic_round() is None:
+    if truzz.mutation._kernel() is None:
         pytest.skip("no C compiler on this host")
     compiled = CompiledTarget(load_bundled("magic64")[0])
     seed = bytes(range(256)) * (2 << 12)
@@ -539,7 +539,7 @@ def test_round_memory_does_not_grow_with_its_children():
     """A round of a million children holds one call's codes and valid
     counts, and a set of codes sized by the codes it holds, not by the
     round: it peaks under 1 MiB."""
-    if truzz.target._synthetic_round() is None:
+    if truzz.mutation._kernel() is None:
         pytest.skip("no C compiler on this host")
     spec, seed = load_bundled("magic64")
     compiled = CompiledTarget(spec)
@@ -560,9 +560,9 @@ def test_children_per_call_change_no_round(monkeypatch, per_call):
     give, on a spec where most children reach a new code, so the round's
     set of codes is rebuilt larger many times."""
     compiled = CompiledTarget(parse_spec(many_checks_spec(CODE_CHECKS)))
-    if truzz.target._synthetic_round() is None:
+    if truzz.mutation._kernel() is None:
         pytest.skip("no C compiler on this host")
-    monkeypatch.setattr(truzz.target, "_CALL_CHILDREN", per_call)
+    monkeypatch.setattr(truzz.mutation, "_CALL_CHILDREN", per_call)
     ours, reference = Rng(per_call), Rng(per_call)
     for _ in range(2):  # the second round starts where the first left the stream
         assert round_record(compiled, bytes(64), None, ours, 300) == \
@@ -1039,6 +1039,12 @@ class TestForkServer:
             os.waitpid(-1, os.WNOHANG)
 
 
+def age(path):
+    """Give ``path`` the mtime of a library built two days ago."""
+    then = time.time() - 2 * 24 * 60 * 60
+    os.utime(path, (then, then))
+
+
 class TestShimCache:
     @pytest.fixture()
     def cache(self, tmp_path, monkeypatch):
@@ -1071,19 +1077,25 @@ class TestShimCache:
             assert [slot.server_pid for slot in target.slots] == [0, 0]
 
     def test_build_deletes_other_shims(self, cache):
-        """A build deletes the other versions' shims, but no temporary file
-        of a build in progress; a cache hit deletes nothing."""
+        """A build deletes the other versions' shims built more than a day
+        ago, but not one built since, which another checkout sharing the
+        cache may be using, nor a temporary file of a build in progress; a
+        cache hit deletes nothing."""
         cache.mkdir(parents=True, mode=0o700)
         stale = cache / f"forkserver-{'0' * 64}.so"
+        fresh = cache / f"forkserver-{'1' * 64}.so"
         building = cache / ".forkserver-x1y2z3"
-        stale.write_bytes(b"old")
+        for path in (stale, fresh):
+            path.write_bytes(b"old")
         building.write_bytes(b"")
+        age(stale)
         shim = truzz.target._fork_server_shim()
         if shim is None:
             pytest.skip("no C compiler on this host")
         name = os.path.basename(os.fsdecode(shim))
-        assert sorted(p.name for p in cache.iterdir()) == [building.name, name]
+        assert sorted(p.name for p in cache.iterdir()) == sorted([building.name, fresh.name, name])
         stale.write_bytes(b"old")
+        age(stale)
         assert truzz.target._fork_server_shim() == shim
         assert stale.exists()
 
@@ -1094,6 +1106,7 @@ class TestShimCache:
         cache.mkdir(parents=True, mode=0o700)
         for stem in ("forkserver", "mutate"):
             (cache / f"{stem}-{'0' * 64}.so").write_bytes(b"old")
+            age(cache / f"{stem}-{'0' * 64}.so")
         shim = truzz.native.library("forkserver")
         if shim is None:
             pytest.skip("no C compiler on this host")
@@ -1112,11 +1125,12 @@ class TestShimCache:
 
     def test_new_flags_build_a_new_library(self, cache, monkeypatch):
         """A library is named by its flags as well as its source: other
-        flags build a library of another name and delete the old one as
-        stale."""
+        flags build a library of another name and delete the old one, once
+        it is stale."""
         old = truzz.native.library("forkserver")
         if old is None:
             pytest.skip("no C compiler on this host")
+        age(pathlib.Path(os.fsdecode(old)))
         monkeypatch.setattr(truzz.native, "CFLAGS", (*truzz.native.CFLAGS, "-g"))
         new = truzz.native.library("forkserver")
         assert new is not None and new != old

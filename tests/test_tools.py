@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-import truzz.target
+import truzz.mutation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,7 +16,7 @@ def test_round_breakdown_prints_the_kernel_share(tmp_path):
     """At a 2k-exec budget per campaign, ``round_breakdown.py`` runs the
     four campaigns once and prints microseconds per execution and the
     part of them spent in the C call, which is no more than the whole."""
-    if truzz.target._synthetic_round() is None:
+    if truzz.mutation._kernel() is None:
         pytest.skip("no C compiler on this host")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "round_breakdown.py"),

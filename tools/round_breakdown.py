@@ -4,7 +4,7 @@ the rest of the campaign.
 Runs the campaign set of perfbench's synth-truzz workload (four_byte_magic
 5k, magic64 5k, record512 10k and chain128 100k executions; TRUZZ ranking,
 mask on) ``--repeats`` times per rng seed in one process. Each
-``Campaign.run()`` and each ``truzz_synthetic_round`` call is timed with
+``Campaign.run()`` and each ``truzz_round`` call is timed with
 ``time.perf_counter``, and each seed prints one line: microseconds per
 execution, the part of it spent in the C call, and the rest (dry run,
 probes, event handling, persistence). Times are wall clock on this host,
@@ -27,7 +27,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from truzz import target  # noqa: E402
+from truzz import mutation  # noqa: E402
 from truzz.engine import Budget, Campaign, CampaignConfig  # noqa: E402
 from truzz.scheduler import Policy, SchedulerConfig  # noqa: E402
 from truzz.targets import write_bundled  # noqa: E402
@@ -38,10 +38,10 @@ SYNTH_SET = (("four_byte_magic", 5_000), ("magic64", 5_000), ("record512", 10_00
 
 
 def timed_kernel() -> list[float]:
-    """Make every round call truzz_synthetic_round through a wrapper that
-    adds its time to the returned one-item list. SystemExit where the
-    kernel cannot be built or loaded, as then there is no call to time."""
-    kernel = target._synthetic_round()
+    """Make every round call truzz_round through a wrapper that adds its
+    time to the returned one-item list. SystemExit where the kernel cannot
+    be built or loaded, as then there is no call to time."""
+    kernel = mutation._kernel()
     if kernel is None:
         raise SystemExit("mutate.c cannot be built or loaded on this host")
     spent = [0.0]
@@ -53,7 +53,7 @@ def timed_kernel() -> list[float]:
         finally:
             spent[0] += perf_counter() - start
 
-    target._synthetic_round = lambda: timed
+    mutation._kernel = lambda: timed
     return spent
 
 
