@@ -306,12 +306,11 @@ class Campaign:
         """Run ``data`` in the dry run or as a probe and charge it."""
         return self._charge(data, self._run(data), phase)
 
-    def _charge(self, data: Optional[bytes], result: ExecResult, phase: str) -> ExecResult:
+    def _charge(self, data: bytes, result: ExecResult, phase: str) -> ExecResult:
         """Charge one execution of ``data``, which gave ``result``, to the
         budget, the stats and the counter named ``phase`` if any, and write
         the interval row. A crash is saved and its path merged into the
-        corpus's coverage, so retention never keeps a crashing input.
-        ``data`` is None for a child whose round kept no copy of it."""
+        corpus's coverage, so retention never keeps a crashing input."""
         st = self.stats
         st.executions += 1
         if phase:
@@ -329,16 +328,21 @@ class Campaign:
         return result
 
     def _charge_bulk(self, valid: Sequence[int], start: int, stop: int) -> None:
-        """Charge mutated children ``start`` to ``stop - 1`` of a chunk in
-        one step; ``valid`` is the chunk's running count of valid ones."""
-        n = stop - start
-        if n > 0:
-            st = self.stats
-            n_valid = valid[stop] - valid[start]
+        """Charge mutated children ``start`` to ``stop - 1`` of a chunk, as
+        ``_charge`` would one at a time, in steps that end on each
+        ``stats_interval`` boundary, whose row the step writes; ``valid``
+        is the chunk's running count of valid ones."""
+        st, interval = self.stats, self.cfg.stats_interval
+        while start < stop:
+            end = min(stop, start + interval - st.executions % interval)
+            n, n_valid = end - start, valid[end] - valid[start]
             st.executions += n
             st.mutation_execs += n
             st.valid_count += n_valid
             st.invalid_count += n - n_valid
+            if st.executions % interval == 0:
+                self._emit_row()
+            start = end
 
     def _emit_row(self) -> None:
         self.stats.seeds = len(self.corpus)
@@ -398,15 +402,14 @@ class Campaign:
         """Run one energy round on ``entry``; returns the new-edge total.
 
         The round evaluator yields the round's children in chunks, and the
-        round visits only their events: the first child in the round to
-        reach each outcome, which is offered to the corpus; each child on a
-        ``stats_interval`` boundary, whose row is written before its
-        retention; and the budget's stop. The children between events are
-        charged in bulk. This is exact: a later child with an outcome
-        already offered this round has the same path, so it adds no edge.
-        The round makes no child past the energy or the execution cap, and
-        a round cut short by the budget or an interrupt is the
-        campaign's last, so children made and never run change nothing.
+        round runs only their firsts: the first child in the round to reach
+        each outcome, which is offered to the corpus. The children between
+        firsts are charged in bulk. This is exact: a later child with an
+        outcome already offered this round has the same path, so it adds no
+        edge, and cannot crash. The round makes no child past the energy or
+        the execution cap, and a round cut short by the budget or an
+        interrupt is the campaign's last, so children made and never run
+        change nothing.
         """
         cfg = self.cfg
         mask = None
@@ -415,47 +418,35 @@ class Campaign:
                 self._analyze_seed(entry)
             mask = entry.analysis.mask
         n = min(cfg.scheduler.energy, self._cap - self.stats.executions)
-        st, corpus, interval = self.stats, self.corpus, cfg.stats_interval
         n_all = 0
         for chunk in self._evaluate(entry.data, mask, n):
             done = 0
-            boundaries = range(interval - 1 - st.executions % interval, chunk.size, interval)
-            for i in sorted({*chunk.firsts, *boundaries}):
+            for i, child, run in chunk.firsts:
                 self._charge_bulk(chunk.valid, done, i)
                 if not self._budget_left():
                     return n_all
-                first = i in chunk.firsts
-                # Any other child repeats a first's outcome, so it cannot
-                # crash, and its round kept no copy of it.
-                child = chunk.child(i) if first else None
-                result = self._charge(child, chunk.result(i), _MUTATION)
-                if first:
-                    kept = corpus.retain_if_new(child, result.path)
-                    if kept is not None:
-                        n_all += kept.rank_key
+                result = self._charge(child, run(), _MUTATION)
+                kept = self.corpus.retain_if_new(child, result.path)
+                if kept is not None:
+                    n_all += kept.rank_key
                 done = i + 1
             self._charge_bulk(chunk.valid, done, chunk.size)
         return n_all
 
     def _child_by_child(self, seed: bytes, mask: Optional[MutationMask],
                         n: int) -> Iterator[Chunk]:
-        """The external round: one chunk in which every child is an event,
-        made when the round takes it and run when the round asks for its
-        result. Taking child i makes child i+1, which is passed to child
-        i's run as ``then``; execution draws nothing from the RNG, so every
-        child and result is that of one child at a time."""
-        run, length = self._run, len(seed)
+        """The external round: one chunk in which every child is a first,
+        made when the round takes it. Taking child i makes child i+1, which
+        is passed to child i's run as ``then``; execution draws nothing
+        from the RNG, so every child and result is that of one child at a
+        time."""
+        length = len(seed)
         children = (buffer[start:start + length]
                     for buffer, k in mutate_chunks(seed, mask, self.rng, n)
                     for start in range(0, k * length, length))
-        pairs = pairwise(chain(children, [None]))
-        taken = [None, None]  # the child taken last, and its ``then``
-
-        def child(_: int) -> bytes:
-            taken[:] = next(pairs)
-            return taken[0]
-
-        yield Chunk(n, range(n), None, child, lambda _: run(*taken))
+        yield Chunk(n, ((i, child, functools.partial(self._run, child, then))
+                        for i, (child, then) in enumerate(pairwise(chain(children, [None])))),
+                    None)
 
     def run(self) -> CampaignStats:
         seeds, saved, covered = _load_seeds(self.corpus_dir)

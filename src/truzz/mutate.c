@@ -1,8 +1,9 @@
 /* Round kernel for truzz. Its one entry point, truzz_round, makes the next
    children of a round for both kinds of target. Given a synthetic
    target's checks and the round's set of codes, it scores each child as
-   it makes it and keeps the first to reach each code; given seen == NULL
-   and no checks, as for an external target, it keeps every child.
+   it makes it and keeps only the first to reach each code, with its code;
+   given seen == NULL and no checks, as for an external target, it keeps
+   every child.
 
    The children are those n calls of
    mutate(seed, mask, rng, draw_op_count(rng)) in mutation.py would make,
@@ -222,15 +223,15 @@ static int add_code(uint32_t *seen, size_t mask, uint32_t code) {
    every child.
 
    Each child is made in the next free slot of out, which has capacity
-   slots of length bytes; a kept child keeps its slot, and its index,
-   counted from this call's first child, goes into firsts. scratch holds
-   reads bytes, where a child shorter than that is zero-padded to be
-   scored.
+   slots of length bytes; a kept child keeps its slot, its index, counted
+   from this call's first child, goes into firsts and its code into codes,
+   both of capacity entries. scratch holds reads bytes, where a child
+   shorter than that is zero-padded to be scored.
 
-   codes[i] gets child i's code, and valid[i] how many of the first i
-   children are valid. The call returns the number of children kept. It
-   stops after the child that fills the last slot, so it has made all n
-   children unless it returns capacity. */
+   valid[i] gets how many of the first i children are valid. The call
+   returns the number of children kept. It stops after the child that
+   fills the last slot, so it has made all n children unless it returns
+   capacity. */
 size_t truzz_round(uint32_t *state, const unsigned char *seed, size_t length,
                    const double *probability, size_t argmax,
                    const uint32_t *checks, size_t n_checks,
@@ -250,9 +251,9 @@ size_t truzz_round(uint32_t *state, const unsigned char *seed, size_t length,
         make_child(&s, seed, length, probability, argmax, child);
         const uint32_t code = score(checks, n_checks, bounds,
                                     padded ? memcpy(scratch, child, length) : child, &is_valid);
-        codes[i] = code;
         valid[i + 1] = count += is_valid;
         if (!seen || (code != last && add_code(seen, mask, code))) {
+            codes[kept] = code;
             firsts[kept++] = (uint32_t)i;
             if (kept == capacity) break;
         }

@@ -52,10 +52,10 @@ _INTERESTING_BITS = len(INTERESTING_BYTES).bit_length()
 # the peak RSS. A call given checks writes only the first child of each
 # code, so it takes one call until that many fill it.
 _CALL_BYTES = 1 << 16
-# The most children one kernel call makes. A call's codes and valid counts
-# take 8 bytes per child, so a round of any energy holds at most 32 KiB of
-# them; a round of up to this many children is one call until its copy-out
-# buffer fills.
+# The most children one kernel call makes. A call's valid counts take 4
+# bytes per child, so a round of any energy holds at most 16 KiB of them; a
+# round of up to this many children is one call until its copy-out buffer
+# fills.
 _CALL_CHILDREN = 1 << 12
 # The code no child has: an empty slot of the kernel's set of a round's codes.
 _UNSEEN = 0xFFFFFFFF
@@ -198,8 +198,8 @@ def kernel_calls(fn, seed: bytes, mask: Optional[MutationMask], rng: random.Rand
     calls of ``mutate(seed, mask, rng, draw_op_count(rng))``, and yield
     each call's ``(k, firsts, out, codes, valid)``: it made the next k
     children and kept those in ``firsts``, in the order of their slots of
-    ``len(seed)`` bytes in ``out``; ``codes[i]`` is child i's code and
-    ``valid[i]`` how many of the first i are valid. Given ``table``, a
+    ``len(seed)`` bytes in ``out``, with their codes in ``codes``;
+    ``valid[i]`` is how many of the first i are valid. Given ``table``, a
     synthetic target's checks (``truzz.target._score_table``), a call
     keeps the first child of the round to reach each code; given none, it
     keeps every child. A call makes up to ``_CALL_CHILDREN`` children,
@@ -216,8 +216,8 @@ def kernel_calls(fn, seed: bytes, mask: Optional[MutationMask], rng: random.Rand
     version, internal, gauss = rng.getstate()
     state = array("I", internal)  # the 624 words, then the index
     out, firsts = array("B", [0]) * (capacity * length), array("I", [0]) * capacity
-    codes, valid = array("I", [0]) * per_call, array("I", [0]) * (per_call + 1)
-    view, codes_view, valid_view = memoryview(out), memoryview(codes), memoryview(valid)
+    codes, valid = array("I", [0]) * capacity, array("I", [0]) * (per_call + 1)
+    view, valid_view = memoryview(out), memoryview(valid)
     state_at, out_at, firsts_at, codes_at, valid_at = (
         b.buffer_info()[0] for b in (state, out, firsts, codes, valid))
     checks = (None, 0, None, 0, None)
@@ -242,7 +242,7 @@ def kernel_calls(fn, seed: bytes, mask: Optional[MutationMask], rng: random.Rand
         # A call that fills the buffer stops at the child it keeps last.
         if kept == capacity:
             k = firsts[kept - 1] + 1
-        yield k, firsts[:kept], view, codes_view[:k], valid_view[:k + 1]
+        yield k, firsts[:kept], view, codes[:kept], valid_view[:k + 1]
         done += k
         known += kept
 

@@ -79,7 +79,8 @@ class StatsRow:
 
 
 def read_stats(path: str | os.PathLike) -> list[StatsRow]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # A byte that is not ASCII reads as U+FFFD, which no column accepts.
+    with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != STATS_COLUMNS:

@@ -26,7 +26,8 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import mutation, native
 from .byte_analysis import MutationMask
@@ -435,18 +436,15 @@ def _score_table(ops, validation, reads) -> Optional[tuple[array, bytes, int, ar
 
 
 class Chunk(NamedTuple):
-    """``size`` consecutive children of a round. ``firsts`` holds the index
-    of each child that is the first in its round to reach its outcome;
-    ``child(i)``, for i in ``firsts``, is child i, and ``result(i)`` is
-    child i's ExecResult for every i. ``valid[j] - valid[i]`` is how many
-    of children i to j - 1 are valid (None where every child is in
-    ``firsts``, so none is charged in bulk)."""
+    """``size`` consecutive children of a round. ``firsts`` yields, in
+    index order, ``(i, child, run)`` for each child i that is the first in
+    its round to reach its outcome: ``run()`` is child i's ExecResult.
+    ``valid[j] - valid[i]`` is how many of children i to j - 1 are valid
+    (None where every child is a first, so none is charged in bulk)."""
 
     size: int
-    firsts: Collection[int]
+    firsts: Iterable[tuple[int, bytes, Callable[[], ExecResult]]]
     valid: Optional[Sequence[int]]
-    child: Callable[[int], bytes]
-    result: Callable[[int], ExecResult]
 
 
 class CompiledTarget:
@@ -556,31 +554,30 @@ class CompiledTarget:
 
     def _kernel_round(self, fn, seed: bytes, mask: Optional[MutationMask],
                       rng: random.Random, n: int) -> Iterator[Chunk]:
-        """``round`` by ``mutation.kernel_calls`` with this target's checks."""
-        length, result_of = len(seed), self.result_of
+        """``round`` by ``mutation.kernel_calls`` with this target's checks.
+        A first's bytes are copied out of the call's buffer when taken."""
+        length = len(seed)
         for k, firsts, out, codes, valid in mutation.kernel_calls(fn, seed, mask, rng, n,
                                                                  self._table):
-            offsets = {i: slot * length for slot, i in enumerate(firsts)}
-            yield Chunk(k, offsets, valid,
-                        lambda i, at=offsets, out=out: out[at[i]:at[i] + length].tobytes(),
-                        lambda i, codes=codes: result_of(codes[i]))
+            yield Chunk(k, ((i, out[slot * length:(slot + 1) * length].tobytes(),
+                             partial(self.result_of, codes[slot]))
+                            for slot, i in enumerate(firsts)), valid)
 
     def _composed_round(self, seed: bytes, mask: Optional[MutationMask],
                         rng: random.Random, n: int) -> Iterator[Chunk]:
         """``round`` by ``mutate_chunks`` and ``score``: each chunk's codes
         say which child is the first in the round to reach its code."""
-        length, result_of = len(seed), self.result_of
+        length = len(seed)
         offered: set[int] = set()
         for buffer, k in mutation.mutate_chunks(seed, mask, rng, n):
             codes, valid = self.score(buffer, length, k)
-            firsts = set()
+            firsts = []
             for i, code in enumerate(codes):
                 if code not in offered:
                     offered.add(code)
-                    firsts.add(i)
-            yield Chunk(k, firsts, valid,
-                        lambda i, buffer=buffer: buffer[i * length:(i + 1) * length],
-                        lambda i, codes=codes: result_of(codes[i]))
+                    firsts.append((i, buffer[i * length:(i + 1) * length],
+                                   partial(self.result_of, code)))
+            yield Chunk(k, firsts, valid)
 
     def result_of(self, code: int) -> ExecResult:
         """The ExecResult of every input with ``code``."""

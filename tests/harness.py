@@ -159,19 +159,19 @@ def round_children(seed, mask, rng, n):
 
 
 def round_record(compiled, seed, mask, rng, n):
-    """``compiled.round(seed, mask, rng, n)`` over all its chunks: the code
-    of each child's ExecResult in ``compiled``'s cache, the running count
-    of valid children from 0, and each first child by its index in the
-    round. Each chunk's children are taken before the next chunk."""
-    results, valid, firsts = [], [0], {}
+    """``compiled.round(seed, mask, rng, n)`` over all its chunks: the
+    running count of valid children from 0, and ``(bytes, code)`` of each
+    first child by its index in the round, where the code is that of the
+    ExecResult its ``run`` returns in ``compiled``'s cache. Each chunk's
+    firsts are taken before the next chunk."""
+    valid, firsts = [0], {}
     for chunk in compiled.round(seed, mask, rng, n):
-        start = len(results)
-        results += map(chunk.result, range(chunk.size))
+        start = len(valid) - 1
         valid += (valid[start] + chunk.valid[i] - chunk.valid[0]
                   for i in range(1, chunk.size + 1))
-        firsts.update((start + i, chunk.child(i)) for i in chunk.firsts)
+        firsts.update((start + i, (child, run())) for i, child, run in chunk.firsts)
     code_of = {id(result): code for code, result in compiled._cache.items()}
-    return [code_of[id(result)] for result in results], valid, firsts
+    return valid, {i: (child, code_of[id(result)]) for i, (child, result) in firsts.items()}
 
 
 def composed_round_record(compiled, seed, mask, rng, n):
@@ -349,13 +349,14 @@ def many_checks(tmp_path, n, label):
 
 def external_config(tmp_path, label="c", seeds=(bytes(8),), script=CRASHY_TARGET, **kw):
     """A campaign on ``script``, written to ``tmp_path/target.py`` and run
-    by this interpreter, over a corpus ``tmp_path/label`` seeded with
-    ``seeds``."""
+    by this interpreter without ``site``, which the scripts do not need and
+    which is most of the interpreter's start, over a corpus
+    ``tmp_path/label`` seeded with ``seeds``."""
     script_path = tmp_path / "target.py"
     script_path.write_text(script)
     return CampaignConfig(
         corpus_dir=str(write_seeds(tmp_path / label, seeds)),
-        command=[sys.executable, str(script_path), "@@"],
+        command=[sys.executable, "-S", str(script_path), "@@"],
         **kw,
     )
 

@@ -3,10 +3,11 @@
    -fsanitize=address: from MT block offsets 0-3 and 600-624, on seeds of
    1, 2, 3, 64, 100, 128 and 512 bytes, with no mask, a mixed mask and an
    all-floor mask, both keeping every child (seen == NULL) and with a
-   two-check table. Every buffer the round is given is allocated to its
-   exact size, so AddressSanitizer reports any access outside one of them
-   or outside the round's own stream, such as a flag scan past the 8 zero
-   flags that end a block.
+   two-check table, and with room for all 12 children and for 3. Every
+   buffer the round is given is allocated to its exact size, so
+   AddressSanitizer reports any access outside one of them or outside the
+   round's own stream, such as a flag scan past the 8 zero flags that end
+   a block, or a code written for a child that was not kept.
 
        cc -fsanitize=address -I src/truzz -o round_driver tests/round_driver.c
 
@@ -49,7 +50,9 @@ int main(void) {
         for (size_t l = 0; l < sizeof lengths / sizeof *lengths; l++) {
             const size_t length = lengths[l];
             for (int kind = 0; kind < 3; kind++) {
-                for (int scored = 0; scored < 2; scored++) {
+                for (int c = 0; c < 4; c++) {
+                    const int scored = c & 1;
+                    const size_t capacity = c < 2 ? CHILDREN : 3;
                     uint32_t *state = allocate((N + 1) * sizeof *state);
                     unsigned char *seed = allocate(length);
                     double *probability = kind ? allocate(length * sizeof *probability) : NULL;
@@ -69,18 +72,18 @@ int main(void) {
                         seen = allocate(SLOTS * sizeof *seen);
                         for (size_t i = 0; i < SLOTS; i++) seen[i] = UNSEEN;
                     }
-                    unsigned char *out = allocate(CHILDREN * length);
-                    uint32_t *firsts = allocate(CHILDREN * sizeof *firsts);
-                    uint32_t *codes = allocate(CHILDREN * sizeof *codes);
+                    unsigned char *out = allocate(capacity * length);
+                    uint32_t *firsts = allocate(capacity * sizeof *firsts);
+                    uint32_t *codes = allocate(capacity * sizeof *codes);
                     uint32_t *valid = allocate((CHILDREN + 1) * sizeof *valid);
                     const size_t kept = truzz_round(
                         state, seed, length, probability, 0, checks, scored ? 2 : 0, bounds,
-                        scored ? reads : 0, scratch, seen, SLOTS - 1, CHILDREN, out, CHILDREN,
+                        scored ? reads : 0, scratch, seen, SLOTS - 1, CHILDREN, out, capacity,
                         firsts, codes, valid);
-                    if (kept < 1 || kept > CHILDREN || (!scored && kept != CHILDREN) ||
+                    if (kept < 1 || kept > capacity || (!scored && kept != capacity) ||
                         state[N] > N) {
-                        fprintf(stderr, "offset %u, length %zu, mask %d, table %d: kept %zu\n",
-                                offset, length, kind, scored, kept);
+                        fprintf(stderr, "offset %u, length %zu, mask %d, table %d, capacity %zu: "
+                                "kept %zu\n", offset, length, kind, scored, capacity, kept);
                         return 1;
                     }
                     free(state), free(seed), free(probability), free(checks), free(bounds);

@@ -192,7 +192,7 @@ class TestReplay:
         script.write_text(DUMP_TARGET)
         data = tmp_path / "input"
         data.write_bytes(b"!x")
-        cmd = shlex.join([sys.executable, str(script), "@@"])
+        cmd = shlex.join([sys.executable, "-S", str(script), "@@"])
         assert main(["replay", "--cmd", cmd, "--show-path", str(data)]) == 0
         assert "edges:       3 7 11" in capsys.readouterr().out
 
@@ -276,6 +276,17 @@ class TestReport:
         stats.write_text(f"{STATS_HEADER}\n0.1,x,1,1,1,1,0\n")
         with pytest.raises(SystemExit, match=r"^truzz report: .*a\.csv: .*row 2") as exc:
             main(["report", "compare", str(stats), str(stats)])
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["compare", "a12"])
+    def test_non_ascii_stats_is_one_line_error(self, tmp_path, command):
+        """A stats file with a byte that is not ASCII: compare reads it,
+        and a12 reads it from its directory."""
+        stats = tmp_path / "a.csv"
+        stats.write_bytes(f"{STATS_HEADER}\n0.1,1\xff,1,1,1,1,0\n".encode("latin-1"))
+        operand = str(stats if command == "compare" else tmp_path)
+        with pytest.raises(SystemExit, match=r"^truzz report: .*a\.csv: .*row 2") as exc:
+            main(["report", command, operand, operand])
         assert "\n" not in str(exc.value)
 
     def test_a12_unknown_metric_rejected(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from harness import (
     open_fd_count,
     vanilla_fifo,
     without_mutate_c,
+    write_seeds,
 )
 
 import truzz.engine
@@ -329,7 +330,9 @@ class TestSyntheticCampaign:
         so an interrupt anywhere after the dry run leaves the phase counts
         summing to the executions, and the final stats.csv row is the
         returned stats. Without ``mutate.c``, the interrupt comes while
-        Python scores the second round's children, one code at a time."""
+        Python scores the second round's children, one code at a time; at
+        an interval boundary, while the third row of the mutated children
+        is written."""
         from truzz.report import read_stats
 
         spec_path, corpus = make_corpus(tmp_path, "magic64")
@@ -360,6 +363,15 @@ class TestSyntheticCampaign:
                 return kernel(*args)
 
             monkeypatch.setattr(truzz.mutation, "_kernel", lambda: interrupted_kernel)
+        elif where == "interval boundary":
+            row = truzz.engine._StatsWriter.row
+
+            def interrupted_row(writer, stats):
+                if stats.mutation_execs and next(calls) == 3:
+                    raise KeyboardInterrupt
+                return row(writer, stats)
+
+            monkeypatch.setattr(truzz.engine._StatsWriter, "row", interrupted_row)
         else:
             result_of, run = campaign.compiled.result_of, campaign.compiled.run
             running = []  # the lookups of run, for the dry run and probes, are not counted
@@ -372,9 +384,7 @@ class TestSyntheticCampaign:
                     running.pop()
 
             def interrupted(code):
-                boundary = (campaign.stats.executions + 1) % 100 == 0
-                if not running and (where != "interval boundary" or boundary) \
-                        and next(calls) == 3:
+                if not running and next(calls) == 3:
                     raise KeyboardInterrupt
                 return result_of(code)
 
@@ -444,13 +454,41 @@ class TestSyntheticCampaign:
         assert execs == sorted(execs) and len(set(execs)) == len(execs)
         assert rows[-1].executions >= 10_000
 
-    def test_stats_rows_on_interval_boundaries(self, tmp_path):
+    def test_stats_rows_on_interval_boundaries(self, tmp_path, monkeypatch):
+        """Rows fall on interval boundaries, the last aside. On magic64 and
+        record512, with and without ``mutate.c``, there is a row on every
+        boundary, which is the row a campaign writing one per execution
+        writes at that count, and the last rows are the same, so the
+        children a round charges in bulk are split exactly at each
+        boundary."""
+        from truzz.report import read_stats
+
         spec_path, corpus = make_corpus(tmp_path, "magic64")
         run_campaign(config(spec_path, corpus, stats_interval=2_500))
         lines = (corpus / "stats.csv").read_text().splitlines()
         assert lines[0] == STATS_HEADER
         execs = [int(line.split(",")[1]) for line in lines[1:]]
         assert all(e % 2_500 == 0 or e == execs[-1] for e in execs)
+        for name, kernel in itertools.product(["magic64", "record512"], [True, False]):
+            with monkeypatch.context() as patch:
+                if not kernel:
+                    without_mutate_c(patch)
+                spec_path, _ = write_bundled(name, tmp_path / name)
+                label = f"{name}-{kernel}"
+                every = write_seeds(tmp_path / label / "1", [bundled_seed(name)])
+                run_campaign(config(spec_path, every, stats_interval=1))
+                reference = read_stats(every / "stats.csv")
+                at = {}
+                for row in reference:  # the final row may repeat the count before it
+                    at.setdefault(row.executions, row)
+                for interval in (7, 1000, 1024, 4097):
+                    corpus = write_seeds(tmp_path / label / str(interval), [bundled_seed(name)])
+                    run_campaign(config(spec_path, corpus, stats_interval=interval))
+                    expected = [at[e] for e in range(interval, reference[-1].executions + 1,
+                                                     interval)]
+                    if expected[-1:] != reference[-1:]:  # a row repeating the last is skipped
+                        expected.append(reference[-1])
+                    assert read_stats(corpus / "stats.csv") == expected
 
     def test_final_stats_row_after_retention_on_interval(self, tmp_path):
         """The last execution falls on a stats interval and retains a seed,

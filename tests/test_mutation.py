@@ -417,10 +417,12 @@ def test_stream_identical_from_every_block_offset(offset):
 
 def test_round_stays_in_bounds_under_address_sanitizer(tmp_path):
     """``round_driver.c`` runs the round, built with AddressSanitizer, on
-    the cases above, keeping every child and with a two-check table: no
-    access strays outside the round's buffers or its stream, as a flag
-    scan that went past the 8 zero flags ending a block would. Skipped
-    where there is no compiler or AddressSanitizer does not build or run."""
+    the cases above, keeping every child and with a two-check table, each
+    with room for all 12 children and for 3: no access strays outside the
+    round's buffers or its stream, as a flag scan that went past the 8
+    zero flags ending a block would, or a code written for a child that
+    was not kept. Skipped where there is no compiler or AddressSanitizer
+    does not build or run."""
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         pytest.skip("no C compiler on this host")
@@ -442,7 +444,7 @@ def test_round_stays_in_bounds_under_address_sanitizer(tmp_path):
     ran = subprocess.run([tmp_path / "round_driver"], capture_output=True, text=True, env=env,
                          timeout=120)
     assert ran.returncode == 0, ran.stderr[-4000:]
-    assert ran.stdout == f"{29 * len(BLOCK_LENGTHS) * len(BLOCK_MASKS) * 2} rounds\n"
+    assert ran.stdout == f"{29 * len(BLOCK_LENGTHS) * len(BLOCK_MASKS) * 4} rounds\n"
 
 
 def test_empty_round_loads_no_kernel(monkeypatch):

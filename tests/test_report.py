@@ -100,6 +100,17 @@ class TestReadStats:
         with pytest.raises(StatsSchemaError):
             read_stats(p)
 
+    @pytest.mark.parametrize("line", [0, 1])
+    def test_non_ascii_byte_rejected(self, tmp_path, line):
+        """A byte that is not ASCII, in the header or in a row, is a schema
+        error naming the file, not a UnicodeDecodeError."""
+        lines = STATS_A.encode().splitlines(keepends=True)
+        lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
+        p = tmp_path / "stats.csv"
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(StatsSchemaError, match=r"stats\.csv"):
+            read_stats(p)
+
 
 class TestCompare:
     @pytest.fixture()

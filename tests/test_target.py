@@ -318,28 +318,33 @@ def rounds(compiled, seed, mask, seed_int, n):
 
 
 def first_children(children, codes):
-    """Each child that is the first in ``children`` with its code, by index."""
+    """``(child, code)`` of each child that is the first in ``children``
+    with its code, by index."""
     firsts, seen = {}, set()
     for i, code in enumerate(codes):
         if code not in seen:
             seen.add(code)
-            firsts[i] = children[i]
+            firsts[i] = (children[i], code)
     return firsts
 
 
 def assert_round_runs_as_the_oracle(compiled, spec, seed, n):
-    """Both ways of ``rounds``, every child of a round of ``n`` of ``seed``
-    gets the code of the very ExecResult ``run`` returns for it, which is
-    the oracle's; the valid count and the firsts follow from those."""
+    """Python's ``score`` gives every child of a round of ``n`` of ``seed``
+    the code of the very ExecResult ``run`` returns for it, which is the
+    oracle's. Both ways of ``rounds`` give the running valid count of those
+    results and, as the firsts, the first child to reach each of those
+    codes, with its code."""
     children = round_children(seed, None, Rng(0), n)
     results = [compiled.run(child) for child in children]
     for child, result in zip(children, results):
         assert (result.path, result.valid) == oracle_execute(spec, child)
-    for codes, valid, firsts in rounds(compiled, seed, None, 0, n):
-        assert [compiled.result_of(code) for code in codes] == results
-        assert all(compiled.result_of(code) is r for code, r in zip(codes, results))
+    codes, _ = compiled.score(b"".join(children), len(seed), n)
+    assert all(compiled.result_of(code) is r for code, r in zip(codes, results))
+    for valid, firsts in rounds(compiled, seed, None, 0, n):
         assert valid == [0, *itertools.accumulate(r.valid for r in results)]
         assert firsts == first_children(children, codes)
+        assert all(compiled.result_of(code) is compiled.run(child)
+                   for child, code in firsts.values())
 
 
 def outcome_code(outcome, shift=CODE_SHIFT):
@@ -349,11 +354,12 @@ def outcome_code(outcome, shift=CODE_SHIFT):
 @pytest.mark.parametrize("name", [*sorted(bundled_names()), "checks-30"])
 def test_round_codes_map_to_the_results_run_returns(name):
     """Each of 4000 kernel mutants, of the seed and of seeds shorter and
-    longer than the input, is scored by ``score`` and by both ways of
-    ``round`` to the code of the checks it reaches, which maps to the
-    oracle's result and is the very ExecResult ``run`` returns for it, and
-    the running valid count is ``run``'s. A spec of 30 checks has its
-    reached count at bit 30."""
+    longer than the input, is scored by ``score`` to the code of the checks
+    it reaches, which maps to the oracle's result and is the very
+    ExecResult ``run`` returns for it, and the running valid count is
+    ``run``'s. Both ways of ``round`` give that valid count and, as the
+    firsts, the first child to reach each code, with its code. A spec of
+    30 checks has its reached count at bit 30."""
     if name == "checks-30":
         spec, seed = parse_spec(many_checks_spec(30)), bytes(64)
     else:
@@ -364,18 +370,18 @@ def test_round_codes_map_to_the_results_run_returns(name):
     # The shorter seeds, longest first, leave the kernel's padding scratch dirty.
     for data in (seed, seed[: len(seed) // 2], seed[: len(seed) // 4], seed + b"\x7f" * 5):
         children = round_children(data, None, Rng(len(seed)), 1_000)
-        scored = compiled.score(b"".join(children), len(data), len(children))
-        for codes, valid, firsts in (scored + (None,), *rounds(compiled, data, None,
-                                                               len(seed), 1_000)):
-            assert len(codes) == len(children) and valid[0] == 0
-            for i, child in enumerate(children):
-                result = compiled.run(child)
-                outcome = reached_outcomes(spec, fit_input(child, spec.input_length))
-                assert codes[i] == outcome_code(outcome, shift)
-                assert compiled.result_of(codes[i]) is result
-                assert (result.path, result.valid) == oracle_execute(spec, child)
-                assert valid[i + 1] == valid[i] + result.valid
-            assert firsts in (None, first_children(children, codes))
+        codes, valid = compiled.score(b"".join(children), len(data), len(children))
+        assert len(codes) == len(children) and valid[0] == 0
+        for i, child in enumerate(children):
+            result = compiled.run(child)
+            outcome = reached_outcomes(spec, fit_input(child, spec.input_length))
+            assert codes[i] == outcome_code(outcome, shift)
+            assert compiled.result_of(codes[i]) is result
+            assert (result.path, result.valid) == oracle_execute(spec, child)
+            assert valid[i + 1] == valid[i] + result.valid
+        for round_valid, firsts in rounds(compiled, data, None, len(seed), 1_000):
+            assert round_valid == valid
+            assert firsts == first_children(children, codes)
     assert len(compiled._cache) > 1
 
 
@@ -498,7 +504,7 @@ def synthetic_rounds(draw):
 @example((parse_spec(many_checks_spec(CODE_CHECKS)), bytes(64), None, 300, 64 * 3), 0)
 @example((parse_spec(many_checks_spec(0)), b"\x00", None, 5, 1), 1)
 def test_kernel_round_equals_composed_round(round_, seed_int):
-    """truzz_round gives the firsts, their bytes, the codes and the
+    """truzz_round gives the firsts, their bytes and codes, and the
     valid counts that ``mutate`` and Python's ``score`` give, and leaves the
     Rng where they do, over two rounds and any copy-out buffer."""
     spec, seed, mask, n, call_bytes = round_
@@ -555,8 +561,8 @@ def test_round_memory_does_not_grow_with_its_children():
 
 @pytest.mark.parametrize("per_call", [1, 3])
 def test_children_per_call_change_no_round(monkeypatch, per_call):
-    """Calls of one or three children give the firsts, their bytes, the
-    codes and the valid counts that ``mutate`` and Python's ``score``
+    """Calls of one or three children give the firsts, their bytes and
+    codes, and the valid counts that ``mutate`` and Python's ``score``
     give, on a spec where most children reach a new code, so the round's
     set of codes is rebuilt larger many times."""
     compiled = CompiledTarget(parse_spec(many_checks_spec(CODE_CHECKS)))
@@ -597,7 +603,7 @@ class TestExternalExecution:
     def target_script(self, tmp_path):
         script = tmp_path / "target.py"
         script.write_text(DUMP_TARGET)
-        return [sys.executable, str(script), "@@"]
+        return [sys.executable, "-S", str(script), "@@"]
 
     @pytest.fixture(params=["fork-server", "pidfd", "waitpid-poll", "pidfd-refused"])
     def wait_path(self, request, monkeypatch):
@@ -834,7 +840,7 @@ class TestExternalExecution:
         """A target whose coverage dump is its input, verbatim."""
         script = tmp_path / "echo.py"
         script.write_text(ECHO_TARGET)
-        return [sys.executable, str(script), "@@"]
+        return [sys.executable, "-S", str(script), "@@"]
 
     def test_last_map_edge_accepted(self, echo_script):
         result = run_external(echo_script, f"{MAP_SIZE - 1}\n".encode())
